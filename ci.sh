@@ -77,10 +77,11 @@ target/release/bench_durable 2000
 
 echo "== bench smoke (translation hot path + wire bytes vs committed baselines)"
 # Fails when any gated total regresses more than 25% against the
-# committed baselines: the auto-thread collect+apply total and the
-# isomorphic fast-path total (seconds, BENCH_9.json), plus the v2 and
-# v2+lz encoded-byte totals across the wire mixes (bytes, BENCH_10.json
-# — deterministic, so the gate catches any encoding regression at all).
+# committed baselines: the collect+apply total (`total_secs`) and the
+# isomorphic fast-path total (`total_iso_secs`; seconds, BENCH_9.json),
+# plus the v2 and v2+lz encoded-byte totals across the wire mixes
+# (bytes, BENCH_10.json — deterministic, so the gate catches any
+# encoding regression at all).
 # Regenerate the baselines with:
 #   target/release/bench_trajectory 1.0 --out crates/bench/baselines/BENCH_9.json \
 #     --wire-out crates/bench/baselines/BENCH_10.json
@@ -89,6 +90,12 @@ target/release/bench_trajectory 1.0 --out /tmp/BENCH_9.current.json \
   --wire-out /tmp/BENCH_10.current.json \
   --baseline crates/bench/baselines/BENCH_9.json \
   --wire-baseline crates/bench/baselines/BENCH_10.json --tolerance 25
+
+echo "== iwbench package gate (fmt, clippy, tests, untraced + traced smoke)"
+# benchmark/ is its own workspace measuring the crates through their
+# public items: a crate change that breaks its build or its output
+# checks must fail here, not in the pipeline that runs BENCHMARK.json.
+benchmark/check.sh
 
 echo "== many-client scale (event front end, release)"
 # A release iwsrv on an ephemeral port, driven by iwload: every session

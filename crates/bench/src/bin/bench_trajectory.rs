@@ -1,12 +1,11 @@
 //! Trajectory benchmark for the translation hot path: measures Figure 4
-//! collect/apply across thread counts and across the layout-identity
-//! dimension (isomorphic fast path on vs off), and emits `BENCH_9.json`.
+//! collect/apply and the layout-identity dimension (isomorphic fast path
+//! on vs off), and emits `BENCH_9.json`.
 //!
-//! Two dimensions per mix:
+//! Two measurements per mix:
 //!
-//! - **thread count** (on x86, where translation always walks the
-//!   descriptor): `collect_segment_diff` and `apply_segment_diff` with
-//!   translation pinned to 1 thread, 2 threads, and auto;
+//! - **descriptor walk** (on x86, where translation always walks the
+//!   descriptor): `collect_segment_diff` and `apply_segment_diff`;
 //! - **layout identity** (on big-endian sparc_v9, where packed
 //!   pointer-free mixes are wire-identical): the same pair with the
 //!   isomorphic fast path enabled vs disabled, plus a raw `memcpy`
@@ -19,7 +18,7 @@
 //! encoding), so the byte gate is far tighter than any timing gate.
 //!
 //! The JSON doubles as a CI regression gate: pass `--baseline <path>` to
-//! compare both the auto-thread total and the iso-mix total against a
+//! compare both the collect+apply total and the iso-mix total against a
 //! committed run and exit non-zero on a regression beyond `--tolerance`
 //! percent; pass `--wire-baseline <path>` to gate the v2/v2+lz byte
 //! totals against a committed `BENCH_10.json` the same way.
@@ -48,16 +47,9 @@ const ABS_FLOOR_SECS: f64 = 0.05;
 
 struct Row {
     name: &'static str,
-    /// Best-of collect/apply seconds at 1, 2, and auto threads.
-    collect: [f64; 3],
-    apply: [f64; 3],
-}
-
-fn opts(threads: Option<usize>) -> SessionOptions {
-    SessionOptions {
-        translate_threads: threads,
-        ..SessionOptions::default()
-    }
+    /// Best-of collect/apply seconds.
+    collect: f64,
+    apply: f64,
 }
 
 /// Best-of-`ITERS` collect and apply seconds for one workload under the
@@ -89,10 +81,6 @@ fn measure_cfg(w: &Workload, arch: &MachineArch, o: SessionOptions) -> (f64, f64
     }
     bed.session.wl_release(&bed.handle).expect("release");
     (best_collect, best_apply)
-}
-
-fn measure(w: &Workload, threads: Option<usize>) -> (f64, f64) {
-    measure_cfg(w, &MachineArch::x86(), opts(threads))
 }
 
 /// Best-of-`ITERS` seconds to memcpy a buffer of the workload's local
@@ -266,60 +254,21 @@ fn main() {
         }
     }
 
-    let auto = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!("# BENCH_9 — translation trajectory (scale {scale}, auto = {auto} threads)");
-    println!(
-        "{:<14} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8}",
-        "workload",
-        "collect_1t",
-        "collect_2t",
-        "collect_at",
-        "apply_1t",
-        "apply_2t",
-        "apply_at",
-        "c_spdup",
-        "a_spdup"
-    );
+    println!("# BENCH_9 — translation trajectory (scale {scale})");
+    println!("{:<14} {:>10} {:>10}", "workload", "collect", "apply");
 
-    let settings = [Some(1), Some(2), None];
     let mut rows: Vec<Row> = Vec::new();
     for w in figure4_workloads(scale) {
-        let mut collect = [0.0; 3];
-        let mut apply = [0.0; 3];
-        for (slot, threads) in settings.iter().enumerate() {
-            let (c, a) = measure(&w, *threads);
-            collect[slot] = c;
-            apply[slot] = a;
-        }
-        println!(
-            "{:<14} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>7.2}x {:>7.2}x",
-            w.name,
-            collect[0],
-            collect[1],
-            collect[2],
-            apply[0],
-            apply[1],
-            apply[2],
-            collect[0] / collect[2].max(1e-9),
-            apply[0] / apply[2].max(1e-9),
-        );
+        let (collect, apply) = measure_cfg(&w, &MachineArch::x86(), SessionOptions::default());
+        println!("{:<14} {:>10.4} {:>10.4}", w.name, collect, apply);
         rows.push(Row {
             name: w.name,
             collect,
             apply,
         });
     }
-
-    let total = |f: fn(&Row) -> f64| rows.iter().map(f).sum::<f64>();
-    let total_1 = total(|r| r.collect[0] + r.apply[0]);
-    let total_2 = total(|r| r.collect[1] + r.apply[1]);
-    let total_auto = total(|r| r.collect[2] + r.apply[2]);
-    println!("\n# totals (collect+apply, nine mixes): 1t {total_1:.4}s  2t {total_2:.4}s  auto {total_auto:.4}s");
-    println!(
-        "# combined speedup vs serial: 2t {:.2}x, auto {:.2}x",
-        total_1 / total_2.max(1e-9),
-        total_1 / total_auto.max(1e-9)
-    );
+    let total: f64 = rows.iter().map(|r| r.collect + r.apply).sum();
+    println!("\n# total (collect+apply, nine mixes): {total:.4}s");
 
     // Layout-identity dimension: the same mixes on a big-endian machine,
     // fast path on vs off, against a raw memcpy floor.
@@ -465,30 +414,17 @@ fn main() {
     let mut j = String::new();
     j.push_str("{\n");
     j.push_str(&format!(
-        "  \"bench\": \"BENCH_9\",\n  \"scale\": {scale},\n  \"auto_threads\": {auto},\n"
+        "  \"bench\": \"BENCH_9\",\n  \"scale\": {scale},\n  \"total_secs\": {total:.6},\n"
     ));
     j.push_str(&format!(
-        "  \"total_serial_secs\": {total_1:.6},\n  \"total_two_secs\": {total_2:.6},\n  \"total_auto_secs\": {total_auto:.6},\n"
-    ));
-    j.push_str(&format!(
-        "  \"total_iso_secs\": {total_iso:.6},\n  \"total_walk_secs\": {total_walk:.6},\n"
-    ));
-    j.push_str(&format!(
-        "  \"combined_speedup_auto\": {:.4},\n  \"workloads\": [\n",
-        total_1 / total_auto.max(1e-9)
+        "  \"total_iso_secs\": {total_iso:.6},\n  \"total_walk_secs\": {total_walk:.6},\n  \"workloads\": [\n"
     ));
     for (k, r) in rows.iter().enumerate() {
         j.push_str(&format!(
-            "    {{\"name\": \"{}\", \"collect_1t\": {:.6}, \"collect_2t\": {:.6}, \"collect_auto\": {:.6}, \"apply_1t\": {:.6}, \"apply_2t\": {:.6}, \"apply_auto\": {:.6}, \"collect_speedup\": {:.4}, \"apply_speedup\": {:.4}}}{}\n",
+            "    {{\"name\": \"{}\", \"collect\": {:.6}, \"apply\": {:.6}}}{}\n",
             r.name,
-            r.collect[0],
-            r.collect[1],
-            r.collect[2],
-            r.apply[0],
-            r.apply[1],
-            r.apply[2],
-            r.collect[0] / r.collect[2].max(1e-9),
-            r.apply[0] / r.apply[2].max(1e-9),
+            r.collect,
+            r.apply,
             if k + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -553,7 +489,7 @@ fn main() {
     f.write_all(jw.as_bytes()).expect("write wire output");
     println!("# wrote {wire_out_path}");
 
-    // Regression gate against a committed baseline: both the auto-thread
+    // Regression gate against a committed baseline: both the collect+apply
     // total and the iso-mix fast-path total must stay within tolerance.
     if let Some(path) = baseline {
         let doc = std::fs::read_to_string(&path).expect("read baseline");
@@ -575,7 +511,7 @@ fn main() {
                 failed = true;
             }
         };
-        gate("total_auto_secs", total_auto);
+        gate("total_secs", total);
         gate("total_iso_secs", total_iso);
         if failed {
             std::process::exit(1);

@@ -185,9 +185,8 @@ pub fn setup(workload: &Workload, arch: MachineArch) -> Bed {
     setup_with_options(workload, arch, SessionOptions::default())
 }
 
-/// As [`setup`], with explicit [`SessionOptions`] — used by the parallel
-/// translation benchmarks and determinism tests to pin
-/// `translate_threads`.
+/// As [`setup`], with explicit [`SessionOptions`] — the isomorphic
+/// fast-path benchmark and differential test switch the fast path off.
 pub fn setup_with_options(workload: &Workload, arch: MachineArch, opts: SessionOptions) -> Bed {
     let server = Arc::new(Server::new());
     let mut session = Session::with_options(

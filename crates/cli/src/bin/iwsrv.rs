@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! iwsrv [--listen 127.0.0.1:7474] [--data-dir DIR] [--durability MODE]
-//!       [--checkpoint-dir DIR] [--checkpoint-every N] [--recover]
-//!       [--backup-of ADDR] [--chaos SEED] [--chaos-rate PER_10K]
+//!       [--checkpoint-every N] [--backup-of ADDR] [--chaos SEED] [--chaos-rate PER_10K]
 //!       [--port-file PATH] [--frontend event|threads] [--workers N]
 //!       [--max-conns N] [--idle-timeout SECS] [--poller epoll|poll]
 //! ```
@@ -23,12 +22,8 @@
 //! restart with the same `--data-dir` recovers everything — including a
 //! `kill -9` mid-commit (torn tail truncated). `--durability` picks the
 //! mode (`wal` or the default `wal+checkpoint`); `--checkpoint-every`
-//! doubles as the durable checkpoint interval.
-//!
-//! With the legacy `--checkpoint-dir`, every segment is checkpointed
-//! every N versions (default 8); with `--recover`, segments found in the
-//! directory are restored before serving — the paper's "partial
-//! protection against server failure" (§2.2) without the WAL.
+//! sets the checkpoint interval in versions (default 8). Without
+//! `--data-dir` nothing is persisted.
 //!
 //! `--port-file PATH` writes the actual bound address (useful with
 //! `--listen 127.0.0.1:0`) to PATH once serving — the handshake the
@@ -112,15 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         s
     } else {
-        match args.flag("checkpoint-dir") {
-            Some(dir) if args.switch("recover") => {
-                let s = Server::recover(PathBuf::from(dir), every)?;
-                eprintln!("iwsrv: recovered checkpoints from {dir}");
-                s
-            }
-            Some(dir) => Server::with_checkpointing(PathBuf::from(dir), every),
-            None => Server::new(),
-        }
+        Server::new()
     };
     let registry = server.registry().clone();
     let backup_of: Option<std::net::SocketAddr> =

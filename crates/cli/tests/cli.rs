@@ -1,6 +1,6 @@
 //! End-to-end CLI test: spawn `iwsrv`, populate a segment through the
 //! client library over TCP, inspect it with `iwdump`, then restart the
-//! server with `--recover` and check the data survived.
+//! server on the same `--data-dir` and check the data survived.
 
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
@@ -20,20 +20,16 @@ impl Drop for Srv {
 }
 
 #[allow(clippy::zombie_processes)] // killed + waited in Srv::drop
-fn spawn_srv(port: u16, dir: &str, recover: bool) -> Srv {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_iwsrv"));
-    cmd.arg("--listen")
+fn spawn_srv(port: u16, dir: &str) -> Srv {
+    let child = Command::new(env!("CARGO_BIN_EXE_iwsrv"))
+        .arg("--listen")
         .arg(format!("127.0.0.1:{port}"))
-        .arg("--checkpoint-dir")
+        .arg("--data-dir")
         .arg(dir)
-        .arg("--checkpoint-every")
-        .arg("1")
         .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    if recover {
-        cmd.arg("--recover");
-    }
-    let child = cmd.spawn().expect("spawn iwsrv");
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn iwsrv");
     // Wait for the port to accept connections.
     for _ in 0..100 {
         if TcpStream::connect(("127.0.0.1", port)).is_ok() {
@@ -63,7 +59,7 @@ fn serve_populate_dump_recover() {
     let _ = std::fs::remove_dir_all(&dir);
 
     {
-        let _srv = spawn_srv(port, &dir_s, false);
+        let _srv = spawn_srv(port, &dir_s);
         let mut s = Session::new(
             MachineArch::x86(),
             Box::new(TcpTransport::connect(format!("127.0.0.1:{port}").parse().unwrap()).unwrap()),
@@ -92,8 +88,8 @@ fn serve_populate_dump_recover() {
         assert!(dump.contains("-> cli/demo#beta"), "{dump}");
     } // server killed
 
-    // Recovery: a new server process restores the checkpoint.
-    let _srv = spawn_srv(port + 1, &dir_s, true);
+    // Recovery: a new server process replays the durable store.
+    let _srv = spawn_srv(port + 1, &dir_s);
     let dump = iwdump(port + 1, "cli/demo");
     assert!(dump.contains("2 blocks"), "post-recovery: {dump}");
     assert!(dump.contains("\"hello\""), "post-recovery: {dump}");

@@ -38,16 +38,15 @@ impl Drop for Srv {
 
 #[allow(clippy::zombie_processes)] // killed + waited in Srv::drop
 fn spawn_srv(port: u16) -> Srv {
-    // Checkpoint every version: each release then encodes and writes the
-    // whole segment inside the handler — substantial server-side work
-    // with no client-side counterpart, which widens the measurable
-    // overlap window.
+    // Durable store checkpointing every version: each release then logs
+    // the diff and encodes and writes the whole segment inside the
+    // handler — substantial server-side work with no client-side
+    // counterpart, which widens the measurable overlap window.
     let ckpt = std::env::temp_dir().join(format!("iw-contention-{}", std::process::id()));
-    std::fs::create_dir_all(&ckpt).expect("checkpoint dir");
     let child = Command::new(env!("CARGO_BIN_EXE_iwsrv"))
         .arg("--listen")
         .arg(format!("127.0.0.1:{port}"))
-        .arg("--checkpoint-dir")
+        .arg("--data-dir")
         .arg(&ckpt)
         .arg("--checkpoint-every")
         .arg("1")

@@ -643,7 +643,7 @@ fn ship_loop(
 mod tests {
     use super::*;
     use iw_proto::msg::LockMode;
-    use iw_proto::{Coherence, Loopback};
+    use iw_proto::{Coherence, FaultAction, FaultLayer, Loopback};
     use iw_types::desc::TypeDesc;
     use iw_wire::diff::NewBlock;
 
@@ -700,6 +700,19 @@ mod tests {
         // legitimately absorb them).
         primary.drain();
         (primary, backup)
+    }
+
+    /// A link to `srv` whose channel drops every request.
+    fn dead_link(srv: Arc<Server>) -> Loopback {
+        struct DropAll;
+        impl FaultLayer for DropAll {
+            fn plan(&mut self, _req: &Request, _encoded: &Bytes) -> FaultAction {
+                FaultAction::Drop
+            }
+        }
+        let mut link = Loopback::new(srv);
+        link.set_fault_layer(Box::new(DropAll));
+        link
     }
 
     fn connect(primary: &Arc<Primary>) -> (Loopback, u64) {
@@ -794,9 +807,7 @@ mod tests {
         let (primary, backup) = cluster();
         // Second backup whose channel drops every request.
         let flaky_srv = Arc::new(Server::new());
-        let mut flaky = Loopback::new(flaky_srv.clone());
-        flaky.drop_every(1);
-        primary.add_backup(Box::new(flaky));
+        primary.add_backup(Box::new(dead_link(flaky_srv.clone())));
 
         let (_t, client) = connect(&primary);
         for v in 0..3 {
@@ -815,9 +826,7 @@ mod tests {
         let (primary, backup) = cluster();
         // A backup whose channel dies on its first shipped diff.
         let flaky_srv = Arc::new(Server::new());
-        let mut flaky = Loopback::new(flaky_srv.clone());
-        flaky.drop_every(1);
-        primary.add_backup(Box::new(flaky));
+        primary.add_backup(Box::new(dead_link(flaky_srv.clone())));
         // Settle the attach while no segments exist, so the link dies on
         // a shipped diff (the pruning path under test), not mid-attach.
         primary.drain();

@@ -20,7 +20,8 @@ use iw_wire::mip::{BlockRef, Mip};
 use iw_wire::prim::local_str_bytes;
 
 use crate::error::CoreError;
-use crate::session::{read_va, write_va, Ptr, ResolvedPtr, Session};
+use crate::session::{Ptr, Session};
+use crate::translate::{mip_for_va, read_va, resolve_mip, write_va, ResolvedPtr};
 
 impl Session {
     /// Locates the primitive at `p` and checks it has kind `expect`.
@@ -334,14 +335,14 @@ impl Session {
             return Ok(None);
         };
         // Try to resolve; fetch the target segment if needed.
-        match self.resolve_mip_to_va(&mip.to_string())? {
+        match resolve_mip(&self.heap, &mip.to_string())? {
             ResolvedPtr::Local(tva) => {
                 self.patch_ptr_word(va, size, tva)?;
                 Ok(Some(self.ptr_at(tva)?))
             }
             ResolvedPtr::Unresolved(mip) => {
                 self.fetch_segment(&mip.segment)?;
-                match self.resolve_mip_to_va(&mip.to_string())? {
+                match resolve_mip(&self.heap, &mip.to_string())? {
                     ResolvedPtr::Local(tva) => {
                         self.patch_ptr_word(va, size, tva)?;
                         Ok(Some(self.ptr_at(tva)?))
@@ -503,7 +504,7 @@ impl Session {
     /// [`CoreError::DanglingPointer`] when `p` does not reference shared
     /// data at a primitive boundary.
     pub fn ptr_to_mip(&self, p: &Ptr) -> Result<String, CoreError> {
-        Ok(self.mip_for_va(p.va)?.to_string())
+        Ok(mip_for_va(&self.heap, p.va)?.to_string())
     }
 
     /// Converts a machine-independent pointer to a local pointer:

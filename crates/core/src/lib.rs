@@ -57,9 +57,9 @@ mod access;
 pub mod diffing;
 mod error;
 mod metrics;
-mod parallel;
 mod segstate;
 mod session;
+pub mod translate;
 pub mod tx;
 
 pub use error::CoreError;

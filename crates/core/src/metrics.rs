@@ -15,6 +15,82 @@ use iw_telemetry::{Counter, Gauge, Histogram, Registry};
 /// Pre-resolved metric handles for one [`crate::Session`].
 pub(crate) struct SessionMetrics {
     registry: Arc<Registry>,
+    /// `client.lock.acquires_total` — lock acquisitions attempted.
+    pub lock_acquires: Arc<Counter>,
+    /// `client.lock.busy_retries_total` — `Busy` replies retried.
+    pub lock_busy_retries: Arc<Counter>,
+    /// `client.lock.retries_exhausted_total` — acquisitions that gave up
+    /// after the full retry budget (distinct from individual busy
+    /// retries).
+    pub lock_retries_exhausted: Arc<Counter>,
+    /// `client.failovers_total` — successful fail-overs to a backup
+    /// replica.
+    pub failovers: Arc<Counter>,
+    /// `client.reconnects_total` — successful reconnects after a channel
+    /// fault, whichever replica answered (the same server after a
+    /// transient fault, or a backup). Under chaos testing this counts
+    /// recoveries from injected faults.
+    pub reconnects: Arc<Counter>,
+    /// `client.lock.wait_us` — wall time from first request to grant.
+    pub lock_wait_us: Arc<Histogram>,
+    /// `client.update.piggyback_bytes` — payload of updates piggybacked on
+    /// lock grants and polls.
+    pub update_bytes: Arc<Histogram>,
+    /// `client.no_diff.transitions_total` — tracking-mode flips either way.
+    pub no_diff_transitions: Arc<Counter>,
+    /// `client.twin_faults` — cumulative simulated write faults (refreshed
+    /// from the heap at snapshot time).
+    pub twin_faults: Arc<Gauge>,
+    /// `cluster.replica_reads_total` — relaxed reads served by a read
+    /// replica instead of the primary.
+    pub replica_reads: Arc<Counter>,
+    /// `cluster.replica_read_fallbacks_total` — relaxed reads that fell
+    /// back to the primary because no replica satisfied the coherence
+    /// predicate (or none answered).
+    pub replica_fallbacks: Arc<Counter>,
+    /// `cluster.replica_not_fresh_total` — replica polls refused with
+    /// `NotFresh` (the replica's version was below the requested floor).
+    pub replica_not_fresh: Arc<Counter>,
+    /// `cluster.replica_read_violations_total` — replica-served reads
+    /// whose final cached version landed below the coherence floor.
+    /// The server-side floor check makes this impossible; a non-zero
+    /// count is a protocol bug.
+    pub replica_violations: Arc<Counter>,
+    /// `cluster.frontier_probes_total` — version-frontier probes sent to
+    /// the primary to refresh the replica-read anchor.
+    pub frontier_probes: Arc<Counter>,
+}
+
+impl SessionMetrics {
+    /// Resolves every handle against `registry`.
+    pub fn new(registry: Arc<Registry>) -> Self {
+        SessionMetrics {
+            lock_acquires: registry.counter("client.lock.acquires_total"),
+            lock_busy_retries: registry.counter("client.lock.busy_retries_total"),
+            lock_retries_exhausted: registry.counter("client.lock.retries_exhausted_total"),
+            failovers: registry.counter("client.failovers_total"),
+            reconnects: registry.counter("client.reconnects_total"),
+            lock_wait_us: registry.histogram_us("client.lock.wait_us"),
+            update_bytes: registry.histogram_bytes("client.update.piggyback_bytes"),
+            no_diff_transitions: registry.counter("client.no_diff.transitions_total"),
+            twin_faults: registry.gauge("client.twin_faults"),
+            replica_reads: registry.counter("cluster.replica_reads_total"),
+            replica_fallbacks: registry.counter("cluster.replica_read_fallbacks_total"),
+            replica_not_fresh: registry.counter("cluster.replica_not_fresh_total"),
+            replica_violations: registry.counter("cluster.replica_read_violations_total"),
+            frontier_probes: registry.counter("cluster.frontier_probes_total"),
+            registry,
+        }
+    }
+
+    /// The registry behind the handles.
+    pub fn registry(&self) -> &Arc<Registry> {
+        &self.registry
+    }
+}
+
+/// Pre-resolved metric handles for one [`crate::translate::Translator`].
+pub(crate) struct TranslateMetrics {
     /// `client.diff.collected_total` — diffs collected for write releases.
     pub diffs_collected: Arc<Counter>,
     /// `client.diff.applied_total` — update diffs installed locally.
@@ -44,40 +120,6 @@ pub(crate) struct SessionMetrics {
     pub unswizzle_cache_hits: Arc<Counter>,
     /// `client.unswizzle.cache_misses_total` — resolutions that searched.
     pub unswizzle_cache_misses: Arc<Counter>,
-    /// `client.lock.acquires_total` — lock acquisitions attempted.
-    pub lock_acquires: Arc<Counter>,
-    /// `client.lock.busy_retries_total` — `Busy` replies retried.
-    pub lock_busy_retries: Arc<Counter>,
-    /// `client.lock.retries_exhausted_total` — acquisitions that gave up
-    /// after the full retry budget (distinct from individual busy
-    /// retries).
-    pub lock_retries_exhausted: Arc<Counter>,
-    /// `client.failovers_total` — successful fail-overs to a backup
-    /// replica.
-    pub failovers: Arc<Counter>,
-    /// `client.reconnects_total` — successful reconnects after a channel
-    /// fault, whichever replica answered (the same server after a
-    /// transient fault, or a backup). Under chaos testing this counts
-    /// recoveries from injected faults.
-    pub reconnects: Arc<Counter>,
-    /// `client.lock.wait_us` — wall time from first request to grant.
-    pub lock_wait_us: Arc<Histogram>,
-    /// `client.update.piggyback_bytes` — payload of updates piggybacked on
-    /// lock grants and polls.
-    pub update_bytes: Arc<Histogram>,
-    /// `client.no_diff.transitions_total` — tracking-mode flips either way.
-    pub no_diff_transitions: Arc<Counter>,
-    /// `client.twin_faults` — cumulative simulated write faults (refreshed
-    /// from the heap at snapshot time).
-    pub twin_faults: Arc<Gauge>,
-    /// `client.translate.threads` — resolved translation worker count.
-    pub translate_threads: Arc<Gauge>,
-    /// `client.translate.par_collects_total` — collects whose translation
-    /// actually fanned out over the worker pool.
-    pub par_collects: Arc<Counter>,
-    /// `client.translate.par_applies_total` — applies whose decode fanned
-    /// out over the worker pool.
-    pub par_applies: Arc<Counter>,
     /// `client.translate.iso_collects_total` — collects where at least one
     /// block took the isomorphic memcpy fast path.
     pub iso_collects: Arc<Counter>,
@@ -100,30 +142,12 @@ pub(crate) struct SessionMetrics {
     pub pool_allocs: Arc<Counter>,
     /// `client.pool.buffers` — buffers currently held by the pool.
     pub pool_buffers: Arc<Gauge>,
-    /// `cluster.replica_reads_total` — relaxed reads served by a read
-    /// replica instead of the primary.
-    pub replica_reads: Arc<Counter>,
-    /// `cluster.replica_read_fallbacks_total` — relaxed reads that fell
-    /// back to the primary because no replica satisfied the coherence
-    /// predicate (or none answered).
-    pub replica_fallbacks: Arc<Counter>,
-    /// `cluster.replica_not_fresh_total` — replica polls refused with
-    /// `NotFresh` (the replica's version was below the requested floor).
-    pub replica_not_fresh: Arc<Counter>,
-    /// `cluster.replica_read_violations_total` — replica-served reads
-    /// whose final cached version landed below the coherence floor.
-    /// The server-side floor check makes this impossible; a non-zero
-    /// count is a protocol bug.
-    pub replica_violations: Arc<Counter>,
-    /// `cluster.frontier_probes_total` — version-frontier probes sent to
-    /// the primary to refresh the replica-read anchor.
-    pub frontier_probes: Arc<Counter>,
 }
 
-impl SessionMetrics {
+impl TranslateMetrics {
     /// Resolves every handle against `registry`.
-    pub fn new(registry: Arc<Registry>) -> Self {
-        SessionMetrics {
+    pub fn new(registry: &Registry) -> Self {
+        TranslateMetrics {
             diffs_collected: registry.counter("client.diff.collected_total"),
             diffs_applied: registry.counter("client.diff.applied_total"),
             prims_sent: registry.counter("client.diff.prims_sent_total"),
@@ -137,18 +161,6 @@ impl SessionMetrics {
             swizzle_cache_misses: registry.counter("client.swizzle.cache_misses_total"),
             unswizzle_cache_hits: registry.counter("client.unswizzle.cache_hits_total"),
             unswizzle_cache_misses: registry.counter("client.unswizzle.cache_misses_total"),
-            lock_acquires: registry.counter("client.lock.acquires_total"),
-            lock_busy_retries: registry.counter("client.lock.busy_retries_total"),
-            lock_retries_exhausted: registry.counter("client.lock.retries_exhausted_total"),
-            failovers: registry.counter("client.failovers_total"),
-            reconnects: registry.counter("client.reconnects_total"),
-            lock_wait_us: registry.histogram_us("client.lock.wait_us"),
-            update_bytes: registry.histogram_bytes("client.update.piggyback_bytes"),
-            no_diff_transitions: registry.counter("client.no_diff.transitions_total"),
-            twin_faults: registry.gauge("client.twin_faults"),
-            translate_threads: registry.gauge("client.translate.threads"),
-            par_collects: registry.counter("client.translate.par_collects_total"),
-            par_applies: registry.counter("client.translate.par_applies_total"),
             iso_collects: registry.counter("client.translate.iso_collects_total"),
             iso_applies: registry.counter("client.translate.iso_applies_total"),
             iso_memcpy_bytes: registry.counter("client.translate.iso_memcpy_bytes_total"),
@@ -158,17 +170,6 @@ impl SessionMetrics {
             pool_reuses: registry.counter("client.pool.reuses_total"),
             pool_allocs: registry.counter("client.pool.allocs_total"),
             pool_buffers: registry.gauge("client.pool.buffers"),
-            replica_reads: registry.counter("cluster.replica_reads_total"),
-            replica_fallbacks: registry.counter("cluster.replica_read_fallbacks_total"),
-            replica_not_fresh: registry.counter("cluster.replica_not_fresh_total"),
-            replica_violations: registry.counter("cluster.replica_read_violations_total"),
-            frontier_probes: registry.counter("cluster.frontier_probes_total"),
-            registry,
         }
-    }
-
-    /// The registry behind the handles.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
     }
 }

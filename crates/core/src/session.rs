@@ -1,5 +1,6 @@
-//! The InterWeave client session: segments, locks, diff collection and
-//! application, and pointer swizzling.
+//! The InterWeave client session: connection routing and failover, and
+//! the lock-and-coherence client protocol. Diff collection, application
+//! and pointer swizzling live in [`crate::translate`].
 //!
 //! A [`Session`] corresponds to one InterWeave client process: it owns the
 //! process's heap (in the paper, the InterWeave-managed heap area mapped
@@ -8,11 +9,9 @@
 //! `open_segment`, `wl_acquire`/`wl_release`, `rl_acquire`/`rl_release`,
 //! `malloc`, `mip_to_ptr`, `ptr_to_mip`.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
-
-use bytes::Bytes;
 
 use iw_heap::{BlockMeta, Heap, SegId};
 use iw_proto::msg::{Reply, Request};
@@ -20,17 +19,13 @@ use iw_proto::{Coherence, LockMode, Transport, TransportStats};
 use iw_telemetry::{Registry, Snapshot};
 use iw_types::arch::MachineArch;
 use iw_types::desc::{PrimKind, TypeDesc};
-use iw_types::flat::FlatNode;
-use iw_wire::codec::{WireReader, WireWriter};
-use iw_wire::diff::{BlockDiff, DiffRun, NewBlock, SegmentDiff};
-use iw_wire::mip::{BlockRef, Mip};
-use iw_wire::prim::{no_pointers_in, prim_from_wire};
+use iw_wire::diff::SegmentDiff;
+use iw_wire::mip::Mip;
 
-use crate::diffing::find_byte_runs;
 use crate::error::CoreError;
 use crate::metrics::SessionMetrics;
-use crate::parallel::{self, PAR_MIN_BYTES};
 use crate::segstate::{SegState, TrackMode};
+use crate::translate::{mip_for_va, read_va, write_va, Collected, Pending, Translator};
 
 /// A handle to an open segment (the paper's `IW_handle_t`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -95,12 +90,6 @@ pub struct SessionOptions {
     /// default of 4096). Small pages let tests exercise page-boundary
     /// logic cheaply.
     pub page_size: Option<u32>,
-    /// Worker threads for diff translation (collect and apply). `None`
-    /// consults `IW_TRANSLATE_THREADS`, then
-    /// [`std::thread::available_parallelism`]; `Some(1)` forces the
-    /// serial path. The wire diffs produced are byte-identical at every
-    /// setting — this is purely a throughput knob.
-    pub translate_threads: Option<usize>,
     /// Collapse translation to `memcpy` for blocks whose layout is
     /// byte-identical to the wire encoding
     /// ([`iw_types::flat::WireIdentity::Iso`]). The wire diffs and
@@ -122,7 +111,6 @@ impl Default for SessionOptions {
             failover_rounds: 3,
             failover_backoff_ms: 100,
             page_size: None,
-            translate_threads: None,
             iso_fast_path: true,
         }
     }
@@ -156,11 +144,8 @@ pub struct Session {
     pub(crate) unresolved: HashMap<u64, Mip>,
     pub(crate) opts: SessionOptions,
     pub(crate) metrics: SessionMetrics,
-    /// Resolved translation worker count (see
-    /// [`SessionOptions::translate_threads`]).
-    xlate_threads: usize,
-    /// Reusable scratch buffers for the apply-side decode workers.
-    scratch_pool: crate::parallel::BufferPool,
+    /// The translation engine (collect, apply, swizzling).
+    xlate: Translator,
     /// Open transaction, if any (see [`crate::tx`]).
     pub(crate) tx: Option<crate::tx::TxState>,
     /// Additional servers, keyed by segment-URL host ("Every segment is
@@ -267,8 +252,7 @@ impl Session {
             Some(ps) => Heap::with_page_size(arch, ps),
             None => Heap::new(arch),
         };
-        let xlate_threads = crate::parallel::resolve_threads(opts.translate_threads);
-        metrics.translate_threads.set(xlate_threads as i64);
+        let xlate = Translator::new(metrics.registry(), &opts);
         Ok(Session {
             heap,
             transport,
@@ -277,8 +261,7 @@ impl Session {
             unresolved: HashMap::new(),
             opts,
             metrics,
-            xlate_threads,
-            scratch_pool: crate::parallel::BufferPool::default(),
+            xlate,
             tx: None,
             extra_links: HashMap::new(),
         })
@@ -296,13 +279,14 @@ impl Session {
 
     /// Optimization counters (a view over the session's metric registry).
     pub fn stats(&self) -> SessionStats {
+        let m = &self.xlate.metrics;
         SessionStats {
-            apply_block_lookups: self.metrics.apply_block_lookups.get(),
-            apply_pred_hits: self.metrics.apply_pred_hits.get(),
-            diffs_collected: self.metrics.diffs_collected.get(),
-            diffs_applied: self.metrics.diffs_applied.get(),
-            prims_sent: self.metrics.prims_sent.get(),
-            prims_received: self.metrics.prims_received.get(),
+            apply_block_lookups: m.apply_block_lookups.get(),
+            apply_pred_hits: m.apply_pred_hits.get(),
+            diffs_collected: m.diffs_collected.get(),
+            diffs_applied: m.diffs_applied.get(),
+            prims_sent: m.prims_sent.get(),
+            prims_received: m.prims_received.get(),
         }
     }
 
@@ -1466,7 +1450,7 @@ impl Session {
                         let va = read_va(&slice[off..off + size], &arch);
                         if va != 0 && spans.iter().any(|&(lo, hi)| va >= lo && va < hi) {
                             let field_va = meta.va + off as u64;
-                            let mip = self.mip_for_va(va)?;
+                            let mip = mip_for_va(&self.heap, va)?;
                             demotions.push((field_va, mip));
                         }
                     }
@@ -1685,7 +1669,7 @@ impl Session {
     }
 
     // ==================================================================
-    // Diff collection (§3.1 "Diff creation and translation")
+    // Translation (see [`crate::translate`])
     // ==================================================================
 
     /// Collects the wire-format diff of all modifications made under the
@@ -1698,273 +1682,22 @@ impl Session {
     /// # Errors
     ///
     /// Translation errors (e.g. a pointer to unmapped memory).
-    #[allow(clippy::type_complexity)]
-    pub fn collect_segment_diff(
-        &mut self,
-        h: &SegHandle,
-    ) -> Result<(SegmentDiff, u64, Vec<(u32, f64)>), CoreError> {
-        let collect_us = Arc::clone(&self.metrics.collect_us);
-        let _timer = collect_us.start_timer();
-        let name = h.name().to_string();
-        let st = self.state(&name)?;
-        let id = st.id;
-        let from_version = st.version;
-        let types_synced = st.types_synced;
-        let new_set: HashSet<u32> = st.new_blocks.iter().copied().collect();
-        let new_order = st.new_blocks.clone();
-        let freed = st.freed.clone();
-        let flagged: HashSet<u32> = st.block_nodiff.clone();
-        let whole_segment = matches!(st.mode, TrackMode::NoDiff { .. });
-
-        let mut diff = SegmentDiff {
-            from_version,
-            to_version: from_version + 1,
-            ..Default::default()
+    pub fn collect_segment_diff(&self, h: &SegHandle) -> Result<Collected, CoreError> {
+        let st = self.state(h.name())?;
+        let pending = Pending {
+            seg: st.id,
+            from_version: st.version,
+            types_synced: st.types_synced,
+            new_blocks: &st.new_blocks,
+            freed: &st.freed,
+            whole_segment: matches!(st.mode, TrackMode::NoDiff { .. }),
+            whole_blocks: &st.block_nodiff,
         };
-
-        // Newly used type descriptors.
-        for (serial, ty) in self.heap.segment(id).types.iter() {
-            if serial >= types_synced {
-                diff.new_types.push((serial, ty.clone()));
-            }
-        }
-
-        // Phase 1 (serial bookkeeping): build the translation job list.
-        // New blocks travel whole; they join the same parallel batch as
-        // the modified blocks.
-        let mut jobs: Vec<XlateJob> = Vec::new();
-        for serial in new_order {
-            let meta = self.heap.segment(id).block_by_serial(serial)?.clone();
-            let type_serial = self
-                .heap
-                .segment(id)
-                .types
-                .serial_of(&meta.ty)
-                .expect("type registered at malloc");
-            jobs.push(XlateJob {
-                serial,
-                meta,
-                kind: XlateKind::NewBlock { type_serial },
-            });
-        }
-
-        if whole_segment {
-            // No-diff mode: transmit every pre-existing block whole.
-            let serials: Vec<u32> = self
-                .heap
-                .segment(id)
-                .blocks()
-                .map(|b| b.serial)
-                .filter(|s| !new_set.contains(s))
-                .collect();
-            for serial in serials {
-                let meta = self.heap.segment(id).block_by_serial(serial)?.clone();
-                jobs.push(XlateJob {
-                    serial,
-                    meta,
-                    kind: XlateKind::Whole,
-                });
-            }
-        } else {
-            let word = self.heap.arch().word_size as usize;
-            let splice = self.opts.splice;
-            let ps = u64::from(self.heap.page_size());
-            let scan_us = Arc::clone(&self.metrics.scan_us);
-            let scan_guard = scan_us.start_timer();
-
-            // Scan twins for changed byte runs (pure word diffing),
-            // page-parallel when there is enough dirty data. Results are
-            // keyed by page position, not scheduling, so the run order is
-            // exactly the serial walk's.
-            let mut pages: Vec<(usize, u64, &[u8], &[u8])> = Vec::new();
-            for &ss_idx in self.heap.segment(id).subseg_indices() {
-                let ss = self.heap.subseg(ss_idx);
-                let base = ss.base();
-                for (page, twin, cur) in ss.modified_pages() {
-                    pages.push((ss_idx, base + page as u64 * ps, twin, cur));
-                }
-            }
-            let scanned: u64 = pages.iter().map(|p| p.2.len() as u64).sum();
-            self.metrics.scan_pages.add(pages.len() as u64);
-            self.metrics.scan_bytes.add(scanned);
-            let scan_threads = if scanned >= PAR_MIN_BYTES {
-                self.xlate_threads
-            } else {
-                1
-            };
-            let page_runs: Vec<Vec<(u64, u64)>> =
-                parallel::par_map(scan_threads, &pages, |_, &(_, pbase, twin, cur)| {
-                    find_byte_runs(twin, cur, word, splice)
-                        .into_iter()
-                        .map(|(b0, b1)| (pbase + b0 as u64, pbase + b1 as u64))
-                        .collect()
-                });
-            drop(scan_guard);
-
-            // Group the changed ranges into one job per modified block.
-            // This is the serial block walk the translation used to be
-            // interleaved with; per-block range order is unchanged, and
-            // the per-block `floor` (which prevents double-emitting a
-            // primitive spanning two dirty pages) lives in the job runner.
-            let mut touched_flagged: Vec<u32> = Vec::new();
-            let mut job_of: HashMap<u32, usize> = HashMap::new();
-            for (pi, runs) in page_runs.iter().enumerate() {
-                let ss_idx = pages[pi].0;
-                for &(lo, hi) in runs {
-                    let mut cursor = lo;
-                    while cursor < hi {
-                        let found = match self.heap.block_at(cursor) {
-                            Ok((_, meta)) => Some((meta.va, meta.serial)),
-                            Err(_) => self
-                                .heap
-                                .next_block_at_or_after(ss_idx, cursor)
-                                .filter(|&(va, _)| va < hi),
-                        };
-                        let Some((bva, serial)) = found else { break };
-                        let meta = self.heap.segment(id).block_by_serial(serial)?.clone();
-                        let bend = meta.end();
-                        if new_set.contains(&serial) {
-                            cursor = bend;
-                            continue;
-                        }
-                        if flagged.contains(&serial) {
-                            if !touched_flagged.contains(&serial) {
-                                touched_flagged.push(serial);
-                            }
-                            cursor = bend;
-                            continue;
-                        }
-                        let lo_clamped = cursor.max(bva);
-                        let hi_clamped = hi.min(bend);
-                        match job_of.get(&serial) {
-                            Some(&ji) => {
-                                if let XlateKind::Ranges(rs) = &mut jobs[ji].kind {
-                                    rs.push((lo_clamped, hi_clamped));
-                                }
-                            }
-                            None => {
-                                job_of.insert(serial, jobs.len());
-                                jobs.push(XlateJob {
-                                    serial,
-                                    meta,
-                                    kind: XlateKind::Ranges(vec![(lo_clamped, hi_clamped)]),
-                                });
-                            }
-                        }
-                        cursor = bend;
-                    }
-                }
-            }
-            // Flagged (block-level no-diff) blocks touched this section:
-            // transmit whole.
-            for serial in touched_flagged {
-                let meta = self.heap.segment(id).block_by_serial(serial)?.clone();
-                jobs.push(XlateJob {
-                    serial,
-                    meta,
-                    kind: XlateKind::Whole,
-                });
-            }
-        }
-
-        // Phase 2: translate, fanning out over the worker pool when there
-        // is enough work to pay for the threads.
-        let xlate_bytes: u64 = jobs
-            .iter()
-            .map(|j| match &j.kind {
-                XlateKind::Ranges(rs) => rs.iter().map(|(lo, hi)| hi - lo).sum(),
-                _ => j.meta.end() - j.meta.va,
-            })
-            .sum();
-        let threads = if xlate_bytes >= PAR_MIN_BYTES {
-            self.xlate_threads
-        } else {
-            1
-        };
-        if threads > 1 && jobs.len() > 1 {
-            self.metrics.par_collects.inc();
-        }
-        if self.opts.iso_fast_path
-            && jobs
-                .iter()
-                .any(|j| j.meta.flat.wire_identity().is_iso() && j.meta.prim_count() > 0)
-        {
-            self.metrics.iso_collects.inc();
-        }
-        let ctx = self.xlate();
-        let outs = parallel::par_map(threads, &jobs, |_, job| ctx.run_xlate_job(job));
-
-        // Phase 3: merge in serial block order — new blocks in allocation
-        // order, block diffs in ascending serial order — so the wire diff
-        // is byte-identical to a single-threaded collect.
-        let mut changed: u64 = 0;
-        let mut per_block: BTreeMap<u32, Vec<RunAcc>> = BTreeMap::new();
-        for (job, out) in jobs.iter().zip(outs) {
-            match out? {
-                XlateOut::NewBlock(nb) => diff.new_blocks.push(nb),
-                XlateOut::Diff { accs, changed: c } => {
-                    changed += c;
-                    per_block.insert(job.serial, accs);
-                }
-            }
-        }
-
-        let mut fractions = Vec::with_capacity(per_block.len());
-        for (serial, accs) in per_block {
-            let block_prims = self
-                .heap
-                .segment(id)
-                .block_by_serial(serial)
-                .map(BlockMeta::prim_count)
-                .unwrap_or(1);
-            let run_prims: u64 = accs.iter().map(|r| r.count).sum();
-            fractions.push((serial, run_prims as f64 / block_prims.max(1) as f64));
-            diff.block_diffs.push(BlockDiff {
-                serial,
-                runs: finish_runs(accs),
-            });
-        }
-        diff.freed = freed;
-        self.metrics.diffs_collected.inc();
-        self.metrics.prims_sent.add(changed);
-        self.metrics
-            .collected_bytes
-            .record(diff.payload_len() as u64);
-        Ok((diff, changed, fractions))
+        self.xlate.collect(&self.heap, &self.unresolved, &pending)
     }
-
-    /// Borrows the read-only session state block translation needs into a
-    /// [`XlateCtx`] shareable across worker threads.
-    fn xlate(&self) -> XlateCtx<'_> {
-        XlateCtx {
-            heap: &self.heap,
-            unresolved: &self.unresolved,
-            metrics: &self.metrics,
-            iso: self.opts.iso_fast_path,
-        }
-    }
-
-    /// Builds the MIP for an arbitrary local address (`IW_ptr_to_mip`'s
-    /// core).
-    pub(crate) fn mip_for_va(&self, va: u64) -> Result<Mip, CoreError> {
-        self.xlate().mip_for_va(va)
-    }
-
-    // ==================================================================
-    // Diff application (§3.1, inverse direction)
-    // ==================================================================
 
     /// Applies a wire diff to the local cached copy. Public for the
     /// benchmark harness; normal callers go through the lock API.
-    ///
-    /// Application is phased like collection: allocate and predict
-    /// serially, decode every wire run into a scratch image (in parallel
-    /// when the payload is large), then install the images and the
-    /// unresolved-pointer map operations in diff order. Decoded
-    /// primitives fully overwrite their byte windows, so the phased
-    /// install leaves memory byte-identical to a sequential walk — where
-    /// runs overlap, install order equals diff order, the same "later
-    /// data wins" rule the server's diff composition uses.
     ///
     /// # Errors
     ///
@@ -1974,933 +1707,15 @@ impl Session {
         h: &SegHandle,
         diff: &SegmentDiff,
     ) -> Result<(), CoreError> {
-        let apply_us = Arc::clone(&self.metrics.apply_us);
-        let _timer = apply_us.start_timer();
-        let name = h.name().to_string();
-        let id = self.state(&name)?.id;
-
-        for (serial, ty) in &diff.new_types {
-            self.heap.segment_types_mut(id).install(*serial, ty.clone());
-        }
-
-        // Phase 1 (serial): allocate every new block, then turn each new
-        // block image and each diff run into a decode job. New blocks
-        // arrive in server version-list order; sequential allocation
-        // places same-version blocks contiguously ("data layout for
-        // cache locality", §3.3).
-        let mut jobs: Vec<DecodeJob> = Vec::new();
-        let mut new_all_iso = true;
-        for nb in &diff.new_blocks {
-            let ty = self
-                .heap
-                .segment(id)
-                .types
-                .get(nb.type_serial)
-                .ok_or(CoreError::Server(format!(
-                    "diff references unknown type {}",
-                    nb.type_serial
-                )))?
-                .clone();
-            self.heap
-                .alloc_block(id, nb.serial, nb.name.as_deref(), &ty, nb.count)?;
-            let meta = self.heap.segment(id).block_by_serial(nb.serial)?.clone();
-            new_all_iso &= meta.flat.wire_identity().is_iso();
-            let prims = meta.prim_count();
-            self.metrics.prims_received.add(prims);
-            if prims > 0 {
-                jobs.push(DecodeJob {
-                    meta,
-                    start: 0,
-                    count: prims,
-                    data: nb.data.clone(),
-                });
-            }
-        }
-
-        // Modified blocks, with client-side last-block prediction: "we
-        // predict the next changed block in the diff to be the next
-        // consecutive block in memory for the client". The predictor
-        // walks serially here so its metrics match a sequential apply.
-        let mut pred: Option<u64> = None; // end VA of last applied block
-        for bd in &diff.block_diffs {
-            self.metrics.apply_block_lookups.inc();
-            let mut meta: Option<BlockMeta> = None;
-            if self.opts.prediction {
-                if let Some(end_va) = pred {
-                    if let Ok(idx) = self.heap.subseg_at(end_va.saturating_sub(1)) {
-                        if let Some((va, serial)) = self.heap.next_block_at_or_after(idx, end_va) {
-                            if serial == bd.serial {
-                                self.metrics.apply_pred_hits.inc();
-                                meta = Some(self.heap.segment(id).block_by_serial(serial)?.clone());
-                                let _ = va;
-                            }
-                        }
-                    }
-                }
-            }
-            let meta = match meta {
-                Some(m) => m,
-                None => self.heap.segment(id).block_by_serial(bd.serial)?.clone(),
-            };
-            pred = Some(meta.end());
-            for run in &bd.runs {
-                self.metrics.prims_received.add(run.count);
-                if run.count > 0 {
-                    jobs.push(DecodeJob {
-                        meta: meta.clone(),
-                        start: run.start,
-                        count: run.count,
-                        data: run.data.clone(),
-                    });
-                }
-            }
-        }
-
-        // Phase 2: decode wire runs into pooled scratch images, fanning
-        // out when there is enough payload to pay for the threads.
-        let payload: u64 = jobs.iter().map(|j| j.data.len() as u64).sum();
-        let threads = if payload >= PAR_MIN_BYTES {
-            self.xlate_threads
-        } else {
-            1
-        };
-        if threads > 1 && jobs.len() > 1 {
-            self.metrics.par_applies.inc();
-        }
-        if self.opts.iso_fast_path && jobs.iter().any(|j| j.meta.flat.wire_identity().is_iso()) {
-            self.metrics.iso_applies.inc();
-        }
-        let ctx = self.xlate();
-        let pool = &self.scratch_pool;
-        let outs = parallel::par_map(threads, &jobs, |_, job| ctx.decode_run(job, pool));
-
-        // Phase 3 (serial): install images and unresolved-map operations
-        // in diff order, then stamp block versions.
-        let mut reuses = 0u64;
-        let mut allocs = 0u64;
-        let mut iso_bytes = 0u64;
-        for out in outs {
-            let d = out?;
-            // Clear stale unresolved entries for every pointer field this
-            // run rewrote, then record the fields that resolved to a MIP
-            // we cannot map locally yet. Skipping the walk when the map is
-            // empty is a pure no-op elision (nothing to remove), and it is
-            // re-evaluated per run, so a run that inserts entries makes
-            // later runs in the same diff walk their ranges — exactly the
-            // sequential apply's per-run `track_clears` behaviour.
-            // (Isomorphic runs carry no pointer fields, so both lists are
-            // empty for them.)
-            if !self.unresolved.is_empty() {
-                for &(first_va, stride, count) in &d.clear_ranges {
-                    for k in 0..u64::from(count) {
-                        self.unresolved.remove(&(first_va + k * u64::from(stride)));
-                    }
-                }
-            }
-            for (field_va, mip) in d.unresolved_inserts {
-                self.unresolved.insert(field_va, mip);
-            }
-            match d.image {
-                RunImage::Scratch { buf, reused } => {
-                    if reused {
-                        reuses += 1;
-                    } else {
-                        allocs += 1;
-                    }
-                    if !buf.is_empty() {
-                        self.heap
-                            .bytes_mut_unprotected(d.span_va, buf.len())?
-                            .copy_from_slice(&buf);
-                    }
-                    self.scratch_pool.put(buf);
-                }
-                RunImage::Wire(bytes) => {
-                    iso_bytes += bytes.len() as u64;
-                    if !bytes.is_empty() {
-                        self.heap
-                            .bytes_mut_unprotected(d.span_va, bytes.len())?
-                            .copy_from_slice(&bytes);
-                    }
-                }
-            }
-        }
-        self.metrics.iso_memcpy_bytes.add(iso_bytes);
-        self.metrics.pool_reuses.add(reuses);
-        self.metrics.pool_allocs.add(allocs);
-        self.metrics
-            .pool_buffers
-            .set(self.scratch_pool.held() as i64);
-
-        for nb in &diff.new_blocks {
-            self.heap
-                .set_block_version(id, nb.serial, diff.to_version)?;
-        }
-        for bd in &diff.block_diffs {
-            self.heap
-                .set_block_version(id, bd.serial, diff.to_version)?;
-        }
-
-        for &serial in &diff.freed {
-            // A tombstone for a block this cache never created (e.g. a
-            // create+free pair inside one composed chain, or a server
-            // being conservative) is simply a no-op.
-            let Ok(meta) = self.heap.segment(id).block_by_serial(serial) else {
-                continue;
-            };
-            let (bva, bend) = (meta.va, meta.end());
-            self.heap.free_block(id, serial)?;
-            self.unresolved.retain(|&va, _| !(bva..bend).contains(&va));
-        }
-
-        let st = self.state_mut(&name)?;
+        let id = self.state(h.name())?.id;
+        let new_blocks_iso = self
+            .xlate
+            .apply(&mut self.heap, &mut self.unresolved, id, diff)?;
+        let st = self.state_mut(h.name())?;
         st.version = diff.to_version;
-        st.iso &= new_all_iso;
-        self.metrics.diffs_applied.inc();
+        st.iso &= new_blocks_iso;
         Ok(())
     }
-
-    /// Resolves a wire MIP string against locally cached segments.
-    pub(crate) fn resolve_mip_to_va(&self, mip_str: &str) -> Result<ResolvedPtr, CoreError> {
-        if mip_str.is_empty() {
-            return Ok(ResolvedPtr::Null);
-        }
-        let mip: Mip = mip_str.parse().map_err(CoreError::Wire)?;
-        let Some(seg_id) = self.heap.segment_id(&mip.segment) else {
-            return Ok(ResolvedPtr::Unresolved(mip));
-        };
-        let seg = self.heap.segment(seg_id);
-        let meta = match &mip.block {
-            BlockRef::Serial(n) => seg.block_by_serial(*n),
-            BlockRef::Name(n) => seg.block_by_name(n),
-        };
-        let Ok(meta) = meta else {
-            return Ok(ResolvedPtr::Unresolved(mip));
-        };
-        let Some(p) = meta.flat.prim_at(mip.offset) else {
-            return Ok(ResolvedPtr::Unresolved(mip));
-        };
-        Ok(ResolvedPtr::Local(meta.va + u64::from(p.local_off)))
-    }
-}
-
-/// Read-only view of the session state needed to translate blocks to and
-/// from wire format.
-///
-/// Every field is `Sync` — the heap is plain data plus `Arc`'d layouts,
-/// the metric handles are atomics — which is what lets
-/// [`crate::parallel::par_map`] share one context across scoped workers.
-/// The session itself is not `Sync` (it owns the transport), so the
-/// translation paths live here instead.
-pub(crate) struct XlateCtx<'a> {
-    heap: &'a Heap,
-    unresolved: &'a HashMap<u64, Mip>,
-    metrics: &'a SessionMetrics,
-    /// Whether the isomorphic fast path may engage
-    /// ([`SessionOptions::iso_fast_path`]).
-    iso: bool,
-}
-
-/// One block's translation work for a collect.
-struct XlateJob {
-    serial: u32,
-    meta: BlockMeta,
-    kind: XlateKind,
-}
-
-/// What part of the block an [`XlateJob`] transmits.
-enum XlateKind {
-    /// Newly allocated block, translated whole into a [`NewBlock`].
-    NewBlock { type_serial: u32 },
-    /// Pre-existing block transmitted whole (no-diff modes).
-    Whole,
-    /// Changed VA ranges within the block, in page-scan order.
-    Ranges(Vec<(u64, u64)>),
-}
-
-/// Result of one [`XlateJob`].
-enum XlateOut {
-    NewBlock(NewBlock),
-    Diff { accs: Vec<RunAcc>, changed: u64 },
-}
-
-/// One wire run to decode on apply.
-struct DecodeJob {
-    meta: BlockMeta,
-    start: u64,
-    count: u64,
-    data: Bytes,
-}
-
-/// A decoded run: a scratch image of the run's byte span plus the
-/// unresolved-pointer map operations to replay at install time.
-///
-/// Pointer clears are recorded as compact `(first_va, stride, count)`
-/// ranges — one per wire run, not one per pointer — and only walked when
-/// the unresolved map is non-empty at install, matching the sequential
-/// apply's `track_clears` fast path byte for byte without a per-pointer
-/// allocation on the (common) empty-map path.
-struct DecodedRun {
-    span_va: u64,
-    image: RunImage,
-    /// Fields whose MIPs could not be resolved locally, to insert.
-    unresolved_inserts: Vec<(u64, Mip)>,
-    /// Pointer-field ranges decoded by this run, to clear from the map
-    /// (insertions above win — each field appears in at most one op).
-    clear_ranges: Vec<(u64, u32, u32)>,
-}
-
-/// The bytes a [`DecodedRun`] installs into the mapped segment.
-enum RunImage {
-    /// Decoded by the general descriptor walk into a pooled scratch
-    /// buffer.
-    Scratch {
-        buf: Vec<u8>,
-        /// Whether the buffer came from the pool (for the reuse metrics).
-        reused: bool,
-    },
-    /// Isomorphic fast path: the wire payload *is* the local image, so
-    /// install is one direct memcpy into the mapped segment — no
-    /// descriptor traversal, no scratch buffer round trip.
-    Wire(Bytes),
-}
-
-impl XlateCtx<'_> {
-    /// Runs one collect-side translation job. Each job owns its swizzle
-    /// cache, so jobs are independent and their outputs depend only on
-    /// heap state — never on scheduling.
-    fn run_xlate_job(&self, job: &XlateJob) -> Result<XlateOut, CoreError> {
-        let meta = &job.meta;
-        let mut swz_cache: Option<SwizzleCache> = None;
-        let iso = self.iso && meta.flat.wire_identity().is_iso();
-        match &job.kind {
-            XlateKind::NewBlock { type_serial } => {
-                let data =
-                    self.translate_block_range(meta, meta.va, meta.end(), &mut 0, &mut swz_cache)?;
-                if iso {
-                    self.metrics.iso_memcpy_bytes.add(data.len() as u64);
-                }
-                Ok(XlateOut::NewBlock(NewBlock {
-                    serial: job.serial,
-                    name: meta.name.clone(),
-                    type_serial: *type_serial,
-                    count: meta.count,
-                    data,
-                }))
-            }
-            XlateKind::Whole => {
-                let data =
-                    self.translate_block_range(meta, meta.va, meta.end(), &mut 0, &mut swz_cache)?;
-                if iso {
-                    self.metrics.iso_memcpy_bytes.add(data.len() as u64);
-                }
-                let count = meta.prim_count();
-                let accs = vec![RunAcc {
-                    start: 0,
-                    count,
-                    data,
-                }];
-                Ok(XlateOut::Diff {
-                    accs,
-                    changed: count,
-                })
-            }
-            XlateKind::Ranges(ranges) => {
-                // All of a block's ranges share one writer, so each
-                // merged run's payload is a zero-copy slice of the job
-                // buffer — no per-range buffers, no gather copy at merge.
-                // The per-block floor prevents double-emitting a primitive
-                // that spans two dirty pages; ranges arrive in ascending
-                // scan order, exactly as the serial walk visited them.
-                let total_span: usize = ranges.iter().map(|&(lo, hi)| (hi - lo) as usize).sum();
-                let mut w = WireWriter::with_capacity(self.wire_capacity_for(meta, total_span));
-                let mut floor: u64 = 0;
-                // Merged runs as (prim start, prim count, byte lo, byte hi)
-                // into the shared writer; merging matches `push_run` (runs
-                // contiguous in primitive offsets coalesce).
-                let mut emitted: Vec<(u64, u64, usize, usize)> = Vec::new();
-                let mut changed: u64 = 0;
-                for &(lo, hi) in ranges {
-                    let b0 = w.len();
-                    if let Some((start, count)) =
-                        self.translate_range_into(meta, lo, hi, &mut floor, &mut w, &mut swz_cache)?
-                    {
-                        changed += count;
-                        let b1 = w.len();
-                        match emitted.last_mut() {
-                            Some(last) if last.0 + last.1 == start && last.3 == b0 => {
-                                last.1 += count;
-                                last.3 = b1;
-                            }
-                            _ => emitted.push((start, count, b0, b1)),
-                        }
-                    }
-                }
-                let payload = w.finish();
-                if iso {
-                    self.metrics.iso_memcpy_bytes.add(payload.len() as u64);
-                }
-                let accs = emitted
-                    .into_iter()
-                    .map(|(start, count, b0, b1)| RunAcc {
-                        start,
-                        count,
-                        data: payload.slice(b0..b1),
-                    })
-                    .collect();
-                Ok(XlateOut::Diff { accs, changed })
-            }
-        }
-    }
-
-    /// Estimated wire size for translating `span` local bytes of `meta`,
-    /// from the layout: fixed-width layouts never expand (padding only
-    /// shrinks), while pointers swizzle into length-prefixed MIP strings
-    /// and strings gain a length prefix. Over-estimating only costs
-    /// transient capacity; under-estimating costs a mid-run regrow.
-    fn wire_capacity_for(&self, meta: &BlockMeta, span: usize) -> usize {
-        if meta.flat.fixed_wire_size().is_some() {
-            return span + 16;
-        }
-        let local = u64::from(meta.size().max(1));
-        let wire = wire_upper(meta.flat.nodes(), self.heap.arch());
-        let est = (span as u64).saturating_mul(wire) / local;
-        est as usize + 64
-    }
-
-    /// Translates the whole span `[lo_va, hi_va)` of one block into a
-    /// fresh wire payload. Whole-block callers (new blocks, whole-segment
-    /// fallback) use this; the ranged collect path writes many ranges
-    /// into one shared per-job writer via [`Self::translate_range_into`]
-    /// so each run's payload can be a zero-copy slice of the job buffer.
-    fn translate_block_range(
-        &self,
-        meta: &BlockMeta,
-        lo_va: u64,
-        hi_va: u64,
-        floor: &mut u64,
-        swz_cache: &mut Option<SwizzleCache>,
-    ) -> Result<Bytes, CoreError> {
-        let span = (hi_va - lo_va) as usize;
-        let mut w = WireWriter::with_capacity(self.wire_capacity_for(meta, span));
-        self.translate_range_into(meta, lo_va, hi_va, floor, &mut w, swz_cache)?;
-        Ok(w.finish())
-    }
-
-    /// Translates the local bytes of `[lo_va, hi_va)` within one block to
-    /// wire format, appending to `w`. Primitives inside a contiguous byte
-    /// range have consecutive primitive offsets, so each call contributes
-    /// at most one run: returns `Some((first primitive offset, primitive
-    /// count))` when anything was emitted. `floor` suppresses primitives
-    /// already emitted by an earlier overlapping range (a primitive
-    /// spanning two dirty pages) and advances past everything emitted
-    /// here.
-    ///
-    /// Translation proceeds run by run (the payoff of isomorphic type
-    /// descriptors, §3.3): fixed-size runs use tight per-kind loops,
-    /// strings and pointers go element by element.
-    fn translate_range_into(
-        &self,
-        meta: &BlockMeta,
-        lo_va: u64,
-        hi_va: u64,
-        floor: &mut u64,
-        w: &mut WireWriter,
-        swz_cache: &mut Option<SwizzleCache>,
-    ) -> Result<Option<(u64, u64)>, CoreError> {
-        if self.iso && meta.flat.wire_identity().is_iso() {
-            return self.translate_range_iso(meta, lo_va, hi_va, floor, w);
-        }
-        let arch = self.heap.arch().clone();
-        let little = arch.endian.is_little();
-        let slice = self.heap.read_bytes(meta.va, meta.size() as usize)?;
-        let rel_lo = (lo_va - meta.va) as u32;
-        let rel_hi = (hi_va - meta.va) as u32;
-        let mut start: Option<u64> = None;
-        let mut total: u64 = 0;
-        for mut run in meta.flat.seek_byte_runs(rel_lo) {
-            if run.local_off >= rel_hi {
-                break;
-            }
-            // Skip elements already emitted by an earlier range.
-            if run.prim_off < *floor {
-                let skip = (*floor - run.prim_off).min(u64::from(run.count)) as u32;
-                run.prim_off += u64::from(skip);
-                run.local_off += skip * run.stride;
-                run.count -= skip;
-                if run.count == 0 || run.local_off >= rel_hi {
-                    continue;
-                }
-            }
-            // Clip to elements starting before rel_hi.
-            let span = rel_hi - run.local_off;
-            let max_elems = span.div_ceil(run.stride.max(1)).max(1);
-            run.count = run.count.min(max_elems);
-            match run.kind {
-                PrimKind::Ptr => {
-                    let size = arch.pointer_size as usize;
-                    let mut scratch = String::with_capacity(48);
-                    for k in 0..run.count {
-                        let off = (run.local_off + k * run.stride) as usize;
-                        let window = &slice[off..off + size];
-                        let field_va = meta.va + off as u64;
-                        self.swizzle_window_into(field_va, window, swz_cache, &mut scratch)?;
-                        w.put_str(&scratch);
-                    }
-                }
-                PrimKind::Str { cap } => {
-                    for k in 0..run.count {
-                        let off = (run.local_off + k * run.stride) as usize;
-                        let window = &slice[off..off + cap as usize];
-                        w.put_len_bytes(iw_wire::prim::local_str_bytes(window));
-                    }
-                }
-                kind => {
-                    let size = kind.local_size(&arch) as usize;
-                    encode_fixed_run(
-                        w,
-                        &slice[run.local_off as usize..],
-                        size,
-                        run.stride as usize,
-                        run.count as usize,
-                        little,
-                    );
-                }
-            }
-            if start.is_none() {
-                start = Some(run.prim_off);
-            }
-            total += u64::from(run.count);
-            *floor = run.prim_off + u64::from(run.count);
-        }
-        if let Some(c) = swz_cache {
-            if c.hits > 0 {
-                self.metrics.swizzle_cache_hits.add(c.hits);
-                c.hits = 0;
-            }
-        }
-        Ok(start.map(|s| (s, total)))
-    }
-
-    /// Isomorphic fast path for [`Self::translate_range_into`]: the
-    /// block's local image *is* its wire encoding, so the whole range
-    /// collapses to one `memcpy` — no descriptor traversal, no per-run
-    /// dispatch. Only the run boundary needs computing: the emitted
-    /// primitives are exactly those whose byte extent intersects
-    /// `[lo_va, hi_va)` (minus the `floor` suppression), the same set the
-    /// descriptor walk emits, and since local bytes equal wire bytes the
-    /// payload is byte-identical to the walk's.
-    fn translate_range_iso(
-        &self,
-        meta: &BlockMeta,
-        lo_va: u64,
-        hi_va: u64,
-        floor: &mut u64,
-        w: &mut WireWriter,
-    ) -> Result<Option<(u64, u64)>, CoreError> {
-        if hi_va <= lo_va || meta.prim_count() == 0 {
-            return Ok(None);
-        }
-        let rel_lo = (lo_va - meta.va) as u32;
-        let rel_hi = (hi_va - meta.va) as u32;
-        // First and last primitives whose byte extent intersects the
-        // range: pure arithmetic for homogeneous layouts, two O(depth)
-        // tree descents otherwise. A packed layout has no padding, so
-        // every in-bounds byte belongs to a primitive.
-        let (mut first_prim, mut first_byte, last_prim, end_byte) = match meta.flat.single_run() {
-            Some(r) => {
-                let s = r.stride.max(1);
-                let fp = rel_lo / s;
-                let lp = (rel_hi - 1) / s;
-                (u64::from(fp), fp * s, u64::from(lp), (lp + 1) * s)
-            }
-            None => {
-                let arch = self.heap.arch();
-                let Some(p1) = meta.flat.seek_byte(rel_lo).next() else {
-                    return Ok(None);
-                };
-                let Some(p2) = meta.flat.seek_byte(rel_hi - 1).next() else {
-                    return Ok(None);
-                };
-                (
-                    p1.prim_off,
-                    p1.local_off,
-                    p2.prim_off,
-                    p2.local_off + p2.local_size(arch),
-                )
-            }
-        };
-        // Skip primitives an earlier overlapping range already emitted.
-        if last_prim < *floor {
-            return Ok(None);
-        }
-        if first_prim < *floor {
-            let Some(p) = meta.flat.prim_at(*floor) else {
-                return Ok(None);
-            };
-            first_prim = p.prim_off;
-            first_byte = p.local_off;
-        }
-        let len = (end_byte - first_byte) as usize;
-        let slice = self.heap.read_bytes(meta.va + u64::from(first_byte), len)?;
-        w.put_bytes(slice);
-        *floor = last_prim + 1;
-        Ok(Some((first_prim, last_prim - first_prim + 1)))
-    }
-
-    /// Swizzles one local pointer window into its MIP string, with a
-    /// one-entry block cache for pointer-dense translation loops. Appends
-    /// the MIP into `out` (cleared first) to avoid per-pointer
-    /// allocations.
-    fn swizzle_window_into(
-        &self,
-        field_va: u64,
-        window: &[u8],
-        cache: &mut Option<SwizzleCache>,
-        out: &mut String,
-    ) -> Result<(), CoreError> {
-        out.clear();
-        let va = read_va(window, self.heap.arch());
-        if va == 0 {
-            if let Some(mip) = self.unresolved.get(&field_va) {
-                use std::fmt::Write;
-                let _ = write!(out, "{mip}");
-            }
-            return Ok(());
-        }
-        if let Some(c) = cache {
-            if va >= c.block_lo && va < c.block_hi {
-                if let Some(run) = &c.run {
-                    let rel = (va - c.block_lo) as u32;
-                    let stride = run.stride.max(1);
-                    if rel >= run.local_off && (rel - run.local_off).is_multiple_of(stride) {
-                        let k = (rel - run.local_off) / stride;
-                        if k < run.count {
-                            c.hits += 1;
-                            let prim_off = run.prim_off + u64::from(k);
-                            out.push_str(&c.prefix);
-                            if prim_off != 0 {
-                                out.push('#');
-                                push_u64(out, prim_off);
-                            }
-                            return Ok(());
-                        }
-                    }
-                }
-            }
-        }
-        // Slow path: full metadata search, then refresh the cache.
-        if let Some(c) = cache {
-            if c.hits > 0 {
-                self.metrics.swizzle_cache_hits.add(c.hits);
-            }
-        }
-        self.metrics.swizzle_cache_misses.inc();
-        let (seg, meta) = self.heap.block_at(va)?;
-        let mut prefix = String::with_capacity(self.heap.segment(seg).name.len() + 12);
-        prefix.push_str(&self.heap.segment(seg).name);
-        prefix.push('#');
-        match &meta.name {
-            Some(n) => prefix.push_str(n),
-            None => push_u64(&mut prefix, u64::from(meta.serial)),
-        }
-        *cache = Some(SwizzleCache {
-            block_lo: meta.va,
-            block_hi: meta.end(),
-            prefix,
-            run: meta.flat.single_run(),
-            hits: 0,
-        });
-        let mip = self.mip_for_va(va)?;
-        use std::fmt::Write;
-        let _ = write!(out, "{mip}");
-        Ok(())
-    }
-
-    /// Builds the MIP for an arbitrary local address (`IW_ptr_to_mip`'s
-    /// core).
-    pub(crate) fn mip_for_va(&self, va: u64) -> Result<Mip, CoreError> {
-        let (seg, meta) = self.heap.block_at(va)?;
-        let rel = (va - meta.va) as u32;
-        let prim = meta.flat.prim_containing_byte(rel).ok_or_else(|| {
-            CoreError::DanglingPointer(format!(
-                "address {va:#x} points into padding of block {}",
-                meta.serial
-            ))
-        })?;
-        if u64::from(prim.local_off) != u64::from(rel) {
-            return Err(CoreError::DanglingPointer(format!(
-                "address {va:#x} points into the middle of a primitive"
-            )));
-        }
-        let block = match &meta.name {
-            Some(n) => BlockRef::Name(n.clone()),
-            None => BlockRef::Serial(meta.serial),
-        };
-        Ok(Mip {
-            segment: self.heap.segment(seg).name.clone(),
-            block,
-            offset: prim.prim_off,
-        })
-    }
-
-    /// Decodes one wire run (`count` primitives starting at `start`) into
-    /// a pooled scratch image of the run's byte span, without touching
-    /// heap memory. Pointer fields yield ordered unresolved-map
-    /// operations that the caller replays serially at install time, so
-    /// the map ends up exactly as a sequential apply would leave it.
-    /// Callers never build zero-`count` jobs.
-    fn decode_run(
-        &self,
-        job: &DecodeJob,
-        pool: &crate::parallel::BufferPool,
-    ) -> Result<DecodedRun, CoreError> {
-        let meta = &job.meta;
-        let (start, count) = (job.start, job.count);
-        let mut r = WireReader::new(job.data.clone());
-        let mut unswz_cache: Option<UnswizzleCache> = None;
-        let arch = self.heap.arch().clone();
-        let first = meta.flat.prim_at(start).ok_or_else(|| {
-            CoreError::Server(format!("run start {start} outside block {}", meta.serial))
-        })?;
-        let last = meta.flat.prim_at(start + count - 1).ok_or_else(|| {
-            CoreError::Server(format!(
-                "run end {} outside block {}",
-                start + count - 1,
-                meta.serial
-            ))
-        })?;
-        let span_lo = first.local_off as usize;
-        let span_hi = last.local_off as usize + last.local_size(&arch) as usize;
-        let span = span_hi - span_lo;
-        // Isomorphic layouts: the wire payload is already the local image
-        // of the span — install it directly, bypassing the descriptor
-        // walk and the scratch buffer entirely. A short payload is the
-        // same wire error the general walk's first starved read raises.
-        if self.iso && meta.flat.wire_identity().is_iso() {
-            if job.data.len() < span {
-                return Err(CoreError::Wire(iw_wire::codec::WireError::UnexpectedEof {
-                    wanted: span,
-                    available: job.data.len(),
-                }));
-            }
-            return Ok(DecodedRun {
-                span_va: meta.va + span_lo as u64,
-                image: RunImage::Wire(job.data.slice(0..span)),
-                unresolved_inserts: Vec::new(),
-                clear_ranges: Vec::new(),
-            });
-        }
-        // Packed layouts (primitives tile the block, every window fully
-        // rewritten by decode) skip the heap pre-fill: decode overwrites
-        // every byte of the span, so any initialized buffer works —
-        // reused pool buffers cost nothing.
-        let (mut scratch, reused) = if meta.flat.is_packed() {
-            pool.get_filled(span)
-        } else {
-            let (mut s, r) = pool.get(span);
-            s.extend_from_slice(self.heap.read_bytes(meta.va + span_lo as u64, span)?);
-            (s, r)
-        };
-        let mut unresolved_inserts: Vec<(u64, Mip)> = Vec::new();
-        let mut clear_ranges: Vec<(u64, u32, u32)> = Vec::new();
-        let little = arch.endian.is_little();
-        let mut remaining = count;
-        for mut run in meta.flat.seek_prim_runs(start) {
-            if remaining == 0 {
-                break;
-            }
-            run.count = run
-                .count
-                .min(remaining as u32)
-                .min(remaining.min(u64::from(u32::MAX)) as u32);
-            remaining -= u64::from(run.count);
-            match run.kind {
-                PrimKind::Ptr => {
-                    let size = arch.pointer_size as usize;
-                    clear_ranges.push((meta.va + u64::from(run.local_off), run.stride, run.count));
-                    for k in 0..run.count {
-                        let loff = run.local_off + k * run.stride;
-                        let off = loff as usize - span_lo;
-                        let mip_bytes = r.get_len_bytes().map_err(CoreError::Wire)?;
-                        let mip_str = std::str::from_utf8(&mip_bytes)
-                            .map_err(|_| CoreError::Wire(iw_wire::codec::WireError::InvalidUtf8))?;
-                        let window = &mut scratch[off..off + size];
-                        match self.resolve_mip_cached(mip_str, &mut unswz_cache)? {
-                            ResolvedPtr::Null => {
-                                write_va(window, &arch, 0);
-                            }
-                            ResolvedPtr::Local(va) => {
-                                write_va(window, &arch, va);
-                            }
-                            ResolvedPtr::Unresolved(mip) => {
-                                write_va(window, &arch, 0);
-                                unresolved_inserts.push((meta.va + u64::from(loff), mip));
-                            }
-                        }
-                    }
-                }
-                PrimKind::Str { cap } => {
-                    for k in 0..run.count {
-                        let off = (run.local_off + k * run.stride) as usize - span_lo;
-                        let window = &mut scratch[off..off + cap as usize];
-                        prim_from_wire(&mut r, run.kind, window, &arch, &mut no_pointers_in)
-                            .map_err(CoreError::Wire)?;
-                    }
-                }
-                kind => {
-                    let size = kind.local_size(&arch) as usize;
-                    let base = run.local_off as usize - span_lo;
-                    decode_fixed_run(
-                        &mut r,
-                        &mut scratch[base..],
-                        size,
-                        run.stride as usize,
-                        run.count as usize,
-                        little,
-                    )
-                    .map_err(CoreError::Wire)?;
-                }
-            }
-        }
-        if let Some(c) = &mut unswz_cache {
-            if c.hits > 0 {
-                self.metrics.unswizzle_cache_hits.add(c.hits);
-                c.hits = 0;
-            }
-        }
-        Ok(DecodedRun {
-            span_va: meta.va + span_lo as u64,
-            image: RunImage::Scratch {
-                buf: scratch,
-                reused,
-            },
-            unresolved_inserts,
-            clear_ranges,
-        })
-    }
-
-    /// As [`Session::resolve_mip_to_va`], with a one-entry prefix cache
-    /// for pointer-dense diff application.
-    fn resolve_mip_cached(
-        &self,
-        mip_str: &str,
-        cache: &mut Option<UnswizzleCache>,
-    ) -> Result<ResolvedPtr, CoreError> {
-        if mip_str.is_empty() {
-            return Ok(ResolvedPtr::Null);
-        }
-        let (prefix, offset) = split_mip_offset(mip_str);
-        if let Some(c) = cache {
-            if c.prefix == prefix {
-                c.hits += 1;
-                if let Some(run) = &c.run {
-                    if offset >= run.prim_off && offset < run.prim_off + u64::from(run.count) {
-                        let k = (offset - run.prim_off) as u32;
-                        return Ok(ResolvedPtr::Local(
-                            c.block_va + u64::from(run.local_off + k * run.stride),
-                        ));
-                    }
-                }
-                return Ok(match c.flat.prim_at(offset) {
-                    Some(p) => ResolvedPtr::Local(c.block_va + u64::from(p.local_off)),
-                    None => ResolvedPtr::Unresolved(mip_str.parse().map_err(CoreError::Wire)?),
-                });
-            }
-        }
-        if let Some(c) = cache {
-            if c.hits > 0 {
-                self.metrics.unswizzle_cache_hits.add(c.hits);
-            }
-        }
-        self.metrics.unswizzle_cache_misses.inc();
-        let mip: Mip = mip_str.parse().map_err(CoreError::Wire)?;
-        let Some(seg_id) = self.heap.segment_id(&mip.segment) else {
-            return Ok(ResolvedPtr::Unresolved(mip));
-        };
-        let seg = self.heap.segment(seg_id);
-        let meta = match &mip.block {
-            BlockRef::Serial(n) => seg.block_by_serial(*n),
-            BlockRef::Name(n) => seg.block_by_name(n),
-        };
-        let Ok(meta) = meta else {
-            return Ok(ResolvedPtr::Unresolved(mip));
-        };
-        *cache = Some(UnswizzleCache {
-            prefix: prefix.to_string(),
-            block_va: meta.va,
-            flat: meta.flat.clone(),
-            run: meta.flat.single_run(),
-            hits: 0,
-        });
-        match meta.flat.prim_at(mip.offset) {
-            Some(p) => Ok(ResolvedPtr::Local(meta.va + u64::from(p.local_off))),
-            None => Ok(ResolvedPtr::Unresolved(mip)),
-        }
-    }
-}
-
-/// Resolution outcome for a wire MIP.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ResolvedPtr {
-    Null,
-    Local(u64),
-    Unresolved(Mip),
-}
-
-/// One-entry swizzle cache: consecutive pointers overwhelmingly target
-/// the same block ("blocks modified together in the past tend to be
-/// modified together in the future", §3.3), so the block metadata and the
-/// MIP prefix are reused across a run of pointers.
-struct SwizzleCache {
-    block_lo: u64,
-    block_hi: u64,
-    /// `segment#block` prefix, ready for the offset suffix.
-    prefix: String,
-    /// Arithmetic lookup when the target block is one homogeneous run.
-    run: Option<iw_types::flat::RunRef>,
-    /// Hits batched here and flushed to the metrics counter per
-    /// translation call, keeping atomics off the per-pointer path.
-    hits: u64,
-}
-
-/// One-entry unswizzle cache: repeated MIP prefixes resolve to the same
-/// block without re-searching the metadata trees.
-struct UnswizzleCache {
-    prefix: String,
-    block_va: u64,
-    flat: std::sync::Arc<iw_types::flat::FlatLayout>,
-    run: Option<iw_types::flat::RunRef>,
-    /// Hits batched here and flushed to the metrics counter per applied
-    /// diff, keeping atomics off the per-pointer path.
-    hits: u64,
-}
-
-/// Splits a MIP string into its `segment#block` prefix and numeric offset
-/// (0 when omitted).
-fn split_mip_offset(s: &str) -> (&str, u64) {
-    if let Some(pos) = s.rfind('#') {
-        let tail = &s[pos + 1..];
-        if !tail.is_empty() && tail.bytes().all(|b| b.is_ascii_digit()) && s[..pos].contains('#') {
-            if let Ok(off) = tail.parse::<u64>() {
-                return (&s[..pos], off);
-            }
-        }
-    }
-    (s, 0)
-}
-
-fn push_u64(s: &mut String, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    s.push_str(std::str::from_utf8(&buf[i..]).expect("digits are ASCII"));
 }
 
 /// SplitMix64 step: cheap deterministic jitter for backoff schedules
@@ -2946,212 +1761,5 @@ fn new_replica(
         from_advert,
         dead: false,
         lag,
-    }
-}
-
-/// A merged run produced by one translation job. The payload is a
-/// zero-copy slice of the job's single wire buffer (or the whole buffer
-/// for whole-block translation), so finalizing a run never copies.
-struct RunAcc {
-    start: u64,
-    count: u64,
-    data: Bytes,
-}
-
-/// Estimated wire bytes for one whole value of the layout, walked on the
-/// compact node tree (O(tree), not O(primitives)). Pointers swizzle into
-/// length-prefixed MIP strings — segment and block names are short, so
-/// 48 bytes covers typical swizzled pointers; strings gain a length
-/// prefix over their local capacity.
-fn wire_upper(nodes: &[FlatNode], arch: &MachineArch) -> u64 {
-    nodes
-        .iter()
-        .map(|n| match n {
-            FlatNode::Run { kind, count, .. } => {
-                let per = match kind {
-                    PrimKind::Ptr => 48,
-                    PrimKind::Str { cap } => u64::from(*cap) + 4,
-                    kind => u64::from(kind.local_size(arch)),
-                };
-                u64::from(*count) * per
-            }
-            FlatNode::Repeat { count, body, .. } => u64::from(*count) * wire_upper(body, arch),
-        })
-        .sum()
-}
-
-/// Finalizes accumulated runs into wire [`DiffRun`]s.
-fn finish_runs(accs: Vec<RunAcc>) -> Vec<DiffRun> {
-    accs.into_iter()
-        .map(|a| DiffRun {
-            start: a.start,
-            count: a.count,
-            data: a.data,
-        })
-        .collect()
-}
-
-/// Bulk-encodes `count` fixed-size primitives (each `size` bytes, spaced
-/// `stride` apart in `src`) to big-endian wire format. Packed big-endian
-/// runs are a single memcpy; everything else is a tight loop.
-fn encode_fixed_run(
-    w: &mut WireWriter,
-    src: &[u8],
-    size: usize,
-    stride: usize,
-    count: usize,
-    little: bool,
-) {
-    if count == 0 {
-        return;
-    }
-    if stride == size && (!little || size == 1) {
-        w.put_bytes(&src[..count * size]);
-        return;
-    }
-    if !little {
-        for k in 0..count {
-            w.put_bytes(&src[k * stride..k * stride + size]);
-        }
-        return;
-    }
-    // Little-endian packed runs: size-specialized bswap loops.
-    if stride == size {
-        let data = &src[..count * size];
-        match size {
-            2 => {
-                for c in data.chunks_exact(2) {
-                    let v = u16::from_le_bytes(c.try_into().expect("2B"));
-                    w.put_u16(v);
-                }
-                return;
-            }
-            4 => {
-                for c in data.chunks_exact(4) {
-                    let v = u32::from_le_bytes(c.try_into().expect("4B"));
-                    w.put_u32(v);
-                }
-                return;
-            }
-            8 => {
-                for c in data.chunks_exact(8) {
-                    let v = u64::from_le_bytes(c.try_into().expect("8B"));
-                    w.put_u64(v);
-                }
-                return;
-            }
-            _ => {}
-        }
-    }
-    // Strided or odd-sized: reverse each element through a stack buffer.
-    let mut buf = [0u8; 8];
-    for k in 0..count {
-        let e = &src[k * stride..k * stride + size];
-        for i in 0..size {
-            buf[i] = e[size - 1 - i];
-        }
-        w.put_bytes(&buf[..size]);
-    }
-}
-
-/// Bulk-decodes `count` fixed-size primitives from big-endian wire format
-/// into `dst` (the inverse of [`encode_fixed_run`]).
-fn decode_fixed_run(
-    r: &mut WireReader,
-    dst: &mut [u8],
-    size: usize,
-    stride: usize,
-    count: usize,
-    little: bool,
-) -> Result<(), iw_wire::codec::WireError> {
-    if count == 0 {
-        return Ok(());
-    }
-    if stride == size && (!little || size == 1) {
-        return r.copy_into(&mut dst[..count * size]);
-    }
-    if little && stride == size && matches!(size, 2 | 4 | 8) {
-        let d = &mut dst[..count * size];
-        r.copy_into(d)?;
-        match size {
-            2 => {
-                for c in d.chunks_exact_mut(2) {
-                    c.swap(0, 1);
-                }
-            }
-            4 => {
-                for c in d.chunks_exact_mut(4) {
-                    let v = u32::from_be_bytes((&*c).try_into().expect("4B"));
-                    c.copy_from_slice(&v.to_le_bytes());
-                }
-            }
-            _ => {
-                for c in d.chunks_exact_mut(8) {
-                    let v = u64::from_be_bytes((&*c).try_into().expect("8B"));
-                    c.copy_from_slice(&v.to_le_bytes());
-                }
-            }
-        }
-        return Ok(());
-    }
-    let mut buf = [0u8; 8];
-    for k in 0..count {
-        r.copy_into(&mut buf[..size])?;
-        let d = &mut dst[k * stride..k * stride + size];
-        if little && size > 1 {
-            for i in 0..size {
-                d[i] = buf[size - 1 - i];
-            }
-        } else {
-            d.copy_from_slice(&buf[..size]);
-        }
-    }
-    Ok(())
-}
-
-/// Reads a local-format pointer word (a simulated VA).
-pub(crate) fn read_va(window: &[u8], arch: &MachineArch) -> u64 {
-    let little = arch.endian.is_little();
-    match window.len() {
-        4 => {
-            let b: [u8; 4] = window.try_into().expect("4-byte window");
-            if little {
-                u32::from_le_bytes(b) as u64
-            } else {
-                u32::from_be_bytes(b) as u64
-            }
-        }
-        8 => {
-            let b: [u8; 8] = window.try_into().expect("8-byte window");
-            if little {
-                u64::from_le_bytes(b)
-            } else {
-                u64::from_be_bytes(b)
-            }
-        }
-        n => unreachable!("pointer windows are 4 or 8 bytes, not {n}"),
-    }
-}
-
-/// Writes a local-format pointer word.
-pub(crate) fn write_va(window: &mut [u8], arch: &MachineArch, va: u64) {
-    let little = arch.endian.is_little();
-    match window.len() {
-        4 => {
-            let v = va as u32;
-            window.copy_from_slice(&if little {
-                v.to_le_bytes()
-            } else {
-                v.to_be_bytes()
-            });
-        }
-        8 => {
-            window.copy_from_slice(&if little {
-                va.to_le_bytes()
-            } else {
-                va.to_be_bytes()
-            });
-        }
-        n => unreachable!("pointer windows are 4 or 8 bytes, not {n}"),
     }
 }

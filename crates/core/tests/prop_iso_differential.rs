@@ -5,9 +5,8 @@
 //! correctness contract is blunt: with `iso_fast_path` on or off, a
 //! session must produce *byte-identical* wire diffs and *byte-identical*
 //! applied images — for random type descriptors, random dirty patterns,
-//! every architecture, both translate-thread settings, and the coherence
-//! models. These properties drive the same workload through both
-//! configurations and compare the bytes.
+//! every architecture, and the coherence models. These properties drive
+//! the same workload through both configurations and compare the bytes.
 
 use std::sync::Arc;
 
@@ -24,18 +23,12 @@ fn server() -> Arc<dyn Handler> {
     Arc::new(Server::new())
 }
 
-fn session(
-    srv: &Arc<dyn Handler>,
-    arch: &MachineArch,
-    iso: bool,
-    threads: Option<usize>,
-) -> Session {
+fn session(srv: &Arc<dyn Handler>, arch: &MachineArch, iso: bool) -> Session {
     Session::with_options(
         arch.clone(),
         Box::new(Loopback::new(srv.clone())),
         SessionOptions {
             iso_fast_path: iso,
-            translate_threads: threads,
             ..SessionOptions::default()
         },
     )
@@ -106,14 +99,13 @@ proptest! {
         count in 2u32..6,
         picks in arb_picks(),
         seed in any::<u64>(),
-        threads in prop_oneof![Just(Some(1)), Just(None)],
     ) {
         let elem = layout_of(&ty, &arch).size as usize;
         let picks = resolve_picks(&picks, count as usize);
         let mut rounds: Vec<[Vec<u8>; 2]> = Vec::new();
         for iso in [true, false] {
             let srv = server();
-            let mut w = session(&srv, &arch, iso, threads);
+            let mut w = session(&srv, &arch, iso);
             let h = w.open_segment("p/iso").unwrap();
 
             // Round 1: fresh allocation — NewBlock translation jobs.
@@ -148,16 +140,12 @@ proptest! {
         count in 2u32..6,
         picks in arb_picks(),
         seed in any::<u64>(),
-        mode in (
-            prop_oneof![
-                Just(Coherence::Full),
-                Just(Coherence::Delta(1)),
-                Just(Coherence::Diff(500)),
-            ],
-            prop_oneof![Just(Some(1usize)), Just(None)],
-        ),
+        coherence in prop_oneof![
+            Just(Coherence::Full),
+            Just(Coherence::Delta(1)),
+            Just(Coherence::Diff(500)),
+        ],
     ) {
-        let (coherence, threads) = mode;
         let elem = layout_of(&ty, &arch).size as usize;
         let total = elem * count as usize;
         let picks = resolve_picks(&picks, count as usize);
@@ -166,14 +154,14 @@ proptest! {
             let srv = server();
             // The writer keeps the fast path at its default; only the
             // reader's apply path is under test here.
-            let mut w = session(&srv, &arch, true, Some(1));
+            let mut w = session(&srv, &arch, true);
             let h = w.open_segment("p/iso").unwrap();
             w.wl_acquire(&h).unwrap();
             let blk = w.malloc(&h, &ty, count, Some("blk")).unwrap();
             dirty_elements(&mut w, &blk, elem, count as usize, &picks, seed);
             w.wl_release(&h).unwrap();
 
-            let mut r = session(&srv, &arch, iso, threads);
+            let mut r = session(&srv, &arch, iso);
             let rh = r.open_segment("p/iso").unwrap();
             r.set_coherence(&rh, coherence).unwrap();
             r.rl_acquire(&rh).unwrap();
@@ -211,7 +199,7 @@ fn mixed_segment_applies_correctly_and_stamps_iso() {
     for iso in [true, false] {
         let srv = server();
         let arch = MachineArch::sparc_v9();
-        let mut w = session(&srv, &arch, true, None);
+        let mut w = session(&srv, &arch, true);
         let h = w.open_segment("m/x").unwrap();
         w.wl_acquire(&h).unwrap();
         let ints = w.malloc(&h, &TypeDesc::int32(), 256, Some("ints")).unwrap();
@@ -236,7 +224,7 @@ fn mixed_segment_applies_correctly_and_stamps_iso() {
         w.write_ptr(&slot, Some(&target)).unwrap();
         w.wl_release(&h).unwrap();
 
-        let mut r = session(&srv, &arch, iso, None);
+        let mut r = session(&srv, &arch, iso);
         let rh = r.open_segment("m/x").unwrap();
         r.rl_acquire(&rh).unwrap();
         let q = r.mip_to_ptr("m/x#ints").unwrap();
@@ -275,7 +263,7 @@ fn iso_collects(s: &mut Session) -> u64 {
 
 fn run_writer(arch: MachineArch, ty: TypeDesc, count: u32) -> u64 {
     let srv = server();
-    let mut w = session(&srv, &arch, true, None);
+    let mut w = session(&srv, &arch, true);
     let h = w.open_segment("n/axis").unwrap();
     w.wl_acquire(&h).unwrap();
     let _blk = w.malloc(&h, &ty, count, Some("blk")).unwrap();
@@ -324,7 +312,7 @@ fn fast_path_never_engages_on_padded_layouts() {
 fn fast_path_apply_counters_tick_on_big_endian_reader() {
     let srv = server();
     let arch = MachineArch::sparc_v9();
-    let mut w = session(&srv, &arch, true, None);
+    let mut w = session(&srv, &arch, true);
     let h = w.open_segment("n/pos").unwrap();
     w.wl_acquire(&h).unwrap();
     let blk = w.malloc(&h, &TypeDesc::int32(), 1024, Some("blk")).unwrap();
@@ -333,7 +321,7 @@ fn fast_path_apply_counters_tick_on_big_endian_reader() {
     }
     w.wl_release(&h).unwrap();
 
-    let mut r = session(&srv, &arch, true, None);
+    let mut r = session(&srv, &arch, true);
     let rh = r.open_segment("n/pos").unwrap();
     r.rl_acquire(&rh).unwrap();
     let q = r.mip_to_ptr("n/pos#blk").unwrap();
@@ -356,7 +344,7 @@ fn fast_path_apply_counters_tick_on_big_endian_reader() {
 
     // Ablation: the same workload with the fast path disabled reports
     // zero fast-path activity.
-    let mut r2 = session(&srv, &arch, false, None);
+    let mut r2 = session(&srv, &arch, false);
     let rh2 = r2.open_segment("n/pos").unwrap();
     r2.rl_acquire(&rh2).unwrap();
     r2.rl_release(&rh2).unwrap();

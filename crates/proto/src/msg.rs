@@ -1105,7 +1105,7 @@ mod tests {
             ],
             gauges: vec![("server.lock.queue_depth".into(), -3)],
             histograms: vec![(
-                "server.checkpoint_us".into(),
+                "server.segment_lock_wait_us".into(),
                 HistogramSnapshot {
                     bounds: vec![1, 2, 4, 8],
                     counts: vec![0, 1, 2, 0, 5],

@@ -249,12 +249,6 @@ pub trait FaultLayer: Send {
 pub struct Loopback {
     handler: Arc<dyn Handler>,
     metrics: TransportMetrics,
-    /// Round trips attempted on this connection (drives fault injection;
-    /// unlike the metrics counters, never shared with other connections).
-    attempts: u64,
-    /// Optional fault injection: drop every Nth request (for failure
-    /// tests). 0 = disabled.
-    drop_every: u64,
     /// Optional per-message fault layer (see `iw-faults`).
     faults: Option<Box<dyn FaultLayer>>,
     /// Capabilities this client advertises on Hello.
@@ -278,8 +272,6 @@ impl Loopback {
         Loopback {
             handler,
             metrics: TransportMetrics::default(),
-            attempts: 0,
-            drop_every: 0,
             faults: None,
             local_caps: PeerCaps::ALL,
             negotiated: PeerCaps::NONE,
@@ -317,14 +309,6 @@ impl Loopback {
         Ok(reply)
     }
 
-    /// Enables fault injection: every `n`-th request is dropped and
-    /// surfaces as a channel error, as a lost TCP connection would.
-    /// (The crude predecessor of [`Loopback::set_fault_layer`]; kept for
-    /// tests that only need an unconditional periodic drop.)
-    pub fn drop_every(&mut self, n: u64) {
-        self.drop_every = n;
-    }
-
     /// Installs a per-message [`FaultLayer`] consulted on every round
     /// trip (see `iw-faults` for the seeded implementation).
     pub fn set_fault_layer(&mut self, layer: Box<dyn FaultLayer>) {
@@ -340,11 +324,7 @@ impl Transport for Loopback {
             Request::Hello { .. } => req.encode_caps(self.local_caps),
             _ => req.encode_caps(self.negotiated),
         };
-        self.attempts += 1;
         self.metrics.sent(req, encoded.len() as u64);
-        if self.drop_every != 0 && self.attempts.is_multiple_of(self.drop_every) {
-            return Err(ProtoError::Channel("injected message drop".into()));
-        }
         let action = match &mut self.faults {
             Some(layer) => layer.plan(req, &encoded),
             None => FaultAction::Deliver,
@@ -459,28 +439,6 @@ mod tests {
         b.request(&Request::Hello { info: "x".into() }).unwrap();
         assert_eq!(a.stats().requests, 2);
         assert_eq!(b.stats().requests, 1);
-    }
-
-    #[test]
-    fn fault_injection_drops_requests() {
-        let mut t = Loopback::new(echo_handler());
-        t.drop_every(2);
-        assert!(t
-            .request(&Request::Hello {
-                info: String::new()
-            })
-            .is_ok());
-        assert!(matches!(
-            t.request(&Request::Hello {
-                info: String::new()
-            }),
-            Err(ProtoError::Channel(_))
-        ));
-        assert!(t
-            .request(&Request::Hello {
-                info: String::new()
-            })
-            .is_ok());
     }
 
     #[test]

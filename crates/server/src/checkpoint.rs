@@ -1,17 +1,14 @@
-//! Segment checkpointing.
+//! Segment checkpoint images.
 //!
 //! "As partial protection against server failure, InterWeave periodically
 //! checkpoints segments and their metadata to persistent storage." (§2.2)
 //!
-//! One file per segment (`<escaped name>.iwck`), written atomically via a
-//! temp file + rename. The format reuses the wire codec, so a checkpoint
-//! is readable by any architecture. The same image (see
-//! [`encode_segment`]/[`decode_segment`]) is what a cluster primary ships
-//! in `Request::SyncFull` to bring a lagging backup up to date, so a
-//! synced backup is bit-identical to a recovered checkpoint.
-
-use std::fs;
-use std::path::{Path, PathBuf};
+//! This module is the image format only ([`encode_segment`] /
+//! [`decode_segment`]); `iw-durable` decides when images are written and
+//! owns the files. The format reuses the wire codec, so an image is
+//! readable by any architecture. The same image is what a cluster
+//! primary ships in `Request::SyncFull` to bring a lagging backup up to
+//! date, so a synced backup is bit-identical to a recovered checkpoint.
 
 use bytes::Bytes;
 
@@ -23,20 +20,6 @@ use crate::segment::ServerSegment;
 
 const MAGIC: &[u8; 4] = b"IWCK";
 const FORMAT_VERSION: u32 = 1;
-
-/// Escapes a segment name into a safe file name.
-fn file_name(segment: &str) -> String {
-    let mut out = String::with_capacity(segment.len() + 5);
-    for c in segment.chars() {
-        match c {
-            '/' => out.push_str("%2F"),
-            '%' => out.push_str("%25"),
-            c => out.push(c),
-        }
-    }
-    out.push_str(".iwck");
-    out
-}
 
 /// Serializes a segment into its machine-independent checkpoint image
 /// (also the `SyncFull` replication payload).
@@ -97,21 +80,6 @@ pub fn encode_segment(seg: &mut ServerSegment) -> Result<Bytes, ServerError> {
         w.put_u64(created);
     }
     Ok(w.finish())
-}
-
-/// Writes a checkpoint of `seg` into `dir`.
-///
-/// # Errors
-///
-/// I/O errors creating the directory or writing the file.
-pub fn write(dir: &Path, seg: &mut ServerSegment) -> Result<PathBuf, ServerError> {
-    fs::create_dir_all(dir)?;
-    let image = encode_segment(seg)?;
-    let path = dir.join(file_name(&seg.name));
-    let tmp = dir.join(format!("{}.tmp", file_name(&seg.name)));
-    fs::write(&tmp, image)?;
-    fs::rename(&tmp, &path)?;
-    Ok(path)
 }
 
 /// Largest block element count a checkpoint image may claim: keeps a
@@ -198,56 +166,11 @@ pub fn decode_segment(bytes: Bytes) -> Result<ServerSegment, ServerError> {
     Ok(seg)
 }
 
-/// Restores one segment from a checkpoint file.
-///
-/// # Errors
-///
-/// I/O errors and [`ServerError::BadCheckpoint`] on corrupt contents.
-pub fn restore(path: &Path) -> Result<ServerSegment, ServerError> {
-    let bytes = fs::read(path)?;
-    decode_segment(Bytes::from(bytes))
-}
-
-/// Restores every checkpoint in `dir`. A corrupt or truncated file is
-/// skipped (with a note on stderr) rather than failing the whole
-/// recovery: one bad checkpoint must not take down the segments whose
-/// checkpoints are healthy.
-///
-/// # Errors
-///
-/// I/O errors listing the directory (per-file read and parse failures are
-/// skipped, not propagated).
-pub fn restore_dir(dir: &Path) -> Result<Vec<ServerSegment>, ServerError> {
-    let mut out = Vec::new();
-    if !dir.exists() {
-        return Ok(out);
-    }
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.extension().is_some_and(|e| e == "iwck") {
-            match restore(&path) {
-                Ok(seg) => out.push(seg),
-                Err(e) => eprintln!(
-                    "iw-server: skipping corrupt checkpoint {}: {e}",
-                    path.display()
-                ),
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use iw_types::desc::TypeDesc;
     use iw_wire::diff::{BlockDiff, DiffRun, NewBlock, SegmentDiff};
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("iwck-test-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
-        d
-    }
 
     fn populated_segment() -> ServerSegment {
         let mut seg = ServerSegment::new("host/data");
@@ -299,10 +222,8 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_everything_observable() {
-        let dir = temp_dir("rt");
         let mut seg = populated_segment();
-        let path = write(&dir, &mut seg).unwrap();
-        let mut back = restore(&path).unwrap();
+        let mut back = decode_segment(encode_segment(&mut seg).unwrap()).unwrap();
 
         assert_eq!(back.name, "host/data");
         assert_eq!(back.version(), seg.version());
@@ -323,37 +244,14 @@ mod tests {
         let a = seg.collect_update(99, 1).unwrap();
         let b = back.collect_update(99, 1).unwrap();
         assert_eq!(a, b);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn restore_dir_finds_all_segments() {
-        let dir = temp_dir("dir");
-        let mut a = populated_segment();
-        let mut b = ServerSegment::new("host/other");
-        write(&dir, &mut a).unwrap();
-        write(&dir, &mut b).unwrap();
-        let segs = restore_dir(&dir).unwrap();
-        let mut names: Vec<&str> = segs.iter().map(|s| s.name.as_str()).collect();
-        names.sort_unstable();
-        assert_eq!(names, vec!["host/data", "host/other"]);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn restore_missing_dir_is_empty() {
-        let segs = restore_dir(Path::new("/nonexistent/iw-nowhere")).unwrap();
-        assert!(segs.is_empty());
-    }
-
-    #[test]
-    fn corrupt_file_rejected() {
-        let dir = temp_dir("bad");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("x.iwck");
-        fs::write(&path, b"NOTAMAGIC").unwrap();
-        assert!(matches!(restore(&path), Err(ServerError::BadCheckpoint(_))));
-        let _ = fs::remove_dir_all(&dir);
+    fn bad_magic_rejected() {
+        assert!(matches!(
+            decode_segment(Bytes::from_static(b"NOTAMAGIC")),
+            Err(ServerError::BadCheckpoint(_))
+        ));
     }
 
     #[test]
@@ -386,32 +284,10 @@ mod tests {
     }
 
     #[test]
-    fn restore_dir_skips_corrupt_files_loads_healthy_ones() {
-        let dir = temp_dir("skip");
-        let mut good = populated_segment();
-        write(&dir, &mut good).unwrap();
-        // One truncated image and one with garbage magic, both *.iwck.
-        let image = encode_segment(&mut populated_segment()).unwrap();
-        fs::write(dir.join("truncated.iwck"), &image[..image.len() / 2]).unwrap();
-        fs::write(dir.join("garbage.iwck"), b"NOTAMAGIC").unwrap();
-        let segs = restore_dir(&dir).unwrap();
-        assert_eq!(segs.len(), 1, "only the healthy checkpoint loads");
-        assert_eq!(segs[0].name, "host/data");
-        assert_eq!(segs[0].version(), good.version());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn image_roundtrip_is_bit_identical() {
         let mut seg = populated_segment();
         let image = encode_segment(&mut seg).unwrap();
         let mut back = decode_segment(image.clone()).unwrap();
         assert_eq!(encode_segment(&mut back).unwrap(), image);
-    }
-
-    #[test]
-    fn file_name_escaping() {
-        assert_eq!(file_name("a/b"), "a%2Fb.iwck");
-        assert_eq!(file_name("a%b"), "a%25b.iwck");
     }
 }

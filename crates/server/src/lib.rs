@@ -11,7 +11,7 @@
 //! - [`locks`] — reader/writer lock table;
 //! - [`server`] — the protocol front-end implementing
 //!   [`iw_proto::Handler`];
-//! - [`checkpoint`] — periodic persistence and recovery;
+//! - [`checkpoint`] — the machine-independent segment image format;
 //! - durability — committed diffs WAL-logged at release time via
 //!   `iw-durable` ([`Server::with_durability`]), with checkpoint-plus-log
 //!   crash recovery ([`DurabilityMode`], [`DurableOptions`] re-exported).

@@ -27,10 +27,6 @@ pub(crate) struct ServerMetrics {
     pub lock_busy: Arc<Counter>,
     /// `server.lock.released_total` — locks actually released.
     pub lock_released: Arc<Counter>,
-    /// `server.checkpoints_total` — checkpoint files written.
-    pub checkpoints: Arc<Counter>,
-    /// `server.checkpoint_us` — wall time of one checkpoint write.
-    pub checkpoint_us: Arc<Histogram>,
     /// `server.locks_held` — locks currently held (refreshed at scrape).
     pub locks_held: Arc<Gauge>,
     /// `server.clients` — registered clients (refreshed at scrape).
@@ -90,8 +86,6 @@ impl ServerMetrics {
             lock_granted: registry.counter("server.lock.granted_total"),
             lock_busy: registry.counter("server.lock.busy_total"),
             lock_released: registry.counter("server.lock.released_total"),
-            checkpoints: registry.counter("server.checkpoints_total"),
-            checkpoint_us: registry.histogram_us("server.checkpoint_us"),
             locks_held: registry.gauge("server.locks_held"),
             clients: registry.gauge("server.clients"),
             concurrent_requests: registry.gauge("server.concurrent_requests"),

@@ -85,12 +85,6 @@ pub struct Server {
     locks: Mutex<LockTable>,
     clients: Mutex<HashMap<u64, ClientInfo>>,
     next_client: AtomicU64,
-    /// When set, segments are checkpointed to this directory every
-    /// `checkpoint_interval` versions ("as partial protection against
-    /// server failure, InterWeave periodically checkpoints segments and
-    /// their metadata to persistent storage", §2.2).
-    checkpoint_dir: Option<PathBuf>,
-    checkpoint_interval: u64,
     /// Observer for committed client diffs (the cluster primary's ship
     /// queue feed). Fired under the segment write lock.
     commit_hook: RwLock<Option<CommitHook>>,
@@ -143,33 +137,6 @@ impl Server {
     /// Creates a server with no segments.
     pub fn new() -> Self {
         Server::default()
-    }
-
-    /// Enables periodic checkpointing: every `interval` versions of a
-    /// segment, its state is written under `dir`.
-    pub fn with_checkpointing(dir: PathBuf, interval: u64) -> Self {
-        Server {
-            checkpoint_dir: Some(dir),
-            checkpoint_interval: interval.max(1),
-            ..Server::default()
-        }
-    }
-
-    /// Restores every segment checkpoint found under `dir` and enables
-    /// checkpointing there.
-    ///
-    /// # Errors
-    ///
-    /// I/O and corruption errors from checkpoint files.
-    pub fn recover(dir: PathBuf, interval: u64) -> Result<Self, ServerError> {
-        let server = Server::with_checkpointing(dir.clone(), interval);
-        {
-            let mut map = server.segments.write();
-            for seg in checkpoint::restore_dir(&dir)? {
-                map.insert(seg.name.clone(), Arc::new(RwLock::new(seg)));
-            }
-        }
-        Ok(server)
     }
 
     /// Opens (or creates) the durable diff store at `dir` and recovers
@@ -643,7 +610,6 @@ impl Server {
                     message: e.to_string(),
                 };
             }
-            self.maybe_checkpoint(&mut guard);
             self.persist_commit(segment, diff, &mut guard);
             self.fire_commit_hook(segment, diff);
             guard.version()
@@ -694,7 +660,6 @@ impl Server {
             if let Some(d) = diff {
                 match guard.apply_diff(d) {
                     Ok(v) => {
-                        self.maybe_checkpoint(&mut guard);
                         self.persist_commit(segment, d, &mut guard);
                         self.fire_commit_hook(segment, d);
                         versions.push(v);
@@ -790,7 +755,6 @@ impl Server {
         match guard.apply_diff(diff) {
             Ok(v) => {
                 self.metrics.repl_diffs_applied.inc();
-                self.maybe_checkpoint(&mut guard);
                 // A durable backup logs replicated diffs too, so a
                 // restarted backup re-attaches with most state local.
                 self.persist_commit(segment, diff, &mut guard);
@@ -828,7 +792,6 @@ impl Server {
         let shard = self.segment_or_insert(segment);
         let mut guard = self.write_seg(&shard);
         *guard = seg;
-        self.maybe_checkpoint(&mut guard);
         // A full sync jumps the version, breaking the WAL's diff chain:
         // persist a full image (any durability mode) so recovery has a
         // base to chain subsequent diff records from.
@@ -836,23 +799,6 @@ impl Server {
             Self::durable_image(store, &mut guard);
         }
         Reply::Replicated { acked_version: v }
-    }
-
-    fn maybe_checkpoint(&self, seg: &mut ServerSegment) {
-        let Some(dir) = &self.checkpoint_dir else {
-            return;
-        };
-        if seg.version().is_multiple_of(self.checkpoint_interval) {
-            // Checkpointing is best-effort; failures must not take the
-            // release path down.
-            let started = Instant::now();
-            if checkpoint::write(dir, seg).is_ok() {
-                self.metrics.checkpoints.inc();
-            }
-            self.metrics
-                .checkpoint_us
-                .record_duration(started.elapsed());
-        }
     }
 
     /// Opens the in-flight accounting span for one request: bumps the

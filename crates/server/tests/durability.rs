@@ -244,3 +244,42 @@ fn multi_segment_commit_is_durable() {
     assert_eq!(recovered.segment_version("t/a"), Some(1));
     assert_eq!(recovered.segment_version("t/b"), Some(1));
 }
+
+#[test]
+fn undecodable_checkpoint_image_skips_that_segment_only() {
+    let dir = temp_dir("badimg");
+    {
+        let (s, _) =
+            Server::with_durability(dir.clone(), opts(DurabilityMode::WalCheckpoint)).unwrap();
+        let c = s.hello("w");
+        s.open("h/good");
+        for v in 0..3 {
+            write_cycle(&s, c, "h/good", v);
+        }
+    }
+    {
+        // A well-framed checkpoint file whose payload is not a segment
+        // image (the store checks framing; only the server can tell).
+        let registry = std::sync::Arc::new(iw_telemetry::Registry::new());
+        let (store, _) =
+            iw_durable::DiffStore::open(&dir, opts(DurabilityMode::WalCheckpoint), &registry)
+                .unwrap();
+        store.write_checkpoint("h/bad", 5, b"NOTAMAGIC").unwrap();
+    }
+    let (recovered, rec) =
+        Server::with_durability(dir.clone(), opts(DurabilityMode::WalCheckpoint)).unwrap();
+    assert_eq!(recovered.segment_version("h/good"), Some(3));
+    assert_eq!(
+        image_of(&recovered, "h/good"),
+        image_of(&oracle("h/good", 3), "h/good")
+    );
+    assert_eq!(recovered.segment_version("h/bad"), None);
+    assert!(
+        rec.warnings
+            .iter()
+            .any(|w| w.contains("h/bad") && w.contains("failed to decode")),
+        "{:?}",
+        rec.warnings
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

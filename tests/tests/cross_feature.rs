@@ -7,7 +7,7 @@ use iw_astro::{FrameChannel, Simulation};
 use iw_core::{Session, SessionOptions, TrackMode};
 use iw_mining::{read_lattice, CustomerSeq, Lattice, LatticePublisher};
 use iw_proto::{Coherence, Handler, Loopback};
-use iw_server::Server;
+use iw_server::{DurableOptions, Server};
 use iw_types::desc::TypeDesc;
 use iw_types::MachineArch;
 
@@ -142,8 +142,15 @@ fn diff_coherence_reader_with_no_diff_writer() {
 fn checkpoint_recovery_preserves_pointer_graphs() {
     let dir = std::env::temp_dir().join(format!("xf-ck-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let durable = || {
+        let opts = DurableOptions {
+            checkpoint_interval: 1,
+            ..DurableOptions::default()
+        };
+        Server::with_durability(dir.clone(), opts).unwrap().0
+    };
     {
-        let srv: Arc<dyn Handler> = Arc::new(Server::with_checkpointing(dir.clone(), 1));
+        let srv: Arc<dyn Handler> = Arc::new(durable());
         let mut s = Session::new(MachineArch::x86(), Box::new(Loopback::new(srv))).unwrap();
         let ty = iw_types::idl::compile("struct n { int v; struct n *next; };")
             .unwrap()
@@ -167,8 +174,7 @@ fn checkpoint_recovery_preserves_pointer_graphs() {
             .unwrap();
         s.wl_release(&h).unwrap();
     }
-    let recovered = Server::recover(dir.clone(), 1).unwrap();
-    let srv: Arc<dyn Handler> = Arc::new(recovered);
+    let srv: Arc<dyn Handler> = Arc::new(durable());
     let mut s = Session::new(MachineArch::alpha(), Box::new(Loopback::new(srv))).unwrap();
     let h = s.open_segment("xf/ring").unwrap();
     s.rl_acquire(&h).unwrap();

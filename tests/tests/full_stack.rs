@@ -1,5 +1,5 @@
-//! Full-stack integration: real TCP sockets, server recovery from
-//! checkpoints, transport fault injection, and the two paper
+//! Full-stack integration: real TCP sockets, server recovery from the
+//! durable store, transport fault injection, and the two paper
 //! applications end to end.
 
 use std::path::PathBuf;
@@ -8,8 +8,11 @@ use std::sync::Arc;
 use iw_astro::{read_frame, write_steering, FrameChannel, Simulation};
 use iw_core::{CoreError, Session};
 use iw_mining::{generate, read_lattice, GenConfig, Lattice, LatticePublisher};
-use iw_proto::{Coherence, Handler, Loopback, ProtoError, TcpServer, TcpTransport};
-use iw_server::Server;
+use iw_proto::{
+    Coherence, FaultAction, FaultLayer, Handler, Loopback, ProtoError, Request, TcpServer,
+    TcpTransport,
+};
+use iw_server::{DurableOptions, Server};
 use iw_types::desc::TypeDesc;
 use iw_types::{idl, MachineArch};
 
@@ -71,10 +74,17 @@ fn linked_list_over_real_tcp() {
 #[test]
 fn server_recovers_segments_from_checkpoints() {
     let dir = temp_dir("recover");
+    let durable = || {
+        let opts = DurableOptions {
+            checkpoint_interval: 1,
+            ..DurableOptions::default()
+        };
+        Server::with_durability(dir.clone(), opts).unwrap().0
+    };
 
-    // Phase 1: a server with checkpointing every version.
+    // Phase 1: a durable server checkpointing every version.
     {
-        let handler: Arc<dyn Handler> = Arc::new(Server::with_checkpointing(dir.clone(), 1));
+        let handler: Arc<dyn Handler> = Arc::new(durable());
         let mut s = Session::new(MachineArch::x86(), Box::new(Loopback::new(handler))).unwrap();
         let h = s.open_segment("ck/data").unwrap();
         s.wl_acquire(&h).unwrap();
@@ -90,9 +100,8 @@ fn server_recovers_segments_from_checkpoints() {
         s.wl_release(&h).unwrap();
     } // server "crashes"
 
-    // Phase 2: a new server process recovers from the checkpoint dir.
-    let recovered = Server::recover(dir.clone(), 1).unwrap();
-    let handler: Arc<dyn Handler> = Arc::new(recovered);
+    // Phase 2: a new server process recovers from the data dir.
+    let handler: Arc<dyn Handler> = Arc::new(durable());
     let mut s = Session::new(MachineArch::sparc_v9(), Box::new(Loopback::new(handler))).unwrap();
     let h = s.open_segment("ck/data").unwrap();
     s.rl_acquire(&h).unwrap();
@@ -111,8 +120,20 @@ fn server_recovers_segments_from_checkpoints() {
 #[test]
 fn transport_faults_surface_as_errors_not_corruption() {
     let handler: Arc<dyn Handler> = Arc::new(Server::new());
+    /// Drops every fifth request, as a flaky connection would.
+    struct DropEveryFifth(u64);
+    impl FaultLayer for DropEveryFifth {
+        fn plan(&mut self, _req: &Request, _encoded: &bytes::Bytes) -> FaultAction {
+            self.0 += 1;
+            if self.0.is_multiple_of(5) {
+                FaultAction::Drop
+            } else {
+                FaultAction::Deliver
+            }
+        }
+    }
     let mut t = Loopback::new(handler.clone());
-    t.drop_every(5);
+    t.set_fault_layer(Box::new(DropEveryFifth(0)));
     let mut s = Session::new(MachineArch::x86(), Box::new(t)).unwrap();
     let h = s.open_segment("fault/seg").unwrap();
     s.wl_acquire(&h).unwrap();
