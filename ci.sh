@@ -26,6 +26,10 @@ echo "== server concurrency suite (threads unpinned)"
 # RUST_TEST_THREADS=1 serializes it into meaninglessness.
 env -u RUST_TEST_THREADS cargo test -q -p iw-server --test concurrency
 env -u RUST_TEST_THREADS cargo test -q -p iw-server --test prop_interleave
+# Same for the front end: its loop-placement tests (a slow handler
+# delays only its own loop; a pipelining client cannot starve its loop)
+# must see loops that really run side by side.
+env -u RUST_TEST_THREADS cargo test -q --release -p iw-net
 
 echo "== TCP contention stress (release)"
 env -u RUST_TEST_THREADS cargo test -q --release -p iw-cli --test contention -- --nocapture | grep "contention result"
@@ -97,12 +101,12 @@ echo "== iwbench package gate (fmt, clippy, tests, untraced + traced smoke)"
 # checks must fail here, not in the pipeline that runs BENCHMARK.json.
 benchmark/check.sh
 
-echo "== many-client scale (event front end, release)"
+echo "== many-client scale (iw-net front end, release)"
 # A release iwsrv on an ephemeral port, driven by iwload: every session
 # is a live TCP connection committing acquire-write-release rounds, and
 # the run fails on any protocol error or content divergence. Three
 # checks: (1) the connections-vs-throughput curve through the
-# readiness-polled front end, topping out at >=2000 concurrent
+# run-to-completion front end, topping out at >=2000 concurrent
 # sessions (reference numbers: EXPERIMENTS.md "Event-driven front
 # end"); (2) the admission contract — beyond --max-conns every
 # connection still gets a *typed* answer (Overloaded), never a hang or

@@ -3,18 +3,18 @@
 //! ```text
 //! iwsrv [--listen 127.0.0.1:7474] [--data-dir DIR] [--durability MODE]
 //!       [--checkpoint-every N] [--backup-of ADDR] [--chaos SEED] [--chaos-rate PER_10K]
-//!       [--port-file PATH] [--frontend event|threads] [--workers N]
+//!       [--port-file PATH] [--workers N]
 //!       [--max-conns N] [--idle-timeout SECS] [--poller epoll|poll]
 //! ```
 //!
-//! `--frontend` picks the connection front end: `event` (the default) is
-//! the readiness-polled event loop (`iw-net`) — one loop thread, a
-//! bounded worker pool (`--workers`, default 4), admission control at
+//! Connections are served by `iw-net`: `--workers` (default 4)
+//! run-to-completion loops, each owning its share of the sockets and
+//! calling the server itself, so `--workers` is also how many requests
+//! run — or wait on an fsync — at once. Admission control sits at
 //! `--max-conns` (default 4096, beyond which connections get a typed
-//! `Overloaded` reply), and idle-connection reaping (`--idle-timeout`,
-//! default 300 s, 0 disables). `threads` is the classic
-//! thread-per-connection loop. `--poller` forces the readiness backend
-//! (default: epoll on Linux, poll elsewhere).
+//! `Overloaded` reply), idle connections are reaped after
+//! `--idle-timeout` (default 300 s, 0 disables), and `--poller` forces
+//! the readiness backend (default: epoll on Linux, poll elsewhere).
 //!
 //! With `--data-dir`, the server runs on the durable diff store
 //! (`iw-durable`): committed diffs are WAL-logged and fsynced before the
@@ -58,23 +58,8 @@ use iw_cli::Args;
 use iw_cluster::{Backup, Primary};
 use iw_faults::{FaultLog, FaultPlan, FaultyHandler};
 use iw_net::{NetOptions, NetServer, PollerKind};
-use iw_proto::{Handler, Reply, Request, TcpServer, TcpTransport, Transport};
+use iw_proto::{Handler, Reply, Request, TcpTransport, Transport};
 use iw_server::{DurabilityMode, DurableOptions, Server};
-
-/// Either running front end; both serve the same handler and registry.
-enum FrontEnd {
-    Event(NetServer),
-    Threads(TcpServer),
-}
-
-impl FrontEnd {
-    fn addr(&self) -> std::net::SocketAddr {
-        match self {
-            FrontEnd::Event(s) => s.addr(),
-            FrontEnd::Threads(s) => s.addr(),
-        }
-    }
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse(std::env::args().skip(1));
@@ -147,53 +132,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         None => core,
     };
-    let frontend = args.flag("frontend").unwrap_or("event");
-    let tcp = match frontend {
-        "threads" => FrontEnd::Threads(TcpServer::spawn_with_registry(
-            listen.parse()?,
-            handler,
-            &registry,
-        )?),
-        "event" => {
-            let workers: usize = args
-                .flag("workers")
-                .map(|v| v.parse())
-                .transpose()?
-                .unwrap_or(4);
-            let max_connections: usize = args
-                .flag("max-conns")
-                .map(|v| v.parse())
-                .transpose()?
-                .unwrap_or(4096);
-            let idle_secs: u64 = args
-                .flag("idle-timeout")
-                .map(|v| v.parse())
-                .transpose()?
-                .unwrap_or(300);
-            let poller = match args.flag("poller") {
-                Some(p) => PollerKind::parse(p).ok_or_else(|| format!("unknown --poller `{p}`"))?,
-                None => PollerKind::default_for_platform(),
-            };
-            let opts = NetOptions {
-                workers: workers.max(1),
-                max_connections,
-                idle_timeout: (idle_secs > 0).then(|| std::time::Duration::from_secs(idle_secs)),
-                poller,
-                ..NetOptions::default()
-            };
-            eprintln!(
-                "iwsrv: event front end ({poller}, {} workers, {max_connections} conns max)",
-                opts.workers
-            );
-            FrontEnd::Event(NetServer::spawn_with(
-                listen.parse()?,
-                handler,
-                opts,
-                &registry,
-            )?)
-        }
-        other => return Err(format!("unknown --frontend `{other}`").into()),
+    let workers: usize = args
+        .flag("workers")
+        .map(|v| v.parse())
+        .transpose()?
+        .unwrap_or(4);
+    let max_connections: usize = args
+        .flag("max-conns")
+        .map(|v| v.parse())
+        .transpose()?
+        .unwrap_or(4096);
+    let idle_secs: u64 = args
+        .flag("idle-timeout")
+        .map(|v| v.parse())
+        .transpose()?
+        .unwrap_or(300);
+    let poller = match args.flag("poller") {
+        Some(p) => PollerKind::parse(p).ok_or_else(|| format!("unknown --poller `{p}`"))?,
+        None => PollerKind::default_for_platform(),
     };
+    let opts = NetOptions {
+        workers: workers.max(1),
+        max_connections,
+        idle_timeout: (idle_secs > 0).then(|| std::time::Duration::from_secs(idle_secs)),
+        poller,
+        ..NetOptions::default()
+    };
+    eprintln!(
+        "iwsrv: front end: {poller}, {} loops, {max_connections} conns max",
+        opts.workers
+    );
+    let tcp = NetServer::spawn_with(listen.parse()?, handler, opts, &registry)?;
     eprintln!("iwsrv: serving on {}", tcp.addr());
     if let Some(path) = args.flag("port-file") {
         // tmp+rename so a poller never reads a half-written address.

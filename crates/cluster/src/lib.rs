@@ -126,7 +126,7 @@ impl ShipMetrics {
 /// A replicating front-end over a [`Server`].
 ///
 /// Implements [`Handler`], so it drops into every place a bare server
-/// fits (loopback, [`iw_proto::TcpServer`]) and inherits the server's
+/// fits (loopback, `iw_net::NetServer`) and inherits the server's
 /// internal concurrency — requests pass straight through with no
 /// wrapper lock. Committed diffs reach the ship thread via the server's
 /// commit hook (see the module docs), and `AttachBackup` requests
@@ -855,8 +855,7 @@ mod tests {
     #[test]
     fn reannounced_backup_addr_attaches_once() {
         let backup = Arc::new(Server::new());
-        let srv =
-            iw_proto::TcpServer::spawn("127.0.0.1:0".parse().unwrap(), backup.clone()).unwrap();
+        let srv = iw_net::NetServer::spawn("127.0.0.1:0".parse().unwrap(), backup.clone()).unwrap();
         let primary = Arc::new(Primary::new(Server::new()));
         let (mut t, client) = connect(&primary);
         let announce = Request::AttachBackup {

@@ -399,7 +399,7 @@ fn pruned_backup_is_evicted_from_the_advertised_set() {
         }
         backup.handle(req)
     });
-    let srv = iw_proto::TcpServer::spawn("127.0.0.1:0".parse().unwrap(), handler).unwrap();
+    let srv = iw_net::NetServer::spawn("127.0.0.1:0".parse().unwrap(), handler).unwrap();
     let addr = srv.addr().to_string();
 
     let primary = Arc::new(Primary::new(Server::new()));

@@ -10,7 +10,8 @@ use iw_cluster::Primary;
 use iw_core::{Connector, CoreError, Session, SessionOptions};
 use iw_faults::chaos::{run_replica_soak, run_soak, ReplicaSoakConfig, SoakConfig};
 use iw_faults::{FaultInjector, FaultKind, FaultLog, FaultPlan, FaultRule};
-use iw_proto::{Loopback, TcpServer, TcpTransport, Transport};
+use iw_net::NetServer;
+use iw_proto::{Loopback, TcpTransport, Transport};
 use iw_server::{checkpoint, Server};
 use iw_types::desc::TypeDesc;
 use iw_types::MachineArch;
@@ -292,7 +293,7 @@ fn failover_reconciliation_never_serves_torn_state() {
 #[test]
 fn truncated_syncfull_over_tcp_retries_and_converges() {
     let backup = Arc::new(Server::new());
-    let srv = TcpServer::spawn("127.0.0.1:0".parse().unwrap(), backup.clone()).unwrap();
+    let srv = NetServer::spawn("127.0.0.1:0".parse().unwrap(), backup.clone()).unwrap();
     let primary = Arc::new(Primary::new(Server::new()));
 
     // Two committed versions before any backup exists, so the attach

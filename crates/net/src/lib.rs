@@ -1,18 +1,18 @@
-//! # iw-net — event-driven server front end
+//! # iw-net — run-to-completion server front end
 //!
-//! A nonblocking, readiness-polled connection front end for
-//! InterWeave-rs servers: the scalable alternative to the
-//! thread-per-connection [`iw_proto::TcpServer`]. One event-loop
-//! thread multiplexes every connection through [`poller::Poller`]
-//! (epoll on Linux, `poll(2)` elsewhere), per-connection state
-//! machines reassemble frames incrementally and resume partial
-//! writes, and a bounded worker pool runs the actual
-//! [`iw_proto::Handler`] — the same `Arc<dyn Handler>` the blocking
-//! front end serves, so `iw-server`, the cluster `Primary`, chaos
+//! The nonblocking, readiness-polled connection front end of
+//! InterWeave-rs servers. `workers` identical loops each multiplex
+//! their own share of the connections through a [`poller::Poller`]
+//! (epoll on Linux, `poll(2)` elsewhere); per-connection state machines
+//! reassemble frames incrementally and resume partial writes; and the
+//! loop that finds a request calls the [`iw_proto::Handler`] itself and
+//! writes the reply before it looks at another socket — any
+//! `Arc<dyn Handler>`, so `iw-server`, the cluster `Primary`, chaos
 //! wrappers, and durability all slot in unchanged.
 //!
-//! See `DESIGN.md` §9 for the loop structure, backpressure rules, and
-//! where the worker pool sits in the lock hierarchy.
+//! See `DESIGN.md` §9 for the loop structure, the backpressure and
+//! fairness rules, and where the handler call sits in the lock
+//! hierarchy.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

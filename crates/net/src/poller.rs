@@ -81,9 +81,12 @@ impl Interest {
     };
 
     fn epoll_bits(self) -> u32 {
-        let mut bits = sys::EPOLLRDHUP;
+        // A peer's half-close is only news to a connection being read;
+        // asked for unconditionally, it would wake a level-triggered
+        // loop forever while reading is paused.
+        let mut bits = 0;
         if self.read {
-            bits |= sys::EPOLLIN;
+            bits |= sys::EPOLLIN | sys::EPOLLRDHUP;
         }
         if self.write {
             bits |= sys::EPOLLOUT;
@@ -133,6 +136,7 @@ impl std::fmt::Debug for Poller {
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
         None => -1,
+        Some(Duration::ZERO) => 0,
         // Round up so a 100µs timeout does not busy-spin at 0ms.
         Some(t) => t.as_millis().min(i32::MAX as u128).max(1) as i32,
     }

@@ -1,40 +1,58 @@
-//! The event-driven server front end.
+//! The run-to-completion server front end.
 //!
-//! One readiness-polled event loop owns every connection; a bounded
-//! worker pool calls the shared [`Handler`]. Connections are per-flow
-//! state machines (`Conn`): incremental frame decode on the way in
-//! ([`FrameDecoder`]), an outbound queue with partial-write resumption
-//! on the way out, and explicit budgets in between:
+//! `workers` identical loops (`iw-net-loop-{i}`), each with its own
+//! poller, connection slab, read buffer and idle sweep. A loop that
+//! finds a complete frame on one of its sockets decodes it, consults
+//! the fault layer, **calls the shared [`Handler`] itself**, frames the
+//! reply and writes it on the spot: no queue, no second thread, no
+//! wake-up between a request's bytes arriving and its reply leaving.
+//! Loop 0 also owns the listener and hands accepted sockets out
+//! strictly round-robin, so a connection lives on exactly one loop and
+//! its replies are in request order by construction.
+//!
+//! Connections are per-flow state machines (`Conn`): incremental frame
+//! decode on the way in ([`FrameDecoder`]), an outbound queue holding
+//! only what a nonblocking write could not take, and explicit limits in
+//! between:
 //!
 //! - **Admission control** — beyond `max_connections`, a fresh
 //!   connection's first request is answered with the typed
 //!   [`Reply::Overloaded`] and the connection is closed after the
 //!   flush; beyond an additional headroom of rejecting slots the
-//!   connection is dropped outright (counted, never served).
-//! - **Backpressure** — per-connection and global in-flight budgets.
-//!   When a budget is hit the loop simply stops reading that socket;
-//!   the kernel's receive window fills and the client blocks in its
-//!   own `write` — natural TCP backpressure, no queues growing without
-//!   bound while the segment shards or the WAL saturate.
-//! - **Idle timeouts** — connections with nothing in flight and
-//!   nothing buffered are closed after `idle_timeout`.
-//! - **Graceful drain** — dropping the server stops accepting, lets
-//!   in-flight requests finish, flushes outbound queues (bounded by
-//!   `drain_timeout`), then closes.
+//!   connection is dropped outright (counted, never served). Decided at
+//!   accept time by loop 0 on counters all loops share.
+//! - **Backpressure** — a connection whose unsent replies exceed a
+//!   fixed backlog (`MAX_OUT_BACKLOG`) is neither read nor served until
+//!   the peer has taken them; its kernel receive window fills and the
+//!   client blocks in its own `write`.
+//! - **Fairness** — one `read` and at most `FRAMES_PER_TURN` handler
+//!   calls per connection per turn of the loop. Frames left complete in
+//!   a decoder are not something a level-triggered poller reports, so
+//!   such connections sit on the loop's ready list, which is served
+//!   every turn and polled around with a zero timeout.
+//! - **Lingering** — a loop that has just answered a peer known to come
+//!   straight back keeps polling for `LINGER` before it parks, so that
+//!   peer's next request finds the loop looking instead of paying for a
+//!   cross-CPU wake-up.
+//! - **Idle timeouts** — connections with nothing buffered either way
+//!   are closed after `idle_timeout`.
+//! - **Graceful drain** — dropping the server stops accepting and
+//!   reading; every loop finishes the handler it is in (it *is* the
+//!   loop), flushes its outbound queues (bounded by `drain_timeout`),
+//!   then exits.
 //!
-//! The loop thread never calls the handler and the workers never touch
-//! a socket: the only shared state is the job queue, the completion
-//! list, and a wake pipe. Replies are delivered strictly in per-
-//! connection request order, so pipelining clients stay in sync.
+//! A handler that blocks (a WAL fsync, an injected delay) stalls the
+//! connections of its own loop and no others, and at most `workers`
+//! handlers run at once.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -61,28 +79,52 @@ const REJECT_HEADROOM: usize = 256;
 /// loop closes it even if its typed reply never flushed.
 const REJECT_LINGER: Duration = Duration::from_secs(10);
 
+/// Unsent reply bytes beyond which a connection is no longer read or
+/// served until its queue has drained.
+const MAX_OUT_BACKLOG: usize = 1 << 20;
+
+/// Handler calls one connection gets per turn of its loop, so a
+/// pipelining client cannot starve the loop's other connections.
+const FRAMES_PER_TURN: usize = 32;
+
+/// How long a loop that has just served a quick peer keeps polling
+/// (zero timeout, yielding the CPU between looks) before it parks in
+/// the poller. A parked loop is woken for the next request by an
+/// inter-processor interrupt that costs several times what the handler
+/// does (~25 µs against 2–4 µs where this was measured); a loop that is
+/// still looking needs no wake-up at all. A peer is quick when its last
+/// two requests each followed the one before within [`QUICK_GAP`]: a
+/// client that waits for each reply and has little to do in between,
+/// which is what an `acquire`/`release` pair around a small write looks
+/// like from here. For anyone slower the looking could not pay off.
+const LINGER: Duration = Duration::from_micros(50);
+
+/// The request-to-request gap under which a peer counts as quick: the
+/// linger window plus a serve and a wake-up, so that a peer served from
+/// a parked loop can qualify in the first place.
+const QUICK_GAP: Duration = Duration::from_micros(100);
+
+/// The longest a loop sleeps in its poller with nothing to do.
+const MAX_TICK: Duration = Duration::from_millis(250);
+
 /// Tuning knobs for a [`NetServer`].
 pub struct NetOptions {
-    /// Worker threads calling the handler.
+    /// Run-to-completion loops; each owns its share of the connections
+    /// and calls the handler itself, so this is also the number of
+    /// handlers that can run (or block) at once.
     pub workers: usize,
     /// Served-connection cap; further connections get the typed
     /// [`Reply::Overloaded`] answer (admission control).
     pub max_connections: usize,
-    /// Global in-flight request budget: once this many decoded
-    /// requests are dispatched and unanswered, the loop stops reading
-    /// every socket.
-    pub max_inflight: usize,
-    /// Per-connection in-flight budget (pipelining depth).
-    pub max_inflight_per_conn: usize,
     /// Close connections idle longer than this (`None` = never).
     pub idle_timeout: Option<Duration>,
     /// Bound on the graceful drain when the server is dropped.
     pub drain_timeout: Duration,
     /// Readiness backend.
     pub poller: PollerKind,
-    /// Optional server-side fault layer consulted per request in the
-    /// worker (chaos testing: delays, duplicate dispatch, torn reply
-    /// writes on the nonblocking socket — see `iw-faults`).
+    /// Optional server-side fault layer consulted per request before
+    /// the handler runs (chaos testing: delays, duplicate dispatch,
+    /// torn reply writes on the nonblocking socket — see `iw-faults`).
     pub fault_layer: Option<Box<dyn FaultLayer>>,
 }
 
@@ -91,8 +133,6 @@ impl Default for NetOptions {
         NetOptions {
             workers: 4,
             max_connections: 4096,
-            max_inflight: 512,
-            max_inflight_per_conn: 8,
             idle_timeout: None,
             drain_timeout: Duration::from_secs(5),
             poller: PollerKind::default_for_platform(),
@@ -106,8 +146,6 @@ impl std::fmt::Debug for NetOptions {
         f.debug_struct("NetOptions")
             .field("workers", &self.workers)
             .field("max_connections", &self.max_connections)
-            .field("max_inflight", &self.max_inflight)
-            .field("max_inflight_per_conn", &self.max_inflight_per_conn)
             .field("idle_timeout", &self.idle_timeout)
             .field("drain_timeout", &self.drain_timeout)
             .field("poller", &self.poller)
@@ -116,42 +154,12 @@ impl std::fmt::Debug for NetOptions {
     }
 }
 
-/// Front-end telemetry, shared with the thread-per-connection
-/// [`iw_proto::TcpServer`] by name so the two are directly comparable
-/// in one `iwstat` scrape.
-struct NetMetrics {
-    accepted: Arc<Counter>,
-    rejected: Arc<Counter>,
-    accept_errors: Arc<Counter>,
-    open: Arc<Gauge>,
-    read_stalls: Arc<Counter>,
-    write_stalls: Arc<Counter>,
-    idle_closed: Arc<Counter>,
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl NetMetrics {
-    fn new(registry: &Arc<Registry>) -> NetMetrics {
-        NetMetrics {
-            accepted: registry.counter("tcp.accepted_total"),
-            rejected: registry.counter("tcp.rejected_total"),
-            accept_errors: registry.counter("tcp.accept_errors_total"),
-            open: registry.gauge("tcp.open_connections"),
-            read_stalls: registry.counter("tcp.read_stalls_total"),
-            write_stalls: registry.counter("tcp.write_stalls_total"),
-            idle_closed: registry.counter("tcp.idle_closed_total"),
-        }
-    }
-}
-
-/// One unit of work for the pool: a decoded frame from one connection.
-struct Job {
-    token: u64,
-    gen: u64,
-    seq: u64,
-    body: Bytes,
-}
-
-/// What the worker decided the connection should see.
+/// What the fault layer and the handler decided a request's connection
+/// should see.
 enum Outcome {
     /// Deliver this encoded reply.
     Reply(Bytes),
@@ -163,182 +171,271 @@ enum Outcome {
     Kill,
 }
 
-struct Completion {
-    token: u64,
-    gen: u64,
-    seq: u64,
-    outcome: Outcome,
+/// Everything the loops share: the handler, the limits, the admission
+/// counters and the front-end telemetry.
+struct Shared {
+    handler: Arc<dyn Handler>,
+    faults: Option<Mutex<Box<dyn FaultLayer>>>,
+    stop: AtomicBool,
+    max_connections: usize,
+    idle_timeout: Option<Duration>,
+    drain_timeout: Duration,
+    /// Served connections, counted at accept time by loop 0 and
+    /// released by whichever loop closes the connection.
+    open: AtomicUsize,
+    /// Admission-rejected connections still in their handshake.
+    rejecting_open: AtomicUsize,
+    accepted: Arc<Counter>,
+    rejected: Arc<Counter>,
+    accept_errors: Arc<Counter>,
+    open_gauge: Arc<Gauge>,
+    read_stalls: Arc<Counter>,
+    write_stalls: Arc<Counter>,
+    idle_closed: Arc<Counter>,
+    panics: Arc<Counter>,
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Loop → workers: an unbounded queue whose depth is externally
-/// bounded by the loop's global in-flight budget.
-struct JobQueue {
-    inner: Mutex<(VecDeque<Job>, bool)>,
-    cv: Condvar,
-}
-
-impl JobQueue {
-    fn new() -> JobQueue {
-        JobQueue {
-            inner: Mutex::new((VecDeque::new(), false)),
-            cv: Condvar::new(),
+impl Shared {
+    /// Runs the handler on one request body, turning a panic into a
+    /// counted `Reply::Error` so one poison request costs neither the
+    /// connection nor the loop.
+    fn call(&self, body: Bytes) -> Bytes {
+        match catch_unwind(AssertUnwindSafe(|| self.handler.handle(body))) {
+            Ok(reply) => reply,
+            Err(cause) => {
+                self.panics.inc();
+                let msg = cause
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_string())
+                    .or_else(|| cause.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "<non-string panic payload>".into());
+                eprintln!("iw-net: handler panicked while serving a request: {msg}");
+                Reply::Error {
+                    message: format!("internal server error: request handler panicked: {msg}"),
+                }
+                .encode()
+            }
         }
     }
 
-    fn push(&self, job: Job) {
-        lock(&self.inner).0.push_back(job);
-        self.cv.notify_one();
-    }
-
-    fn pop(&self) -> Option<Job> {
-        let mut guard = lock(&self.inner);
-        loop {
-            if let Some(job) = guard.0.pop_front() {
-                return Some(job);
+    /// One request, start to finish, on the calling loop's thread.
+    fn execute(&self, body: Bytes) -> Outcome {
+        let action = match &self.faults {
+            Some(layer) => match Request::decode(body.clone()) {
+                // Undecodable frames skip the injector (it plans per
+                // decoded request); the handler answers `bad request`.
+                Err(_) => FaultAction::Deliver,
+                Ok(req) => lock(layer).plan(&req, &body),
+            },
+            None => FaultAction::Deliver,
+        };
+        match action {
+            FaultAction::Deliver => Outcome::Reply(self.call(body)),
+            FaultAction::Delay(d) => {
+                std::thread::sleep(d);
+                Outcome::Reply(self.call(body))
             }
-            if guard.1 {
-                return None;
+            FaultAction::Drop => Outcome::Kill,
+            FaultAction::DropReply => {
+                let _ = self.call(body);
+                Outcome::Kill
             }
-            guard = self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
+            FaultAction::Corrupt(bytes) => Outcome::Reply(self.call(bytes)),
+            FaultAction::Truncate(keep) => Outcome::Torn {
+                reply: self.call(body),
+                keep,
+            },
+            FaultAction::Duplicate => {
+                let first = self.call(body.clone());
+                let _ = self.call(body);
+                Outcome::Reply(first)
+            }
         }
     }
 
-    fn close(&self) {
-        lock(&self.inner).1 = true;
-        self.cv.notify_all();
+    /// Gives back the admission slot a connection held.
+    fn release_slot(&self, rejecting: bool) {
+        if rejecting {
+            self.rejecting_open.fetch_sub(1, Ordering::SeqCst);
+        } else {
+            self.open.fetch_sub(1, Ordering::SeqCst);
+            self.open_gauge.sub(1);
+        }
     }
 }
 
-/// Workers → loop: completed requests plus the wake pipe's write end.
-struct Completions {
-    list: Mutex<Vec<Completion>>,
+/// How a loop is reached from outside: accepted sockets (with their
+/// admission verdict) go into `inbox`, and a byte down `wake_tx` makes
+/// the loop look — at the inbox and at the stop flag.
+struct Mailbox {
+    inbox: Mutex<Vec<(TcpStream, bool)>>,
     wake_tx: File,
 }
 
-impl Completions {
-    fn push(&self, c: Completion) {
-        lock(&self.list).push(c);
+impl Mailbox {
+    fn wake(&self) {
         // A full pipe means a wake is already pending — ignore.
         let _ = (&self.wake_tx).write(&[1]);
     }
-
-    fn take(&self) -> Vec<Completion> {
-        std::mem::take(&mut lock(&self.list))
-    }
-}
-
-/// An outbound buffer with partial-write resumption.
-struct OutBuf {
-    data: Vec<u8>,
-    off: usize,
 }
 
 /// Per-connection state machine.
 struct Conn {
     stream: TcpStream,
-    gen: u64,
     decoder: FrameDecoder,
-    out: VecDeque<OutBuf>,
+    /// Reply bytes a nonblocking write could not take, oldest first.
+    out: VecDeque<Bytes>,
+    out_bytes: usize,
     /// Interest currently registered with the poller.
     interest: Interest,
-    /// Requests dispatched to the pool and not yet answered.
-    inflight: usize,
-    /// Sequence number for the next dispatched request.
-    next_seq: u64,
-    /// Sequence number of the next reply to put on the wire (replies
-    /// are delivered strictly in request order).
-    next_reply: u64,
-    /// Out-of-order completions waiting for their turn.
-    pending: BTreeMap<u64, Outcome>,
     /// Admission-rejected: first frame is answered `Overloaded`, then
     /// the connection closes.
     rejecting: bool,
     /// Flush the outbound queue, then close.
     close_after_flush: bool,
-    /// Reading paused by an in-flight budget.
-    paused: bool,
+    /// Over [`MAX_OUT_BACKLOG`]: not read, not served, until `out` is
+    /// empty again.
+    stalled: bool,
+    /// On the loop's ready list (may hold complete frames the poller
+    /// knows nothing about); not read again until served.
+    queued: bool,
+    /// The previous request came within [`QUICK_GAP`] of the one before.
+    was_quick: bool,
     last_activity: Instant,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, gen: u64, rejecting: bool) -> Conn {
+    fn new(stream: TcpStream, rejecting: bool) -> Conn {
         Conn {
             stream,
-            gen,
             decoder: FrameDecoder::new(),
             out: VecDeque::new(),
+            out_bytes: 0,
             interest: Interest::READ,
-            inflight: 0,
-            next_seq: 0,
-            next_reply: 0,
-            pending: BTreeMap::new(),
             rejecting,
             close_after_flush: false,
-            paused: false,
+            stalled: false,
+            queued: false,
+            was_quick: false,
             last_activity: Instant::now(),
         }
     }
 
-    /// Frames `body` (length prefix + payload) onto the outbound queue.
-    fn enqueue_reply(&mut self, body: &[u8]) {
-        let mut data = Vec::with_capacity(4 + body.len());
-        data.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        data.extend_from_slice(body);
-        self.out.push_back(OutBuf { data, off: 0 });
-    }
-
-    /// Frames a torn reply: the prefix announces the full length but
-    /// only `keep` payload bytes follow (the peer sees a frame torn
-    /// mid-stream once we close).
-    fn enqueue_torn_reply(&mut self, body: &[u8], keep: usize) {
-        let keep = keep.min(body.len());
-        let mut data = Vec::with_capacity(4 + keep);
-        data.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        data.extend_from_slice(&body[..keep]);
-        self.out.push_back(OutBuf { data, off: 0 });
-    }
-
-    /// The interest this connection currently wants.
-    fn desired_interest(&self, draining: bool) -> Interest {
-        Interest {
-            read: !self.paused && !self.close_after_flush && !draining,
-            write: !self.out.is_empty(),
+    fn push_out(&mut self, bytes: Bytes) {
+        if !bytes.is_empty() {
+            self.out_bytes += bytes.len();
+            self.out.push_back(bytes);
         }
+    }
+
+    /// Sends one frame whose prefix announces `announce` bytes and
+    /// whose payload is `body` (shorter than announced only for an
+    /// injected torn reply): one vectored write when nothing is queued
+    /// ahead of it, and only what that write did not take is queued.
+    ///
+    /// # Errors
+    ///
+    /// The peer is gone; the connection must be closed.
+    fn send_frame(
+        &mut self,
+        announce: usize,
+        body: Bytes,
+        write_stalls: &Counter,
+    ) -> io::Result<()> {
+        let prefix = (announce as u32).to_be_bytes();
+        let mut done = 0;
+        if self.out.is_empty() {
+            let total = prefix.len() + body.len();
+            while done < total {
+                let wrote = if done < prefix.len() {
+                    (&self.stream)
+                        .write_vectored(&[IoSlice::new(&prefix[done..]), IoSlice::new(&body)])
+                } else {
+                    (&self.stream).write(&body[done - prefix.len()..])
+                };
+                match wrote {
+                    Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                    Ok(n) => done += n,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        write_stalls.inc();
+                        break;
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            if done == total {
+                return Ok(());
+            }
+        }
+        if done < prefix.len() {
+            self.push_out(Bytes::copy_from_slice(&prefix[done..]));
+            self.push_out(body);
+        } else {
+            self.push_out(body.slice(done - prefix.len()..));
+        }
+        Ok(())
+    }
+
+    /// Writes queued reply bytes until the queue is empty or the socket
+    /// is full.
+    ///
+    /// # Errors
+    ///
+    /// The peer is gone; the connection must be closed.
+    fn flush(&mut self, write_stalls: &Counter) -> io::Result<()> {
+        while let Some(front) = self.out.front_mut() {
+            match (&self.stream).write(front) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    self.out_bytes -= n;
+                    if n == front.len() {
+                        self.out.pop_front();
+                    } else {
+                        *front = front.slice(n..);
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    // Resume when writable again.
+                    write_stalls.inc();
+                    break;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 }
 
-struct EventLoop {
-    poller: Poller,
+/// The listener and the round-robin over every loop's mailbox; loop 0
+/// only.
+struct Acceptor {
     listener: TcpListener,
+    registered: bool,
+    mailboxes: Vec<Arc<Mailbox>>,
+    /// The loop the next accepted socket goes to.
+    next: usize,
+    paused_until: Option<Instant>,
+    errs: u32,
+}
+
+struct EventLoop {
+    shared: Arc<Shared>,
+    poller: Poller,
     wake_rx: File,
-    stop: Arc<AtomicBool>,
-    queue: Arc<JobQueue>,
-    completions: Arc<Completions>,
-    max_inflight: usize,
-    max_inflight_per_conn: usize,
-    max_connections: usize,
-    idle_timeout: Option<Duration>,
-    drain_timeout: Duration,
-    metrics: NetMetrics,
+    mailbox: Arc<Mailbox>,
+    acceptor: Option<Acceptor>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    /// Generation per slot, bumped on close so stale completions from
-    /// a previous tenant of the slot are discarded.
-    gens: Vec<u64>,
-    open: usize,
-    rejecting_open: usize,
-    paused_count: usize,
-    inflight_global: usize,
-    accept_paused_until: Option<Instant>,
-    accept_errs: u32,
-    listener_registered: bool,
+    /// Slots whose decoder may hold complete frames, or whose backlog
+    /// just drained: served every turn, readiness or not.
+    ready: Vec<usize>,
     draining: bool,
     drain_deadline: Option<Instant>,
     last_sweep: Instant,
+    /// When this loop last served a quick peer (see [`LINGER`]).
+    linger_from: Instant,
     read_buf: Vec<u8>,
 }
 
@@ -348,25 +445,35 @@ impl EventLoop {
         loop {
             let timeout = self.next_timeout();
             if self.poller.wait(&mut events, Some(timeout)).is_err() {
-                // A failed wait is unrecoverable for the loop; drain
-                // hard so Drop does not hang.
+                // A failed wait is unrecoverable for the loop; exit so
+                // Drop does not hang.
                 break;
             }
+            if events.is_empty() && timeout.is_zero() && self.ready.is_empty() {
+                // Polling, not parked: let whatever else wants this CPU
+                // (a sibling loop, most of all) have it between looks.
+                std::thread::yield_now();
+            }
             let mut accept_ready = false;
+            let mut woken = false;
             for &ev in &events {
                 match ev.token {
                     TOKEN_LISTENER => accept_ready = true,
-                    TOKEN_WAKE => self.drain_wake_pipe(),
+                    TOKEN_WAKE => woken = true,
                     token => self.handle_conn_event(token as usize, ev),
                 }
             }
-            self.drain_completions();
+            self.serve_ready();
+            if woken {
+                self.drain_wake_pipe();
+                self.install_inbox();
+            }
             self.maybe_resume_accept();
             if accept_ready {
                 self.do_accept();
             }
             self.sweep_idle();
-            if self.stop.load(Ordering::SeqCst) && !self.draining {
+            if self.shared.stop.load(Ordering::SeqCst) && !self.draining {
                 self.begin_drain();
             }
             if self.draining && self.drain_finished() {
@@ -375,33 +482,38 @@ impl EventLoop {
         }
     }
 
-    fn next_timeout(&self) -> Duration {
-        let mut t = Duration::from_millis(250);
-        let now = Instant::now();
-        if let Some(until) = self.accept_paused_until {
-            t = t.min(
-                until
-                    .saturating_duration_since(now)
-                    .max(Duration::from_millis(1)),
-            );
+    /// How often this loop must look at its deadlines when no socket
+    /// wakes it.
+    fn tick(&self) -> Duration {
+        let mut t = MAX_TICK;
+        if let Some(idle) = self.shared.idle_timeout {
+            t = t.min(idle / 4);
         }
-        if self.idle_timeout.is_some() || self.rejecting_open > 0 {
+        if self.shared.rejecting_open.load(Ordering::Relaxed) > 0 {
             t = t.min(Duration::from_millis(100));
         }
-        if let Some(deadline) = self.drain_deadline {
-            t = t.min(
-                deadline
-                    .saturating_duration_since(now)
-                    .max(Duration::from_millis(1)),
-            );
+        t
+    }
+
+    fn next_timeout(&self) -> Duration {
+        if !self.ready.is_empty() || self.linger_from.elapsed() < LINGER {
+            return Duration::ZERO;
+        }
+        let mut t = self.tick();
+        let paused_until = self.acceptor.as_ref().and_then(|a| a.paused_until);
+        for deadline in [paused_until, self.drain_deadline].into_iter().flatten() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            t = t.min(left.max(Duration::from_millis(1)));
+        }
+        if self.draining {
             t = t.min(Duration::from_millis(20));
         }
         t
     }
 
     fn drain_wake_pipe(&mut self) {
-        let mut buf = [0u8; 256];
-        while matches!(self.wake_rx.read(&mut buf), Ok(n) if n > 0) {}
+        let mut buf = [0u8; 64];
+        while matches!(self.wake_rx.read(&mut buf), Ok(n) if n == buf.len()) {}
     }
 
     fn handle_conn_event(&mut self, slot: usize, ev: Event) {
@@ -416,50 +528,58 @@ impl EventLoop {
         }
     }
 
-    // ---- accept path ------------------------------------------------
+    // ---- accept path (loop 0) ---------------------------------------
 
     fn maybe_resume_accept(&mut self) {
-        if let Some(until) = self.accept_paused_until {
-            if Instant::now() >= until {
-                self.accept_paused_until = None;
-                self.register_listener(true);
-                self.do_accept();
-            }
+        let Some(acc) = self.acceptor.as_mut() else {
+            return;
+        };
+        if acc
+            .paused_until
+            .is_some_and(|until| Instant::now() >= until)
+        {
+            acc.paused_until = None;
+            self.register_listener(true);
+            self.do_accept();
         }
     }
 
     fn register_listener(&mut self, on: bool) {
-        if on && !self.listener_registered && !self.draining {
-            let _ = self
-                .poller
-                .register(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ);
-            self.listener_registered = true;
-        } else if !on && self.listener_registered {
-            self.poller
-                .deregister(self.listener.as_raw_fd(), TOKEN_LISTENER);
-            self.listener_registered = false;
+        let Some(acc) = self.acceptor.as_mut() else {
+            return;
+        };
+        let fd = acc.listener.as_raw_fd();
+        if on && !acc.registered && !self.draining {
+            let _ = self.poller.register(fd, TOKEN_LISTENER, Interest::READ);
+            acc.registered = true;
+        } else if !on && acc.registered {
+            self.poller.deregister(fd, TOKEN_LISTENER);
+            acc.registered = false;
         }
     }
 
     fn do_accept(&mut self) {
         loop {
-            if self.draining || self.accept_paused_until.is_some() {
+            let Some(acc) = self.acceptor.as_mut() else {
+                return;
+            };
+            if self.draining || acc.paused_until.is_some() {
                 return;
             }
-            match self.listener.accept() {
+            match acc.listener.accept() {
                 Ok((stream, _)) => {
-                    self.accept_errs = 0;
-                    self.install_conn(stream);
+                    acc.errs = 0;
+                    self.admit(stream);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) => {
-                    self.metrics.accept_errors.inc();
+                    self.shared.accept_errors.inc();
                     if is_fd_exhaustion(&e) {
                         // Out of fds: stop accepting for a while and
                         // keep serving the connections we have.
-                        let delay = accept_retry_delay(self.accept_errs);
-                        self.accept_errs = self.accept_errs.saturating_add(1);
-                        self.accept_paused_until = Some(Instant::now() + delay);
+                        let delay = accept_retry_delay(acc.errs);
+                        acc.errs = acc.errs.saturating_add(1);
+                        acc.paused_until = Some(Instant::now() + delay);
                         self.register_listener(false);
                         return;
                     }
@@ -470,11 +590,15 @@ impl EventLoop {
         }
     }
 
-    fn install_conn(&mut self, stream: TcpStream) {
-        let rejecting = self.open >= self.max_connections;
+    /// Decides admission for a fresh socket and hands it to the next
+    /// loop in accept order — never to "whichever is idle": two clients
+    /// that connect back to back must land on different loops.
+    fn admit(&mut self, stream: TcpStream) {
+        let shared = &self.shared;
+        let rejecting = shared.open.load(Ordering::SeqCst) >= shared.max_connections;
         if rejecting {
-            self.metrics.rejected.inc();
-            if self.rejecting_open >= REJECT_HEADROOM {
+            shared.rejected.inc();
+            if shared.rejecting_open.load(Ordering::SeqCst) >= REJECT_HEADROOM {
                 // No reply slots left either: drop outright.
                 return;
             }
@@ -483,236 +607,174 @@ impl EventLoop {
             return;
         }
         let _ = stream.set_nodelay(true);
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                self.conns.push(None);
-                self.gens.push(0);
-                self.conns.len() - 1
-            }
-        };
-        self.gens[slot] += 1;
-        let conn = Conn::new(stream, self.gens[slot], rejecting);
-        if self
-            .poller
-            .register(conn.stream.as_raw_fd(), slot as u64, Interest::READ)
-            .is_err()
+        if rejecting {
+            shared.rejecting_open.fetch_add(1, Ordering::SeqCst);
+        } else {
+            shared.open.fetch_add(1, Ordering::SeqCst);
+            shared.accepted.inc();
+            shared.open_gauge.add(1);
+        }
+        let acc = self.acceptor.as_mut().expect("only loop 0 accepts");
+        let target = acc.next;
+        acc.next = (target + 1) % acc.mailboxes.len();
+        if target == 0 {
+            self.install_conn(stream, rejecting);
+        } else {
+            let mailbox = &acc.mailboxes[target];
+            lock(&mailbox.inbox).push((stream, rejecting));
+            mailbox.wake();
+        }
+    }
+
+    fn install_inbox(&mut self) {
+        let arrived = std::mem::take(&mut *lock(&self.mailbox.inbox));
+        for (stream, rejecting) in arrived {
+            self.install_conn(stream, rejecting);
+        }
+    }
+
+    fn install_conn(&mut self, stream: TcpStream, rejecting: bool) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
+        if self.draining
+            || self
+                .poller
+                .register(stream.as_raw_fd(), slot as u64, Interest::READ)
+                .is_err()
         {
             self.free.push(slot);
+            self.shared.release_slot(rejecting);
             return;
         }
-        self.conns[slot] = Some(conn);
-        if rejecting {
-            self.rejecting_open += 1;
-        } else {
-            self.open += 1;
-            self.metrics.accepted.inc();
-            self.metrics.open.add(1);
-        }
+        self.conns[slot] = Some(Conn::new(stream, rejecting));
     }
 
     // ---- read path --------------------------------------------------
 
-    /// Reads and dispatches until the socket runs dry, a budget stalls
-    /// the connection, or the connection dies.
+    /// One `read` into the connection's decoder, then one turn of
+    /// service. Never a second, probing `read`: the poller is
+    /// level-triggered and reports whatever this one left behind.
     fn pump_read(&mut self, slot: usize) {
-        let mut close = false;
-        {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return;
+        };
+        if self.draining || conn.stalled || conn.queued || conn.close_after_flush {
+            return; // not reading
+        }
+        match (&conn.stream).read(&mut self.read_buf) {
+            Ok(0) => self.close_conn(slot),
+            Ok(n) => {
+                conn.decoder.extend(&self.read_buf[..n]);
+                self.serve(slot);
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ) => {}
+            Err(_) => self.close_conn(slot),
+        }
+    }
+
+    /// Serves every connection on the ready list once.
+    fn serve_ready(&mut self) {
+        for slot in std::mem::take(&mut self.ready) {
+            // A slot closed (and perhaps re-let) since it was listed
+            // is no longer `queued`.
+            if let Some(conn) = self.conns[slot].as_mut().filter(|c| c.queued) {
+                conn.queued = false;
+                self.serve(slot);
+            }
+        }
+    }
+
+    /// One turn of service: up to [`FRAMES_PER_TURN`] buffered frames
+    /// of `slot` run to completion — decode, fault layer, handler,
+    /// reply on the wire. A connection that may hold more goes onto the
+    /// ready list.
+    fn serve(&mut self, slot: usize) {
+        for _ in 0..FRAMES_PER_TURN {
             let Some(conn) = self.conns[slot].as_mut() else {
                 return;
             };
-            if conn.close_after_flush {
-                return; // no longer reading
+            if self.draining || conn.stalled || conn.close_after_flush {
+                // Frames stay buffered: a stalled connection resumes
+                // through the ready list, the other two never do.
+                return;
             }
-            'outer: loop {
-                // Dispatch everything already buffered, budget
-                // permitting.
-                loop {
-                    if !conn.rejecting
-                        && (conn.inflight >= self.max_inflight_per_conn
-                            || self.inflight_global >= self.max_inflight)
-                    {
-                        if !conn.paused {
-                            conn.paused = true;
-                            self.paused_count += 1;
-                            self.metrics.read_stalls.inc();
-                        }
-                        break 'outer;
-                    }
-                    match conn.decoder.next_frame() {
-                        Ok(Some(body)) => {
-                            conn.last_activity = Instant::now();
-                            if conn.rejecting {
-                                // Typed admission answer, then close.
-                                conn.enqueue_reply(&Reply::Overloaded.encode());
-                                conn.close_after_flush = true;
-                                break 'outer;
-                            }
-                            if self.draining {
-                                // Stop consuming new work mid-drain;
-                                // the frame stays buffered.
-                                break 'outer;
-                            }
-                            let seq = conn.next_seq;
-                            conn.next_seq += 1;
-                            conn.inflight += 1;
-                            self.inflight_global += 1;
-                            self.queue.push(Job {
-                                token: slot as u64,
-                                gen: conn.gen,
-                                seq,
-                                body,
-                            });
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            close = true; // unframeable stream
-                            break 'outer;
-                        }
-                    }
-                }
-                // Refill from the socket.
-                match conn.stream.read(&mut self.read_buf) {
-                    Ok(0) => {
-                        close = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.decoder.extend(&self.read_buf[..n]);
-                        conn.last_activity = Instant::now();
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        close = true;
-                        break;
-                    }
-                }
+            let body = match conn.decoder.next_frame() {
+                Ok(Some(body)) => body,
+                Ok(None) => return,
+                Err(_) => return self.close_conn(slot), // unframeable stream
+            };
+            let now = Instant::now();
+            let quick = now.duration_since(conn.last_activity) < QUICK_GAP;
+            if quick && conn.was_quick {
+                self.linger_from = now;
             }
-        }
-        if close {
-            self.close_conn(slot);
-        } else {
+            conn.was_quick = quick;
+            conn.last_activity = now;
+            let outcome = if conn.rejecting {
+                // Typed admission answer, then close.
+                conn.close_after_flush = true;
+                Outcome::Reply(Reply::Overloaded.encode())
+            } else {
+                self.shared.execute(body)
+            };
+            let conn = self.conns[slot].as_mut().expect("checked above");
+            let sent = match outcome {
+                Outcome::Reply(reply) => {
+                    conn.send_frame(reply.len(), reply, &self.shared.write_stalls)
+                }
+                Outcome::Torn { reply, keep } => {
+                    conn.close_after_flush = true;
+                    let keep = keep.min(reply.len());
+                    conn.send_frame(reply.len(), reply.slice(..keep), &self.shared.write_stalls)
+                }
+                Outcome::Kill => Err(io::ErrorKind::ConnectionAborted.into()),
+            };
+            if sent.is_err() || (conn.close_after_flush && conn.out.is_empty()) {
+                return self.close_conn(slot);
+            }
+            if conn.out_bytes > MAX_OUT_BACKLOG {
+                conn.stalled = true;
+                self.shared.read_stalls.inc();
+            }
             self.sync_interest(slot);
-            // A rejecting conn just got its reply queued: flush now.
-            self.pump_write(slot);
         }
+        // Turn used up: there may be more, and no readiness event will
+        // say so.
+        let conn = self.conns[slot].as_mut().expect("served to the end");
+        conn.queued = true;
+        self.ready.push(slot);
     }
 
     // ---- write path -------------------------------------------------
 
     fn pump_write(&mut self, slot: usize) {
-        let mut close = false;
-        {
-            let Some(conn) = self.conns[slot].as_mut() else {
-                return;
-            };
-            while let Some(front) = conn.out.front_mut() {
-                match conn.stream.write(&front.data[front.off..]) {
-                    Ok(0) => {
-                        close = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        front.off += n;
-                        conn.last_activity = Instant::now();
-                        if front.off == front.data.len() {
-                            conn.out.pop_front();
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        // Partial write: resume when writable again.
-                        self.metrics.write_stalls.inc();
-                        break;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        close = true;
-                        break;
-                    }
-                }
-            }
-            if !close && conn.out.is_empty() && conn.close_after_flush {
-                close = true;
-            }
-        }
-        if close {
-            self.close_conn(slot);
-        } else {
-            self.sync_interest(slot);
-        }
-    }
-
-    // ---- completions ------------------------------------------------
-
-    fn drain_completions(&mut self) {
-        let completed = self.completions.take();
-        if completed.is_empty() {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return;
+        };
+        if conn.out.is_empty() {
             return;
         }
-        let mut touched = Vec::new();
-        for c in completed {
-            self.inflight_global -= 1;
-            let slot = c.token as usize;
-            let mut kill = false;
-            {
-                let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-                    continue; // connection died while the job ran
-                };
-                if conn.gen != c.gen {
-                    continue; // slot reused since
-                }
-                conn.inflight -= 1;
-                conn.pending.insert(c.seq, c.outcome);
-                // Release replies strictly in request order.
-                while let Some(outcome) = conn.pending.remove(&conn.next_reply) {
-                    conn.next_reply += 1;
-                    match outcome {
-                        Outcome::Reply(body) => conn.enqueue_reply(&body),
-                        Outcome::Torn { reply, keep } => {
-                            conn.enqueue_torn_reply(&reply, keep);
-                            conn.close_after_flush = true;
-                        }
-                        Outcome::Kill => {
-                            kill = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            if kill {
-                self.close_conn(slot);
-            } else {
-                touched.push(slot);
+        let flushed = conn.flush(&self.shared.write_stalls);
+        conn.last_activity = Instant::now();
+        if flushed.is_err() || (conn.out.is_empty() && conn.close_after_flush) {
+            return self.close_conn(slot);
+        }
+        if conn.out.is_empty() && conn.stalled {
+            // Backlog gone: serve what piled up in the decoder, then
+            // read again.
+            conn.stalled = false;
+            if !conn.queued {
+                conn.queued = true;
+                self.ready.push(slot);
             }
         }
-        for slot in touched {
-            self.pump_write(slot);
-        }
-        // Budget headroom may have opened up: resume paused readers.
-        self.resume_paused();
-    }
-
-    fn resume_paused(&mut self) {
-        if self.paused_count == 0 || self.inflight_global >= self.max_inflight {
-            return;
-        }
-        for slot in 0..self.conns.len() {
-            if self.inflight_global >= self.max_inflight {
-                break;
-            }
-            let resume = match self.conns[slot].as_mut() {
-                Some(conn) if conn.paused && conn.inflight < self.max_inflight_per_conn => {
-                    conn.paused = false;
-                    self.paused_count -= 1;
-                    true
-                }
-                _ => false,
-            };
-            if resume {
-                self.pump_read(slot);
-            }
-        }
+        self.sync_interest(slot);
     }
 
     // ---- lifecycle --------------------------------------------------
@@ -721,7 +783,10 @@ impl EventLoop {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        let want = conn.desired_interest(self.draining);
+        let want = Interest {
+            read: !conn.stalled && !conn.close_after_flush && !self.draining,
+            write: !conn.out.is_empty(),
+        };
         if want != conn.interest {
             conn.interest = want;
             let _ = self
@@ -735,43 +800,31 @@ impl EventLoop {
             return;
         };
         self.poller.deregister(conn.stream.as_raw_fd(), slot as u64);
-        if conn.paused {
-            self.paused_count -= 1;
-        }
-        if conn.rejecting {
-            self.rejecting_open -= 1;
-        } else {
-            self.open -= 1;
-            self.metrics.open.sub(1);
-        }
+        self.shared.release_slot(conn.rejecting);
         self.free.push(slot);
-        self.gens[slot] += 1;
         // conn (and its socket) drop here.
     }
 
     fn sweep_idle(&mut self) {
         let now = Instant::now();
-        if now.duration_since(self.last_sweep) < Duration::from_millis(100) {
+        if now.duration_since(self.last_sweep) < self.tick() {
             return;
         }
         self.last_sweep = now;
         for slot in 0..self.conns.len() {
-            let close = match self.conns[slot].as_ref() {
-                Some(conn) if conn.rejecting => {
-                    now.duration_since(conn.last_activity) > REJECT_LINGER
-                }
-                Some(conn) => match self.idle_timeout {
-                    Some(t) => {
-                        conn.inflight == 0
-                            && conn.out.is_empty()
-                            && now.duration_since(conn.last_activity) > t
-                    }
-                    None => false,
-                },
-                None => false,
+            let Some(conn) = self.conns[slot].as_ref() else {
+                continue;
+            };
+            let quiet = now.duration_since(conn.last_activity);
+            let close = if conn.rejecting {
+                quiet > REJECT_LINGER
+            } else {
+                self.shared
+                    .idle_timeout
+                    .is_some_and(|t| quiet > t && conn.out.is_empty() && !conn.queued)
             };
             if close {
-                self.metrics.idle_closed.inc();
+                self.shared.idle_closed.inc();
                 self.close_conn(slot);
             }
         }
@@ -779,115 +832,40 @@ impl EventLoop {
 
     fn begin_drain(&mut self) {
         self.draining = true;
-        self.drain_deadline = Some(Instant::now() + self.drain_timeout);
+        self.drain_deadline = Some(Instant::now() + self.shared.drain_timeout);
         self.register_listener(false);
-        // Stop reading everywhere; finish what is in flight.
+        // Stop reading everywhere; what is already answered still
+        // leaves.
+        self.ready.clear();
         for slot in 0..self.conns.len() {
             self.sync_interest(slot);
         }
     }
 
-    fn drain_finished(&mut self) -> bool {
-        if let Some(deadline) = self.drain_deadline {
-            if Instant::now() >= deadline {
-                return true;
-            }
-        }
-        self.inflight_global == 0
-            && self
-                .conns
-                .iter()
-                .flatten()
-                .all(|c| c.out.is_empty() && c.pending.is_empty())
+    fn drain_finished(&self) -> bool {
+        self.drain_deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
+            || self.conns.iter().flatten().all(|c| c.out.is_empty())
     }
 }
 
-fn worker_loop(
-    queue: Arc<JobQueue>,
-    completions: Arc<Completions>,
-    handler: Arc<dyn Handler>,
-    faults: Option<Arc<Mutex<Box<dyn FaultLayer>>>>,
-    panics: Arc<Counter>,
-) {
-    let call = |body: Bytes| -> Bytes {
-        match catch_unwind(AssertUnwindSafe(|| handler.handle(body))) {
-            Ok(reply) => reply,
-            Err(cause) => {
-                panics.inc();
-                let msg = cause
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| cause.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "<non-string panic payload>".into());
-                eprintln!("iw-net: handler panicked while serving a request: {msg}");
-                Reply::Error {
-                    message: format!("internal server error: request handler panicked: {msg}"),
-                }
-                .encode()
-            }
-        }
-    };
-    while let Some(job) = queue.pop() {
-        let action = match &faults {
-            Some(layer) => match Request::decode(job.body.clone()) {
-                // Undecodable frames skip the injector (it plans per
-                // decoded request); the handler answers `bad request`.
-                Err(_) => FaultAction::Deliver,
-                Ok(req) => lock(layer).plan(&req, &job.body),
-            },
-            None => FaultAction::Deliver,
-        };
-        let outcome = match action {
-            FaultAction::Deliver => Outcome::Reply(call(job.body)),
-            FaultAction::Delay(d) => {
-                std::thread::sleep(d);
-                Outcome::Reply(call(job.body))
-            }
-            FaultAction::Drop => Outcome::Kill,
-            FaultAction::DropReply => {
-                let _ = call(job.body);
-                Outcome::Kill
-            }
-            FaultAction::Corrupt(bytes) => Outcome::Reply(call(bytes)),
-            FaultAction::Truncate(keep) => {
-                let reply = call(job.body);
-                let keep = keep.min(reply.len());
-                Outcome::Torn { reply, keep }
-            }
-            FaultAction::Duplicate => {
-                let first = call(job.body.clone());
-                let _ = call(job.body);
-                Outcome::Reply(first)
-            }
-        };
-        completions.push(Completion {
-            token: job.token,
-            gen: job.gen,
-            seq: job.seq,
-            outcome,
-        });
-    }
-}
-
-/// A running event-driven TCP server wrapping a [`Handler`].
-///
-/// The drop-in replacement for [`iw_proto::TcpServer`]: same `spawn` /
-/// `addr` shape, same handler contract, but one readiness-polled event
-/// loop plus a fixed worker pool instead of a thread per connection.
-/// Dropping the value drains gracefully (see [`NetOptions`]).
-#[derive(Debug)]
+/// A running TCP server wrapping a [`Handler`]: `workers`
+/// run-to-completion loops, each owning its sockets and calling the
+/// handler itself. Dropping the value drains gracefully (see
+/// [`NetOptions`]).
 pub struct NetServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    wake_tx: File,
-    queue: Arc<JobQueue>,
-    loop_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    shared: Arc<Shared>,
+    mailboxes: Vec<Arc<Mailbox>>,
+    loops: Vec<JoinHandle<()>>,
 }
 
-impl std::fmt::Debug for JobQueue {
+impl std::fmt::Debug for NetServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobQueue").finish()
+        f.debug_struct("NetServer")
+            .field("addr", &self.addr)
+            .field("loops", &self.loops.len())
+            .finish()
     }
 }
 
@@ -910,7 +888,7 @@ impl NetServer {
     /// Binds `addr` and serves `handler` with explicit options, homing
     /// the front-end telemetry (`tcp.open_connections`,
     /// `tcp.accepted_total`, `tcp.rejected_total`, stall counters,
-    /// `tcp.worker_panics_total`) in `registry`.
+    /// `tcp.worker_panics_total`, `tcp.loops`) in `registry`.
     ///
     /// # Errors
     ///
@@ -924,76 +902,85 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        let mut poller = Poller::new(opts.poller)?;
-        let (wake_rx, wake_tx) = crate::sys::wake_pipe()?;
-        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-        poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(JobQueue::new());
-        let completions = Arc::new(Completions {
-            list: Mutex::new(Vec::new()),
-            wake_tx: wake_tx.try_clone()?,
-        });
-        let panics = registry.counter("tcp.worker_panics_total");
-        let faults = opts.fault_layer.map(|mut layer| {
-            layer.bind_registry(registry);
-            Arc::new(Mutex::new(layer))
-        });
-
-        let workers = (0..opts.workers.max(1))
-            .map(|i| {
-                let queue = queue.clone();
-                let completions = completions.clone();
-                let handler = handler.clone();
-                let faults = faults.clone();
-                let panics = panics.clone();
-                std::thread::Builder::new()
-                    .name(format!("iw-net-worker-{i}"))
-                    .spawn(move || worker_loop(queue, completions, handler, faults, panics))
-            })
-            .collect::<io::Result<Vec<_>>>()?;
-
-        let event_loop = EventLoop {
-            poller,
-            listener,
-            wake_rx,
-            stop: stop.clone(),
-            queue: queue.clone(),
-            completions,
-            max_inflight: opts.max_inflight.max(1),
-            max_inflight_per_conn: opts.max_inflight_per_conn.max(1),
+        let loops = opts.workers.max(1);
+        registry.gauge("tcp.loops").set(loops as i64);
+        let shared = Arc::new(Shared {
+            handler,
+            faults: opts.fault_layer.map(|mut layer| {
+                layer.bind_registry(registry);
+                Mutex::new(layer)
+            }),
+            stop: AtomicBool::new(false),
             max_connections: opts.max_connections.max(1),
             idle_timeout: opts.idle_timeout,
             drain_timeout: opts.drain_timeout,
-            metrics: NetMetrics::new(registry),
-            conns: Vec::new(),
-            free: Vec::new(),
-            gens: Vec::new(),
-            open: 0,
-            rejecting_open: 0,
-            paused_count: 0,
-            inflight_global: 0,
-            accept_paused_until: None,
-            accept_errs: 0,
-            listener_registered: true,
-            draining: false,
-            drain_deadline: None,
-            last_sweep: Instant::now(),
-            read_buf: vec![0u8; 64 << 10],
-        };
-        let loop_thread = std::thread::Builder::new()
-            .name("iw-net-loop".into())
-            .spawn(move || event_loop.run())?;
+            open: AtomicUsize::new(0),
+            rejecting_open: AtomicUsize::new(0),
+            accepted: registry.counter("tcp.accepted_total"),
+            rejected: registry.counter("tcp.rejected_total"),
+            accept_errors: registry.counter("tcp.accept_errors_total"),
+            open_gauge: registry.gauge("tcp.open_connections"),
+            read_stalls: registry.counter("tcp.read_stalls_total"),
+            write_stalls: registry.counter("tcp.write_stalls_total"),
+            idle_closed: registry.counter("tcp.idle_closed_total"),
+            panics: registry.counter("tcp.worker_panics_total"),
+        });
 
-        Ok(NetServer {
+        let mut parts = Vec::with_capacity(loops);
+        for _ in 0..loops {
+            let mut poller = Poller::new(opts.poller)?;
+            let (wake_rx, wake_tx) = crate::sys::wake_pipe()?;
+            poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
+            let mailbox = Arc::new(Mailbox {
+                inbox: Mutex::new(Vec::new()),
+                wake_tx,
+            });
+            parts.push((poller, wake_rx, mailbox));
+        }
+        let mailboxes: Vec<Arc<Mailbox>> = parts.iter().map(|p| p.2.clone()).collect();
+        parts[0]
+            .0
+            .register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+        let mut acceptor = Some(Acceptor {
+            listener,
+            registered: true,
+            mailboxes: mailboxes.clone(),
+            next: 0,
+            paused_until: None,
+            errs: 0,
+        });
+
+        let mut server = NetServer {
             addr: local,
-            stop,
-            wake_tx,
-            queue,
-            loop_thread: Some(loop_thread),
-            workers,
-        })
+            shared: shared.clone(),
+            mailboxes,
+            loops: Vec::with_capacity(loops),
+        };
+        for (i, (poller, wake_rx, mailbox)) in parts.into_iter().enumerate() {
+            let event_loop = EventLoop {
+                shared: shared.clone(),
+                poller,
+                wake_rx,
+                mailbox,
+                acceptor: acceptor.take(),
+                conns: Vec::new(),
+                free: Vec::new(),
+                ready: Vec::new(),
+                draining: false,
+                drain_deadline: None,
+                last_sweep: Instant::now(),
+                linger_from: Instant::now(),
+                read_buf: vec![0u8; 64 << 10],
+            };
+            // On failure `server` drops here, stopping the loops
+            // already running.
+            server.loops.push(
+                std::thread::Builder::new()
+                    .name(format!("iw-net-loop-{i}"))
+                    .spawn(move || event_loop.run())?,
+            );
+        }
+        Ok(server)
     }
 
     /// The bound address (with the actual port when 0 was requested).
@@ -1004,14 +991,12 @@ impl NetServer {
 
 impl Drop for NetServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = (&self.wake_tx).write(&[1]);
-        if let Some(t) = self.loop_thread.take() {
-            let _ = t.join();
+        self.shared.stop.store(true, Ordering::SeqCst);
+        for mailbox in &self.mailboxes {
+            mailbox.wake();
         }
-        self.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        for t in self.loops.drain(..) {
+            let _ = t.join();
         }
     }
 }

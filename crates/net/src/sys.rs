@@ -146,7 +146,8 @@ pub fn poll_wait(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
 }
 
 /// Creates a nonblocking close-on-exec pipe `(read, write)` — the event
-/// loop's wake-up channel: workers write a byte, the loop drains it.
+/// loop's wake-up channel: whoever has news for a loop (an accepted
+/// socket, the stop flag) writes a byte, the loop drains it.
 ///
 /// # Errors
 ///

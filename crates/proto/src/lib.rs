@@ -20,7 +20,7 @@ pub mod transport;
 pub use caps::PeerCaps;
 pub use coherence::Coherence;
 pub use msg::{LockMode, Reply, Request};
-pub use tcp::{TcpServer, TcpTransport};
+pub use tcp::TcpTransport;
 pub use transport::{
     FaultAction, FaultLayer, Handler, Loopback, ProtoError, Transport, TransportStats,
 };

@@ -5,20 +5,17 @@
 //! entry; here a [`TcpTransport`] is one such cached connection.
 
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
-use iw_telemetry::{Counter, Registry};
+use iw_telemetry::Registry;
 
 use crate::caps::PeerCaps;
 use crate::msg::{Reply, Request};
 use crate::transport::{
-    FaultAction, FaultLayer, Handler, ProtoError, Transport, TransportMetrics, TransportStats,
+    FaultAction, FaultLayer, ProtoError, Transport, TransportMetrics, TransportStats,
 };
 
 /// Writes one length-prefixed frame as a single vectored write, so the
@@ -87,7 +84,7 @@ pub fn read_frame<S: Read>(stream: &mut S) -> io::Result<Option<Vec<u8>>> {
 /// The accept backoff after `errs` consecutive fd-exhaustion failures:
 /// 10 ms doubling to a ~1 s cap. Keeps a process at `EMFILE` serving
 /// its existing connections instead of spinning on (or abandoning) the
-/// accept loop. Shared by both server front ends.
+/// accept loop (`iw-net`).
 pub fn accept_retry_delay(errs: u32) -> Duration {
     Duration::from_millis(10u64.saturating_mul(1 << errs.min(7)))
 }
@@ -279,213 +276,10 @@ impl Transport for TcpTransport {
     }
 }
 
-/// A running TCP server loop wrapping a [`Handler`].
-///
-/// One worker thread per connection, all calling the shared handler
-/// concurrently — requests only serialize where the handler's own locks
-/// say they must. Dropping the value shuts the listener down and joins
-/// its threads.
-#[derive(Debug)]
-pub struct TcpServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-/// Serves one connection until EOF or a write failure.
-///
-/// A panic escaping the handler is caught here: the worker logs it,
-/// counts it (`tcp.worker_panics_total`), answers the offending request
-/// with a `Reply::Error`, and keeps serving the connection — one poison
-/// request must not silently kill the worker (the pre-catch behavior)
-/// or take the accept loop with it.
-fn serve_connection(stream: &mut TcpStream, handler: &Arc<dyn Handler>, panics: &Counter) {
-    while let Ok(Some(body)) = read_frame(stream) {
-        let reply = match catch_unwind(AssertUnwindSafe(|| handler.handle(Bytes::from(body)))) {
-            Ok(reply) => reply,
-            Err(cause) => {
-                panics.inc();
-                let msg = cause
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| cause.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "<non-string panic payload>".into());
-                eprintln!("iw-tcp: handler panicked while serving a request: {msg}");
-                Reply::Error {
-                    message: format!("internal server error: request handler panicked: {msg}"),
-                }
-                .encode()
-            }
-        };
-        if write_frame(stream, &reply).is_err() {
-            break;
-        }
-    }
-}
-
-impl TcpServer {
-    /// Binds `addr` (use port 0 for an ephemeral port) and serves
-    /// `handler` on connection-per-thread, with worker telemetry kept in
-    /// a private registry. See [`TcpServer::spawn_with_registry`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    pub fn spawn(addr: SocketAddr, handler: Arc<dyn Handler>) -> io::Result<TcpServer> {
-        TcpServer::spawn_with_registry(addr, handler, &Arc::new(Registry::new()))
-    }
-
-    /// Binds `addr` and serves `handler` on connection-per-thread,
-    /// homing worker telemetry (`tcp.worker_panics_total`) in `registry`
-    /// so a server-side scrape (`Request::Stats` via the handler's own
-    /// registry) surfaces transport health alongside server metrics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    pub fn spawn_with_registry(
-        addr: SocketAddr,
-        handler: Arc<dyn Handler>,
-        registry: &Arc<Registry>,
-    ) -> io::Result<TcpServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let panics = registry.counter("tcp.worker_panics_total");
-        let accepted = registry.counter("tcp.accepted_total");
-        let accept_errors = registry.counter("tcp.accept_errors_total");
-        let open = registry.gauge("tcp.open_connections");
-        // Register the remaining front-end metrics so a scrape of this
-        // front end is shape-compatible with `iw-net`'s (they stay zero
-        // here: blocking I/O never stalls a readiness loop and this
-        // front end has no admission cap or idle sweep).
-        let _ = registry.counter("tcp.rejected_total");
-        let _ = registry.counter("tcp.read_stalls_total");
-        let _ = registry.counter("tcp.write_stalls_total");
-        let _ = registry.counter("tcp.idle_closed_total");
-        let accept_thread = std::thread::Builder::new()
-            .name("iw-tcp-accept".into())
-            .spawn(move || {
-                let mut workers = Vec::new();
-                let mut accept_errs: u32 = 0;
-                loop {
-                    match listener.accept() {
-                        Ok((mut stream, _)) => {
-                            accept_errs = 0;
-                            if stop2.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            accepted.inc();
-                            open.add(1);
-                            // Request/reply framing interacts badly with
-                            // Nagle + delayed ACK: the tail segment of a
-                            // large reply can stall ~40 ms waiting for the
-                            // client's ACK. The client side already
-                            // disables Nagle (see `connect`).
-                            let _ = stream.set_nodelay(true);
-                            let handler = handler.clone();
-                            let panics = panics.clone();
-                            let open = open.clone();
-                            workers.push(std::thread::spawn(move || {
-                                serve_connection(&mut stream, &handler, &panics);
-                                open.sub(1);
-                            }));
-                        }
-                        Err(e) => {
-                            if stop2.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            accept_errors.inc();
-                            if is_fd_exhaustion(&e) {
-                                // Out of fds: back off, keep serving the
-                                // connections we already have, try again.
-                                std::thread::sleep(accept_retry_delay(accept_errs));
-                                accept_errs = accept_errs.saturating_add(1);
-                            }
-                        }
-                    }
-                }
-                for w in workers {
-                    let _ = w.join();
-                }
-            })?;
-        Ok(TcpServer {
-            addr: local,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
-    }
-
-    /// The bound address (with the actual port when 0 was requested).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-}
-
-impl Drop for TcpServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock accept with a dummy connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn handler() -> Arc<dyn Handler> {
-        Arc::new(|req: Bytes| match Request::decode(req) {
-            Ok(Request::Hello { info }) => Reply::welcome(info.len() as u64).encode(),
-            _ => Reply::Error {
-                message: "unexpected".into(),
-            }
-            .encode(),
-        })
-    }
-
-    #[test]
-    fn tcp_roundtrip() {
-        let server = TcpServer::spawn("127.0.0.1:0".parse().unwrap(), handler()).unwrap();
-        let mut t = TcpTransport::connect(server.addr()).unwrap();
-        let reply = t
-            .request(&Request::Hello {
-                info: "abcd".into(),
-            })
-            .unwrap();
-        assert_eq!(reply, Reply::welcome(4));
-        assert_eq!(t.stats().requests, 1);
-        assert!(t.stats().bytes_sent > 0);
-        assert!(t.stats().bytes_received > 0);
-    }
-
-    #[test]
-    fn multiple_clients_share_one_server() {
-        let server = TcpServer::spawn("127.0.0.1:0".parse().unwrap(), handler()).unwrap();
-        let threads: Vec<_> = (0..4)
-            .map(|i| {
-                let addr = server.addr();
-                std::thread::spawn(move || {
-                    let mut t = TcpTransport::connect(addr).unwrap();
-                    for _ in 0..10 {
-                        let reply = t
-                            .request(&Request::Hello {
-                                info: "x".repeat(i + 1),
-                            })
-                            .unwrap();
-                        assert_eq!(reply, Reply::welcome((i + 1) as u64));
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-    }
+    use std::net::TcpListener;
 
     #[test]
     fn hung_server_times_out_as_channel_error() {
@@ -510,69 +304,5 @@ mod tests {
             "timed out via the socket timeout, not the server's sleep"
         );
         hold.join().unwrap();
-    }
-
-    #[test]
-    fn worker_panic_is_caught_counted_and_connection_survives() {
-        // A poison request (Hello with info "poison") panics the handler.
-        let poison: Arc<dyn Handler> = Arc::new(|req: Bytes| match Request::decode(req) {
-            Ok(Request::Hello { info }) if info == "poison" => {
-                panic!("poison request reached the handler")
-            }
-            Ok(Request::Hello { info }) => Reply::welcome(info.len() as u64).encode(),
-            _ => Reply::Error {
-                message: "unexpected".into(),
-            }
-            .encode(),
-        });
-        let registry = Arc::new(Registry::new());
-        let server =
-            TcpServer::spawn_with_registry("127.0.0.1:0".parse().unwrap(), poison, &registry)
-                .unwrap();
-        let mut t = TcpTransport::connect(server.addr()).unwrap();
-        // The poison request is answered with an error, not a dead socket.
-        let reply = t
-            .request(&Request::Hello {
-                info: "poison".into(),
-            })
-            .unwrap();
-        let Reply::Error { message } = reply else {
-            panic!("want Error, got {reply:?}");
-        };
-        assert!(message.contains("panicked"), "{message}");
-        assert_eq!(
-            registry.snapshot().counter("tcp.worker_panics_total"),
-            Some(1)
-        );
-        // The same connection keeps serving…
-        let reply = t.request(&Request::Hello { info: "ok".into() }).unwrap();
-        assert_eq!(reply, Reply::welcome(2));
-        // …and the accept loop still takes new connections.
-        let mut t2 = TcpTransport::connect(server.addr()).unwrap();
-        let reply = t2
-            .request(&Request::Hello {
-                info: "fresh".into(),
-            })
-            .unwrap();
-        assert_eq!(reply, Reply::welcome(5));
-        assert_eq!(
-            registry.snapshot().counter("tcp.worker_panics_total"),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn server_shutdown_is_clean() {
-        let server = TcpServer::spawn("127.0.0.1:0".parse().unwrap(), handler()).unwrap();
-        let addr = server.addr();
-        drop(server);
-        // After drop the port no longer accepts our protocol.
-        // (A connect may still succeed briefly on some platforms, but a
-        // request must fail.)
-        if let Ok(mut t) = TcpTransport::connect(addr) {
-            let _ = t.request(&Request::Hello {
-                info: String::new(),
-            });
-        }
     }
 }

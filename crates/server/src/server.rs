@@ -6,7 +6,7 @@
 //! to these segments." (§3.2)
 //!
 //! A [`Server`] implements [`iw_proto::Handler`], so it can sit behind the
-//! loopback transport (in-process experiments) or [`iw_proto::TcpServer`]
+//! loopback transport (in-process experiments) or `iw_net::NetServer`
 //! (real sockets) unchanged.
 //!
 //! # Concurrency

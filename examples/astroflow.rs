@@ -15,14 +15,15 @@ use std::sync::Arc;
 
 use iw_astro::{read_frame, write_steering, FrameChannel, Simulation};
 use iw_core::Session;
-use iw_proto::{Coherence, Handler, TcpServer, TcpTransport};
+use iw_net::NetServer;
+use iw_proto::{Coherence, Handler, TcpTransport};
 use iw_server::Server;
 use iw_types::MachineArch;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A real server on a real socket.
     let handler: Arc<dyn Handler> = Arc::new(Server::new());
-    let tcp = TcpServer::spawn("127.0.0.1:0".parse()?, handler)?;
+    let tcp = NetServer::spawn("127.0.0.1:0".parse()?, handler)?;
     println!("InterWeave server listening on {}", tcp.addr());
 
     // Simulator: "runs on a cluster of AlphaServer nodes" — an alpha

@@ -8,9 +8,9 @@ use std::sync::Arc;
 use iw_astro::{read_frame, write_steering, FrameChannel, Simulation};
 use iw_core::{CoreError, Session};
 use iw_mining::{generate, read_lattice, GenConfig, Lattice, LatticePublisher};
+use iw_net::NetServer;
 use iw_proto::{
-    Coherence, FaultAction, FaultLayer, Handler, Loopback, ProtoError, Request, TcpServer,
-    TcpTransport,
+    Coherence, FaultAction, FaultLayer, Handler, Loopback, ProtoError, Request, TcpTransport,
 };
 use iw_server::{DurableOptions, Server};
 use iw_types::desc::TypeDesc;
@@ -25,7 +25,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 #[test]
 fn linked_list_over_real_tcp() {
     let handler: Arc<dyn Handler> = Arc::new(Server::new());
-    let tcp = TcpServer::spawn("127.0.0.1:0".parse().unwrap(), handler).unwrap();
+    let tcp = NetServer::spawn("127.0.0.1:0".parse().unwrap(), handler).unwrap();
 
     let node_t = idl::compile("struct node { int key; struct node *next; };")
         .unwrap()

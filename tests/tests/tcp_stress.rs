@@ -4,7 +4,8 @@
 use std::sync::Arc;
 
 use iw_core::Session;
-use iw_proto::{Coherence, Handler, TcpServer, TcpTransport};
+use iw_net::NetServer;
+use iw_proto::{Coherence, Handler, TcpTransport};
 use iw_server::Server;
 use iw_types::desc::TypeDesc;
 use iw_types::MachineArch;
@@ -12,7 +13,7 @@ use iw_types::MachineArch;
 #[test]
 fn parallel_writers_and_relaxed_readers_over_tcp() {
     let handler: Arc<dyn Handler> = Arc::new(Server::new());
-    let tcp = TcpServer::spawn("127.0.0.1:0".parse().unwrap(), handler).unwrap();
+    let tcp = NetServer::spawn("127.0.0.1:0".parse().unwrap(), handler).unwrap();
     let addr = tcp.addr();
 
     // Seed: one counter block per writer.
