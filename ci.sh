@@ -6,6 +6,14 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "== one diff wire format on every link"
+# DiffWire::V1 is the reference encoding: the wire crate and the bench
+# harness compare against it, and no link may select it again.
+if grep -rn "DiffWire::V1" crates | grep -v "^crates/wire/\|^crates/bench/"; then
+  echo "DiffWire::V1 named outside crates/wire and crates/bench"
+  exit 1
+fi
+
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 

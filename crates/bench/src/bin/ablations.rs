@@ -199,12 +199,13 @@ fn prediction() {
             let (_, d) = time(|| r.apply_segment_diff(&rh, &diff).expect("apply"));
             total += d;
         }
-        let st = r.stats();
+        let snap = r.metrics_snapshot();
+        let count = |name| snap.counter(name).unwrap_or(0);
         println!(
             "  {label:<10} apply {} s, predictor {}/{} lookups",
             secs(total),
-            st.apply_pred_hits,
-            st.apply_block_lookups
+            count("client.apply.pred_hits_total"),
+            count("client.apply.block_lookups_total")
         );
     }
     println!();

@@ -147,10 +147,15 @@ fn run_config(
             .expect("publish");
         match coherence {
             Some(_) => {
-                let before = reader.stats().diffs_applied;
+                let applied = |s: &Session| {
+                    s.metrics_snapshot()
+                        .counter("client.diff.applied_total")
+                        .unwrap_or(0)
+                };
+                let before = applied(&reader);
                 reader.rl_acquire(&h).expect("rl");
                 reader.rl_release(&h).expect("rl");
-                if reader.stats().diffs_applied > before {
+                if applied(&reader) > before {
                     fetches += 1;
                 }
             }

@@ -47,6 +47,7 @@ use iw_proto::{Handler, TcpTransport, Transport};
 use iw_server::checkpoint;
 use iw_server::Server;
 use iw_telemetry::{Counter, Gauge, Registry};
+use iw_wire::codec::WireError;
 use iw_wire::diff::SegmentDiff;
 
 /// Work for the ship thread.
@@ -245,14 +246,9 @@ impl Handler for Primary {
         // encode, so busy/concurrency metrics cover the full in-handler
         // time on clustered servers too.
         let _guard = self.server.begin_request();
-        let (req, hello_caps) = match Request::decode_full(request) {
-            Ok(decoded) => decoded,
-            Err(e) => {
-                return Reply::Error {
-                    message: format!("bad request: {e}"),
-                }
-                .encode()
-            }
+        let req = match Request::decode(request) {
+            Ok(req) => req,
+            Err(e) => return bad_request(&e),
         };
         if let Request::AttachBackup { addr } = &req {
             self.attached.fetch_add(1, Ordering::SeqCst);
@@ -268,10 +264,16 @@ impl Handler for Primary {
             // and, after a prune, evict — read replicas.
             *replicas = self.advertised.lock().expect("advertised set").clone();
         }
-        // The server's caps-aware encoder: negotiates on Hello, serves
-        // diffs in the client's revision, accounts wire bytes.
-        self.server.encode_reply(&req, hello_caps, &reply)
+        self.server.encode_reply(&reply)
     }
+}
+
+/// The reply to an undecodable request.
+fn bad_request(e: &WireError) -> Bytes {
+    Reply::Error {
+        message: format!("bad request: {e}"),
+    }
+    .encode()
 }
 
 /// The serving face of a backup replica: delegates the read path
@@ -371,28 +373,26 @@ impl Handler for Backup {
             if self.promoted.load(Ordering::SeqCst) {
                 return inner.handle(request);
             }
-            // Peek for the promotion trigger before the redirect face
+        }
+        let req = match Request::decode(request.clone()) {
+            Ok(req) => req,
+            Err(e) => {
+                let _guard = self.server.begin_request();
+                return bad_request(&e);
+            }
+        };
+        if let (Some(inner), Request::Hello { info }) = (&self.inner, &req) {
+            // The promotion trigger, checked before the redirect face
             // sees it: a failover-marked `Hello` means the primary is
             // dead as far as that client could tell, and somebody has
             // to own the version chain from here on.
-            if let Ok(Request::Hello { info }) = Request::decode(request.clone()) {
-                if info.contains("failover") {
-                    self.promoted.store(true, Ordering::SeqCst);
-                    self.promotions.inc();
-                    return inner.handle(request);
-                }
+            if info.contains("failover") {
+                self.promoted.store(true, Ordering::SeqCst);
+                self.promotions.inc();
+                return inner.handle(request);
             }
         }
         let _guard = self.server.begin_request();
-        let (req, hello_caps) = match Request::decode_full(request) {
-            Ok(decoded) => decoded,
-            Err(e) => {
-                return Reply::Error {
-                    message: format!("bad request: {e}"),
-                }
-                .encode()
-            }
-        };
         match &req {
             // Write-shaped requests mutate the version chain, which only
             // the primary owns. (A diff-less `Release` is a read-lock
@@ -417,14 +417,9 @@ impl Handler for Backup {
                     Reply::UpToDate | Reply::Update { .. } => self.reads_served.inc(),
                     _ => {}
                 }
-                // Replica-served updates ride the negotiated revision
-                // too — read replicas must not undo the compaction.
-                self.server.encode_reply(&req, hello_caps, &reply)
+                self.server.encode_reply(&reply)
             }
-            _ => {
-                let reply = self.server.dispatch(&req);
-                self.server.encode_reply(&req, hello_caps, &reply)
-            }
+            _ => self.server.encode_reply(&self.server.dispatch(&req)),
         }
     }
 }
@@ -504,14 +499,6 @@ fn attach(
     server: &Server,
     metrics: &ShipMetrics,
 ) {
-    // One Hello probe negotiates the ship link's wire caps: a current
-    // backup answers with a capability trailer and every subsequent
-    // Replicate body rides the compact v2 revision; an old backup
-    // answers without one and the link stays on v1. Probe failures are
-    // ignored — a dead transport surfaces in the sync loop below.
-    let _ = backup.transport.request(&Request::Hello {
-        info: "iw-cluster ship-link".into(),
-    });
     for name in server.segment_names() {
         if !sync_one(&mut backup, &name, server, metrics) {
             backup.dead = true;

@@ -64,4 +64,4 @@ pub mod tx;
 
 pub use error::CoreError;
 pub use segstate::{TrackMode, NO_DIFF_ENTER_FRACTION, NO_DIFF_ENTER_STREAK, NO_DIFF_PROBE_PERIOD};
-pub use session::{Connector, Ptr, SegHandle, Session, SessionOptions, SessionStats};
+pub use session::{Connector, Ptr, SegHandle, Session, SessionOptions};

@@ -116,23 +116,6 @@ impl Default for SessionOptions {
     }
 }
 
-/// Counters for the optimization experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Serial→block lookups during diff application.
-    pub apply_block_lookups: u64,
-    /// …of which the last-block predictor answered without a tree search.
-    pub apply_pred_hits: u64,
-    /// Diffs collected.
-    pub diffs_collected: u64,
-    /// Diffs applied.
-    pub diffs_applied: u64,
-    /// Primitive units transmitted in collected diffs.
-    pub prims_sent: u64,
-    /// Primitive units installed from applied diffs.
-    pub prims_received: u64,
-}
-
 /// An InterWeave client session (the library a client links against).
 pub struct Session {
     pub(crate) heap: Heap,
@@ -275,19 +258,6 @@ impl Session {
     /// The session's heap (read access for tests and tools).
     pub fn heap(&self) -> &Heap {
         &self.heap
-    }
-
-    /// Optimization counters (a view over the session's metric registry).
-    pub fn stats(&self) -> SessionStats {
-        let m = &self.xlate.metrics;
-        SessionStats {
-            apply_block_lookups: m.apply_block_lookups.get(),
-            apply_pred_hits: m.apply_pred_hits.get(),
-            diffs_collected: m.diffs_collected.get(),
-            diffs_applied: m.diffs_applied.get(),
-            prims_sent: m.prims_sent.get(),
-            prims_received: m.prims_received.get(),
-        }
     }
 
     /// The session's metric registry (transport counters are bound into it

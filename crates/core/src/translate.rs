@@ -68,7 +68,7 @@ pub struct Translator {
     prediction: bool,
     /// [`SessionOptions::iso_fast_path`].
     iso: bool,
-    pub(crate) metrics: TranslateMetrics,
+    metrics: TranslateMetrics,
     pool: BufferPool,
 }
 

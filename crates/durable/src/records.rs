@@ -17,7 +17,7 @@
 use bytes::Bytes;
 use iw_wire::codec::{WireError, WireReader, WireWriter};
 use iw_wire::wal::{crc32, encode_frame};
-use iw_wire::{DiffWire, SegmentDiff};
+use iw_wire::SegmentDiff;
 
 /// Record kind: one committed segment diff.
 pub const KIND_DIFF: u8 = 1;
@@ -55,11 +55,9 @@ impl LogRecord {
         let kind = match self {
             LogRecord::Diff { segment, diff } => {
                 w.put_str(segment);
-                // The WAL needs no capability negotiation — records are
-                // self-describing, so new logs always take the compact
-                // compressed revision while old logs (v1 bodies) keep
-                // replaying through the same auto-detecting decode.
-                w.put_bytes(&diff.encode_as(DiffWire::V2 { compress: true }));
+                // The link format; old logs (v1 bodies) keep replaying
+                // through the same auto-detecting decode.
+                w.put_bytes(&diff.encode());
                 KIND_DIFF
             }
             LogRecord::Checkpoint { segment, version } => {
@@ -208,11 +206,10 @@ mod tests {
     /// compared against the same records with v1 diff bodies.
     #[test]
     fn diff_records_halve_versus_v1_bodies() {
+        // Frame header, the segment string (u32 length + bytes), then a
+        // v1 body, whose size `encoded_len_hint` gives exactly.
         let v1_frame = |segment: &str, diff: &SegmentDiff| {
-            let mut w = WireWriter::new();
-            w.put_str(segment);
-            w.put_bytes(&diff.encode_as(DiffWire::V1));
-            encode_frame(KIND_DIFF, &w.finish()).len()
+            encode_frame(KIND_DIFF, &[]).len() + 4 + segment.len() + diff.encoded_len_hint()
         };
         // Case 1: sixteen single-prim runs — the steady-state shape.
         let mut runs = Vec::new();

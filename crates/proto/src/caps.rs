@@ -1,84 +1,16 @@
-//! Wire-capability negotiation.
+//! Residue of the retired wire-capability negotiation.
 //!
-//! Capabilities travel as a single byte appended *after* the encoded
-//! Hello request (client → server) and Welcome reply (server → client).
-//! Both decoders have always ignored trailing bytes, so the scheme is
-//! invisible to old peers: an old client sends no byte and is read as
-//! [`PeerCaps::NONE`]; an old server appends no byte to Welcome and the
-//! client falls back to v1 likewise. No protocol flag day, no new enum
-//! fields — negotiation is pure intersection of advertised bitmasks,
-//! and unknown bits are masked off so future capabilities stay free.
+//! Every link now emits one diff format (`DiffWire::LINK`) and nothing
+//! is negotiated. [`PeerCaps`], `Request::encode_caps` and
+//! `Request::decode_full` survive only because `benchmark/src/replay.rs`
+//! names them; they die when that benchmark is re-baselined (ROADMAP
+//! item 9(a)).
 
-use iw_wire::DiffWire;
-
-/// A peer's advertised (or negotiated) wire capabilities.
+/// Unit stand-in for the retired capability set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PeerCaps(u8);
-
-/// Bit: the peer decodes the v2 (varint/delta) diff revision.
-const DIFF_V2: u8 = 1 << 0;
-/// Bit: the peer decodes LZ-compressed v2 diff bodies.
-const COMPRESS: u8 = 1 << 1;
+pub struct PeerCaps;
 
 impl PeerCaps {
-    /// No capabilities — the v1 baseline every peer speaks.
-    pub const NONE: PeerCaps = PeerCaps(0);
-    /// Everything this build supports.
-    pub const ALL: PeerCaps = PeerCaps(DIFF_V2 | COMPRESS);
-    /// The v2 revision without the compression codec.
-    pub const V2_ONLY: PeerCaps = PeerCaps(DIFF_V2);
-
-    /// Parses a capability byte off the wire, masking unknown bits.
-    pub fn from_byte(b: u8) -> PeerCaps {
-        PeerCaps(b & (DIFF_V2 | COMPRESS))
-    }
-
-    /// The byte to append after a Hello or Welcome.
-    pub fn byte(self) -> u8 {
-        self.0
-    }
-
-    /// Negotiation: the capabilities both sides hold.
-    #[must_use]
-    pub fn intersect(self, other: PeerCaps) -> PeerCaps {
-        PeerCaps(self.0 & other.0)
-    }
-
-    /// The diff wire revision these capabilities permit sending.
-    pub fn diff_wire(self) -> DiffWire {
-        if self.0 & DIFF_V2 != 0 {
-            DiffWire::V2 {
-                compress: self.0 & COMPRESS != 0,
-            }
-        } else {
-            DiffWire::V1
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn negotiation_is_intersection_with_unknown_bits_masked() {
-        assert_eq!(PeerCaps::ALL.intersect(PeerCaps::NONE), PeerCaps::NONE);
-        assert_eq!(
-            PeerCaps::ALL.intersect(PeerCaps::V2_ONLY),
-            PeerCaps::V2_ONLY
-        );
-        assert_eq!(PeerCaps::from_byte(0xFF), PeerCaps::ALL);
-        assert_eq!(PeerCaps::from_byte(0xFC), PeerCaps::NONE);
-    }
-
-    #[test]
-    fn caps_map_to_diff_wire() {
-        assert_eq!(PeerCaps::NONE.diff_wire(), DiffWire::V1);
-        assert_eq!(
-            PeerCaps::V2_ONLY.diff_wire(),
-            DiffWire::V2 { compress: false }
-        );
-        assert_eq!(PeerCaps::ALL.diff_wire(), DiffWire::V2 { compress: true });
-        assert_eq!(PeerCaps::default(), PeerCaps::NONE);
-    }
+    /// The only value: every peer speaks the one link format.
+    pub const ALL: PeerCaps = PeerCaps;
 }

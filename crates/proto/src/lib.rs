@@ -11,13 +11,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[doc(hidden)]
 pub mod caps;
 pub mod coherence;
 pub mod msg;
 pub mod tcp;
 pub mod transport;
 
-pub use caps::PeerCaps;
 pub use coherence::Coherence;
 pub use msg::{LockMode, Reply, Request};
 pub use tcp::TcpTransport;

@@ -10,12 +10,17 @@
 //! Lock grants are non-blocking at the protocol level: a busy lock yields
 //! [`Reply::Busy`] and the client library retries, so a single transport
 //! thread can never deadlock behind a queued lock.
+//!
+//! Every embedded diff is encoded in the one link format
+//! ([`SegmentDiff::encode`]) and decoded in either revision, so no
+//! capability is negotiated. Decoders ignore trailing bytes: older
+//! clients still append a capability byte to their `Hello`.
 
 use bytes::Bytes;
 
 use iw_telemetry::{HistogramSnapshot, Snapshot};
 use iw_wire::codec::{WireError, WireReader, WireWriter};
-use iw_wire::diff::{DiffWire, SegmentDiff};
+use iw_wire::diff::SegmentDiff;
 
 use crate::caps::PeerCaps;
 use crate::coherence::Coherence;
@@ -295,20 +300,8 @@ pub enum Reply {
 }
 
 impl Request {
-    /// Serializes the request into framed wire bytes (v1 diffs, no
-    /// capability trailer — the universal form any peer decodes).
+    /// Serializes the request into framed wire bytes.
     pub fn encode(&self) -> Bytes {
-        self.encode_inner(DiffWire::V1, None)
-    }
-
-    /// Serializes with negotiated capabilities: embedded diffs use the
-    /// revision `caps` permits, and a Hello carries `caps` as its
-    /// trailing advertisement byte.
-    pub fn encode_caps(&self, caps: PeerCaps) -> Bytes {
-        self.encode_inner(caps.diff_wire(), Some(caps))
-    }
-
-    fn encode_inner(&self, fmt: DiffWire, trailer: Option<PeerCaps>) -> Bytes {
         // Pre-size the writer for the payload-bearing variants so
         // serializing a large diff or image never regrows the buffer;
         // control messages stay on the default small allocation.
@@ -376,7 +369,7 @@ impl Request {
                     None => w.put_u8(0),
                     Some(d) => {
                         w.put_u8(1);
-                        w.put_len_bytes(&d.encode_as(fmt));
+                        w.put_len_bytes(&d.encode());
                     }
                 }
             }
@@ -390,7 +383,7 @@ impl Request {
                         None => w.put_u8(0),
                         Some(d) => {
                             w.put_u8(1);
-                            w.put_len_bytes(&d.encode_as(fmt));
+                            w.put_len_bytes(&d.encode());
                         }
                     }
                 }
@@ -421,7 +414,7 @@ impl Request {
                 w.put_u8(7);
                 w.put_str(segment);
                 w.put_u64(*from_version);
-                w.put_len_bytes(&diff.encode_as(fmt));
+                w.put_len_bytes(&diff.encode());
             }
             Request::SyncFull { segment, image } => {
                 w.put_u8(8);
@@ -441,16 +434,13 @@ impl Request {
                 w.put_u64(*client);
             }
         }
-        if let (Some(caps), Request::Hello { .. }) = (trailer, self) {
-            w.put_u8(caps.byte());
-        }
         w.finish()
     }
 
-    /// The session id a request acts for, when it carries one. The
-    /// server uses it to look up the connection's negotiated wire
-    /// capabilities; replication-plane requests (`Replicate`,
-    /// `SyncFull`, `AttachBackup`) and `Hello` itself have none.
+    /// The session id a request acts for, when it carries one (tracing
+    /// tools key per-client spans on it); replication-plane requests
+    /// (`Replicate`, `SyncFull`, `AttachBackup`) and `Hello` itself
+    /// have none.
     pub fn client_id(&self) -> Option<u64> {
         match self {
             Request::Open { client, .. }
@@ -474,18 +464,8 @@ impl Request {
     ///
     /// Any [`WireError`] from malformed input.
     pub fn decode(bytes: Bytes) -> Result<Self, WireError> {
-        Ok(Self::decode_full(bytes)?.0)
-    }
-
-    /// Decodes a request plus, for a Hello, the client's advertised
-    /// capability byte ([`PeerCaps::NONE`] when absent — an old peer).
-    ///
-    /// # Errors
-    ///
-    /// Any [`WireError`] from malformed input.
-    pub fn decode_full(bytes: Bytes) -> Result<(Self, PeerCaps), WireError> {
         let mut r = WireReader::new(bytes);
-        let req = match r.get_u8()? {
+        Ok(match r.get_u8()? {
             0 => Request::Hello { info: r.get_str()? },
             1 => Request::Open {
                 client: r.get_u64()?,
@@ -609,12 +589,21 @@ impl Request {
                     tag,
                 })
             }
-        };
-        let caps = match (&req, r.is_empty()) {
-            (Request::Hello { .. }, false) => PeerCaps::from_byte(r.get_u8()?),
-            _ => PeerCaps::NONE,
-        };
-        Ok((req, caps))
+        })
+    }
+}
+
+// Aliases kept only because `benchmark/src/replay.rs` names them; they
+// go when that benchmark is re-baselined (ROADMAP item 9(a)).
+impl Request {
+    #[doc(hidden)]
+    pub fn encode_caps(&self, _caps: PeerCaps) -> Bytes {
+        self.encode()
+    }
+
+    #[doc(hidden)]
+    pub fn decode_full(bytes: Bytes) -> Result<Self, WireError> {
+        Self::decode(bytes)
     }
 }
 
@@ -628,20 +617,8 @@ impl Reply {
         }
     }
 
-    /// Serializes the reply into framed wire bytes (v1 diffs, no
-    /// capability trailer — the universal form any peer decodes).
+    /// Serializes the reply into framed wire bytes.
     pub fn encode(&self) -> Bytes {
-        self.encode_inner(DiffWire::V1, None)
-    }
-
-    /// Serializes with negotiated capabilities: embedded diffs use the
-    /// revision `caps` permits, and a Welcome carries `caps` as its
-    /// trailing negotiation byte.
-    pub fn encode_caps(&self, caps: PeerCaps) -> Bytes {
-        self.encode_inner(caps.diff_wire(), Some(caps))
-    }
-
-    fn encode_inner(&self, fmt: DiffWire, trailer: Option<PeerCaps>) -> Bytes {
         // As with requests: pre-size for the diff-bearing replies.
         let cap = match self {
             Reply::Granted {
@@ -680,7 +657,7 @@ impl Reply {
                     None => w.put_u8(0),
                     Some(d) => {
                         w.put_u8(1);
-                        w.put_len_bytes(&d.encode_as(fmt));
+                        w.put_len_bytes(&d.encode());
                     }
                 }
                 w.put_u32(*next_serial);
@@ -701,7 +678,7 @@ impl Reply {
             }
             Reply::Update { diff } => {
                 w.put_u8(6);
-                w.put_len_bytes(&diff.encode_as(fmt));
+                w.put_len_bytes(&diff.encode());
             }
             Reply::Error { message } => {
                 w.put_u8(7);
@@ -743,9 +720,6 @@ impl Reply {
                 }
             }
         }
-        if let (Some(caps), Reply::Welcome { .. }) = (trailer, self) {
-            w.put_u8(caps.byte());
-        }
         w.finish()
     }
 
@@ -755,18 +729,8 @@ impl Reply {
     ///
     /// Any [`WireError`] from malformed input.
     pub fn decode(bytes: Bytes) -> Result<Self, WireError> {
-        Ok(Self::decode_full(bytes)?.0)
-    }
-
-    /// Decodes a reply plus, for a Welcome, the server's negotiated
-    /// capability byte ([`PeerCaps::NONE`] when absent — an old peer).
-    ///
-    /// # Errors
-    ///
-    /// Any [`WireError`] from malformed input.
-    pub fn decode_full(bytes: Bytes) -> Result<(Self, PeerCaps), WireError> {
         let mut r = WireReader::new(bytes);
-        let reply = match r.get_u8()? {
+        Ok(match r.get_u8()? {
             0 => {
                 let client = r.get_u64()?;
                 let n = checked_len(r.get_u32()?)?;
@@ -868,12 +832,7 @@ impl Reply {
                 Reply::Frontier { segments, replicas }
             }
             tag => return Err(WireError::BadTag { what: "reply", tag }),
-        };
-        let caps = match (&reply, r.is_empty()) {
-            (Reply::Welcome { .. }, false) => PeerCaps::from_byte(r.get_u8()?),
-            _ => PeerCaps::NONE,
-        };
-        Ok((reply, caps))
+        })
     }
 }
 
@@ -1078,6 +1037,60 @@ mod tests {
         for reply in replies {
             assert_eq!(Reply::decode(reply.encode()).unwrap(), reply);
         }
+    }
+
+    /// Every diff-carrying message embeds the link format; nothing
+    /// picks a revision per peer.
+    #[test]
+    fn embedded_diffs_use_the_link_format() {
+        use iw_wire::diff::V2_MAGIC;
+        let diff_after = |bytes: Bytes, skip: fn(&mut WireReader)| {
+            let mut r = WireReader::new(bytes);
+            skip(&mut r);
+            r.get_len_bytes().unwrap()
+        };
+        let release = Request::Release {
+            client: 7,
+            segment: "h/s".into(),
+            diff: Some(sample_diff()),
+        };
+        let body = diff_after(release.encode(), |r| {
+            assert_eq!(r.get_u8().unwrap(), 3);
+            r.get_u64().unwrap();
+            r.get_str().unwrap();
+            assert_eq!(r.get_u8().unwrap(), 1);
+        });
+        assert_eq!(body[0], V2_MAGIC);
+        let replicate = Request::Replicate {
+            segment: "h/s".into(),
+            from_version: 1,
+            diff: sample_diff(),
+        };
+        let body = diff_after(replicate.encode(), |r| {
+            assert_eq!(r.get_u8().unwrap(), 7);
+            r.get_str().unwrap();
+            r.get_u64().unwrap();
+        });
+        assert_eq!(body[0], V2_MAGIC);
+        let update = Reply::Update {
+            diff: sample_diff(),
+        };
+        let body = diff_after(update.encode(), |r| {
+            assert_eq!(r.get_u8().unwrap(), 6);
+        });
+        assert_eq!(body[0], V2_MAGIC);
+        let granted = Reply::Granted {
+            version: 2,
+            update: Some(sample_diff()),
+            next_serial: 1,
+            next_type_serial: 1,
+        };
+        let body = diff_after(granted.encode(), |r| {
+            assert_eq!(r.get_u8().unwrap(), 2);
+            r.get_u64().unwrap();
+            assert_eq!(r.get_u8().unwrap(), 1);
+        });
+        assert_eq!(body[0], V2_MAGIC);
     }
 
     #[test]

@@ -12,7 +12,6 @@ use std::time::Duration;
 use bytes::Bytes;
 use iw_telemetry::Registry;
 
-use crate::caps::PeerCaps;
 use crate::msg::{Reply, Request};
 use crate::transport::{
     FaultAction, FaultLayer, ProtoError, Transport, TransportMetrics, TransportStats,
@@ -107,10 +106,6 @@ pub struct TcpTransport {
     metrics: TransportMetrics,
     /// Optional per-message fault layer (see `iw-faults`).
     faults: Option<Box<dyn FaultLayer>>,
-    /// Capabilities advertised on Hello.
-    local_caps: PeerCaps,
-    /// Capabilities the server's Welcome agreed to (v1 until then).
-    negotiated: PeerCaps,
 }
 
 impl std::fmt::Debug for TcpTransport {
@@ -151,21 +146,7 @@ impl TcpTransport {
             stream,
             metrics: TransportMetrics::default(),
             faults: None,
-            local_caps: PeerCaps::ALL,
-            negotiated: PeerCaps::NONE,
         })
-    }
-
-    /// Caps what this client advertises on Hello ([`PeerCaps::NONE`]
-    /// simulates a pre-v2 client against a modern server).
-    pub fn set_local_caps(&mut self, caps: PeerCaps) {
-        self.local_caps = caps;
-        self.negotiated = self.negotiated.intersect(caps);
-    }
-
-    /// The capabilities negotiated with the server so far.
-    pub fn negotiated_caps(&self) -> PeerCaps {
-        self.negotiated
     }
 
     /// Changes the read/write timeouts on the live connection.
@@ -191,20 +172,13 @@ impl TcpTransport {
             .map_err(|e| ProtoError::Channel(e.to_string()))?
             .ok_or_else(|| ProtoError::Channel("server closed connection".into()))?;
         self.metrics.received(bytes.len() as u64);
-        let (reply, caps) = Reply::decode_full(Bytes::from(bytes))?;
-        if matches!(reply, Reply::Welcome { .. }) {
-            self.negotiated = caps.intersect(self.local_caps);
-        }
-        Ok(reply)
+        Ok(Reply::decode(Bytes::from(bytes))?)
     }
 }
 
 impl Transport for TcpTransport {
     fn request(&mut self, req: &Request) -> Result<Reply, ProtoError> {
-        let body = match req {
-            Request::Hello { .. } => req.encode_caps(self.local_caps),
-            _ => req.encode_caps(self.negotiated),
-        };
+        let body = req.encode();
         self.metrics.sent(req, body.len() as u64);
         let action = match &mut self.faults {
             Some(layer) => layer.plan(req, &body),

@@ -11,7 +11,6 @@ use std::sync::Arc;
 use bytes::Bytes;
 use iw_telemetry::{Counter, Registry};
 
-use crate::caps::PeerCaps;
 use crate::msg::{Reply, Request};
 
 /// Errors raised by transports and protocol handling.
@@ -251,11 +250,6 @@ pub struct Loopback {
     metrics: TransportMetrics,
     /// Optional per-message fault layer (see `iw-faults`).
     faults: Option<Box<dyn FaultLayer>>,
-    /// Capabilities this client advertises on Hello.
-    local_caps: PeerCaps,
-    /// Capabilities negotiated with the server (Welcome ∩ local); v1
-    /// until the first Welcome proves the peer speaks better.
-    negotiated: PeerCaps,
 }
 
 impl fmt::Debug for Loopback {
@@ -273,40 +267,12 @@ impl Loopback {
             handler,
             metrics: TransportMetrics::default(),
             faults: None,
-            local_caps: PeerCaps::ALL,
-            negotiated: PeerCaps::NONE,
         }
     }
 
     /// Returns a second connection to the same handler (its own counters).
-    /// The new connection inherits the advertised capabilities but must
-    /// run its own Hello to negotiate them.
     pub fn another(&self) -> Self {
-        let mut t = Loopback::new(self.handler.clone());
-        t.local_caps = self.local_caps;
-        t
-    }
-
-    /// Caps what this client advertises on Hello ([`PeerCaps::NONE`]
-    /// simulates a pre-v2 client against a modern server).
-    pub fn set_local_caps(&mut self, caps: PeerCaps) {
-        self.local_caps = caps;
-        self.negotiated = self.negotiated.intersect(caps);
-    }
-
-    /// The capabilities negotiated with the server so far.
-    pub fn negotiated_caps(&self) -> PeerCaps {
-        self.negotiated
-    }
-
-    /// Decodes a reply, adopting the capability trailer a Welcome
-    /// carries (intersected with our own — never more than we speak).
-    fn accept(&mut self, reply_bytes: Bytes) -> Result<Reply, ProtoError> {
-        let (reply, caps) = Reply::decode_full(reply_bytes)?;
-        if matches!(reply, Reply::Welcome { .. }) {
-            self.negotiated = caps.intersect(self.local_caps);
-        }
-        Ok(reply)
+        Loopback::new(self.handler.clone())
     }
 
     /// Installs a per-message [`FaultLayer`] consulted on every round
@@ -318,12 +284,7 @@ impl Loopback {
 
 impl Transport for Loopback {
     fn request(&mut self, req: &Request) -> Result<Reply, ProtoError> {
-        // Hello advertises everything we speak; all other traffic uses
-        // whatever the server's Welcome agreed to (v1 until then).
-        let encoded = match req {
-            Request::Hello { .. } => req.encode_caps(self.local_caps),
-            _ => req.encode_caps(self.negotiated),
-        };
+        let encoded = req.encode();
         self.metrics.sent(req, encoded.len() as u64);
         let action = match &mut self.faults {
             Some(layer) => layer.plan(req, &encoded),
@@ -359,12 +320,12 @@ impl Transport for Loopback {
                 let first = self.handler.handle(encoded.clone());
                 let _ = self.handler.handle(encoded);
                 self.metrics.received(first.len() as u64);
-                return self.accept(first);
+                return Ok(Reply::decode(first)?);
             }
         };
         let reply_bytes = self.handler.handle(delivered);
         self.metrics.received(reply_bytes.len() as u64);
-        self.accept(reply_bytes)
+        Ok(Reply::decode(reply_bytes)?)
     }
 
     fn stats(&self) -> TransportStats {
@@ -402,8 +363,7 @@ mod tests {
     fn loopback_counts_encoded_bytes() {
         let mut t = Loopback::new(echo_handler());
         let req = Request::Hello { info: "abc".into() };
-        // A Hello leaves the transport with the capability trailer on.
-        let expect_len = req.encode_caps(PeerCaps::ALL).len() as u64;
+        let expect_len = req.encode().len() as u64;
         let reply = t.request(&req).unwrap();
         assert_eq!(
             reply,

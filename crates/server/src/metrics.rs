@@ -62,7 +62,7 @@ pub(crate) struct ServerMetrics {
     /// v2/compression overhaul; the baseline of the compaction ratio).
     pub diff_bytes_raw: Arc<Counter>,
     /// `wire.diff_bytes_sent_total` — bytes diffs actually occupied in
-    /// replies under the negotiated revision.
+    /// replies, in the link format.
     pub diff_bytes_sent: Arc<Counter>,
     /// `server.enc_cache.hits_total` — reply diffs served straight from
     /// an already-materialized encoding (encode-once/serve-many).

@@ -32,7 +32,7 @@
 //! primary a per-segment commit sequence: ship order equals commit
 //! order, preserving FIFO replication without a global mutex.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,7 +43,7 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use iw_durable::{DiffStore, DurabilityMode, DurableOptions, Recovery};
 use iw_proto::msg::{LockMode, Reply, Request};
-use iw_proto::{Coherence, PeerCaps};
+use iw_proto::Coherence;
 use iw_telemetry::{Registry, Snapshot};
 use iw_wire::diff::SegmentDiff;
 
@@ -52,18 +52,6 @@ use crate::error::ServerError;
 use crate::locks::LockTable;
 use crate::metrics::ServerMetrics;
 use crate::segment::ServerSegment;
-
-/// Per-client bookkeeping.
-#[derive(Debug, Clone)]
-struct ClientInfo {
-    /// Free-form description from the Hello (architecture etc.).
-    #[allow(dead_code)]
-    info: String,
-    /// Wire capabilities negotiated at Hello time (client's advertised
-    /// set ∩ what this server offers). Replies to this client carry
-    /// diffs in the best revision both sides speak.
-    caps: PeerCaps,
-}
 
 /// One shard of the segment table.
 type SharedSegment = Arc<RwLock<ServerSegment>>;
@@ -83,7 +71,8 @@ pub struct Server {
     /// Client reader/writer lock table (narrow global lock; grants are
     /// non-blocking so it is never held across I/O or diff work).
     locks: Mutex<LockTable>,
-    clients: Mutex<HashMap<u64, ClientInfo>>,
+    /// Registered client ids.
+    clients: Mutex<HashSet<u64>>,
     next_client: AtomicU64,
     /// Observer for committed client diffs (the cluster primary's ship
     /// queue feed). Fired under the segment write lock.
@@ -96,11 +85,6 @@ pub struct Server {
     durable: Option<Arc<DiffStore>>,
     /// High-water mark of `metrics.concurrent_requests`.
     peak_concurrent: AtomicU64,
-    /// Wire capabilities this server *withholds* from negotiation,
-    /// stored inverted so the derived `Default` (0) means "offer
-    /// everything". `set_wire_caps(PeerCaps::NONE)` turns the server
-    /// into a v1-only peer for interop tests.
-    wire_caps_disabled: std::sync::atomic::AtomicU8,
     metrics: ServerMetrics,
 }
 
@@ -236,37 +220,8 @@ impl Server {
             self.metrics.failovers.inc();
         }
         let id = self.next_client.fetch_add(1, Ordering::Relaxed) + 1;
-        self.clients.lock().insert(
-            id,
-            ClientInfo {
-                info: info.to_string(),
-                caps: PeerCaps::NONE,
-            },
-        );
+        self.clients.lock().insert(id);
         id
-    }
-
-    /// The wire capabilities this server offers in Hello negotiation.
-    pub fn wire_caps(&self) -> PeerCaps {
-        let disabled = self.wire_caps_disabled.load(Ordering::Relaxed);
-        PeerCaps::from_byte(PeerCaps::ALL.byte() & !disabled)
-    }
-
-    /// Restricts what the server offers peers (e.g. [`PeerCaps::NONE`]
-    /// makes it behave like a pre-v2 build for interop tests). Affects
-    /// clients that say Hello *after* the call.
-    pub fn set_wire_caps(&self, caps: PeerCaps) {
-        self.wire_caps_disabled
-            .store(!caps.byte(), Ordering::Relaxed);
-    }
-
-    /// The capabilities negotiated with a registered client (v1 for
-    /// unknown ids — never send a revision the peer may not decode).
-    fn client_caps(&self, client: u64) -> PeerCaps {
-        self.clients
-            .lock()
-            .get(&client)
-            .map_or(PeerCaps::NONE, |c| c.caps)
     }
 
     /// Opens (or creates) a segment, returning its current version.
@@ -901,64 +856,37 @@ impl Server {
         reply
     }
 
-    /// Encodes `reply` in the wire revision negotiated with the client
-    /// behind `req`, and accounts outbound diff bytes.
-    ///
-    /// A Hello closes the negotiation: the client's advertised caps
-    /// (`hello_caps`, from `Request::decode_full`) are intersected with
-    /// what this server offers, recorded against the new client id, and
-    /// echoed in the Welcome's capability trailer. Every other request
-    /// looks the negotiated caps up by client id — requests carrying no
-    /// id (replication traffic) fall back to v1, whose replies carry no
-    /// diffs anyway.
+    /// Encodes `reply` and accounts the diff it carries (if any):
+    /// `wire.diff_bytes_raw_total` grows by the diff's v1-equivalent
+    /// size (`encoded_len_hint`), `wire.diff_bytes_sent_total` by the
+    /// bytes actually leaving, and the encode-cache hit/miss counters
+    /// record whether the link bytes were already materialized (fan-out
+    /// readers served the same window).
     ///
     /// Shared by this server's own [`Handler`](iw_proto::Handler) front
     /// end and the cluster wrappers, so every front end accounts
     /// `wire.diff_bytes_{raw,sent}_total` identically.
-    pub fn encode_reply(&self, req: &Request, hello_caps: PeerCaps, reply: &Reply) -> Bytes {
-        let caps = if matches!(req, Request::Hello { .. }) {
-            let caps = hello_caps.intersect(self.wire_caps());
-            if let Reply::Welcome { client, .. } = reply {
-                if let Some(c) = self.clients.lock().get_mut(client) {
-                    c.caps = caps;
-                }
-            }
-            caps
-        } else {
-            req.client_id()
-                .map_or(PeerCaps::NONE, |id| self.client_caps(id))
-        };
-        self.account_reply_diff(reply, caps);
-        reply.encode_caps(caps)
-    }
-
-    /// Accounts the diff an outbound reply carries (if any):
-    /// `wire.diff_bytes_raw_total` grows by the diff's v1-equivalent
-    /// size (`encoded_len_hint`), `wire.diff_bytes_sent_total` by the
-    /// bytes actually leaving in the negotiated revision, and the
-    /// encode-cache hit/miss counters record whether this encoding was
-    /// already materialized (fan-out readers served the same window).
-    fn account_reply_diff(&self, reply: &Reply, caps: PeerCaps) {
+    pub fn encode_reply(&self, reply: &Reply) -> Bytes {
         let diff = match reply {
             Reply::Granted {
                 update: Some(d), ..
             } => d,
             Reply::Update { diff } => diff,
-            _ => return,
+            _ => return reply.encode(),
         };
-        let fmt = caps.diff_wire();
-        if diff.enc_cached(fmt) {
+        if diff.enc_cached() {
             self.metrics.enc_cache_hits.inc();
         } else {
             self.metrics.enc_cache_misses.inc();
         }
         // Populates the armed encode cache, so the reply encoding below
         // (and every later reader of the same window) reuses the bytes.
-        let sent = diff.encode_as(fmt).len();
+        let sent = diff.encode().len();
         self.metrics
             .diff_bytes_raw
             .add(diff.encoded_len_hint() as u64);
         self.metrics.diff_bytes_sent.add(sent as u64);
+        reply.encode()
     }
 }
 
@@ -968,11 +896,8 @@ impl iw_proto::Handler for Server {
         // wire memcpys are a real share of the worker's time, and the
         // busy counter must reflect it.
         let _guard = self.begin_request();
-        match Request::decode_full(request) {
-            Ok((req, hello_caps)) => {
-                let reply = self.dispatch(&req);
-                self.encode_reply(&req, hello_caps, &reply)
-            }
+        match Request::decode(request) {
+            Ok(req) => self.encode_reply(&self.dispatch(&req)),
             Err(e) => Reply::Error {
                 message: format!("bad request: {e}"),
             }

@@ -1,21 +1,22 @@
-//! Cross-version wire interop and encode-once/serve-many fan-out.
+//! One link format, interop without negotiation, and
+//! encode-once/serve-many fan-out.
 //!
-//! The capability negotiation must make the v2 diff revision invisible
-//! to old peers: a pre-v2 client (advertising nothing) against a
-//! current server, and a current client against a pre-v2 server
-//! (offering nothing), must both run the full write/read protocol on
-//! plain v1 bytes — no flag day. When both sides are current, updates
-//! ride the compact revision and the server's per-window encode cache
-//! serves repeated readers the same bytes without re-encoding.
+//! Every diff on the link is v2 (+LZ) from the first message on, with
+//! no handshake deciding it. Older clients still interoperate because
+//! the decoders accept both revisions and ignore trailing bytes: such a
+//! client's Hello carries a capability byte and its diffs are v1, and
+//! the server takes both. Repeated readers of one update window are
+//! served the same encoded bytes without re-encoding.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use iw_proto::msg::{LockMode, Reply, Request};
-use iw_proto::{Coherence, Handler, Loopback, PeerCaps, Transport};
+use iw_proto::{Coherence, Handler, Loopback, Transport};
 use iw_server::Server;
 use iw_types::desc::TypeDesc;
-use iw_wire::diff::{BlockDiff, DiffRun, NewBlock, SegmentDiff};
+use iw_wire::codec::{WireReader, WireWriter};
+use iw_wire::diff::{BlockDiff, DiffRun, NewBlock, SegmentDiff, V2_MAGIC};
 
 const PRIMS: u32 = 256;
 const SEG: &str = "h/interop";
@@ -135,73 +136,151 @@ fn counter(server: &Server, name: &str) -> u64 {
     server.metrics_snapshot().counter(name).unwrap_or(0)
 }
 
-/// A pre-v2 client (advertises nothing) against a current server: the
-/// whole protocol runs on v1 bytes, and the bytes accounted as sent
-/// equal the raw v1 baseline — no compaction, but no breakage either.
-#[test]
-fn old_client_against_new_server_stays_on_v1() {
-    let server = seeded_server();
-    // Deltas from here on: the seeding writer (a modern peer) may have
-    // already been served a compact piggybacked update.
-    let raw0 = counter(&server, "wire.diff_bytes_raw_total");
-    let sent0 = counter(&server, "wire.diff_bytes_sent_total");
-    let mut t = Loopback::new(server.clone() as Arc<dyn Handler>);
-    t.set_local_caps(PeerCaps::NONE);
-    let c = hello(&mut t);
-    assert_eq!(t.negotiated_caps(), PeerCaps::NONE);
-
-    let upd = poll_update(&mut t, c, 1);
-    assert_eq!((upd.from_version, upd.to_version), (1, 2));
-    // The old client can write, too.
-    let vals: Vec<i32> = (100..120).collect();
-    assert_eq!(commit(&mut t, c, write_diff(2, 0, &vals)), 3);
-
-    assert_eq!(
-        counter(&server, "wire.diff_bytes_sent_total") - sent0,
-        counter(&server, "wire.diff_bytes_raw_total") - raw0,
-        "v1 traffic must be accounted at exactly the raw baseline"
-    );
+/// The diff bytes a `Release` request embeds, if it carries one.
+fn release_diff(req: &Bytes) -> Option<Bytes> {
+    let mut r = WireReader::new(req.clone());
+    if r.get_u8().ok()? != 3 {
+        return None;
+    }
+    r.get_u64().ok()?;
+    r.get_str().ok()?;
+    if r.get_u8().ok()? != 1 {
+        return None;
+    }
+    r.get_len_bytes().ok()
 }
 
-/// A current client against a pre-v2 server (offers nothing): the
-/// Welcome carries an empty capability set and the client falls back to
-/// v1 for everything it sends.
-#[test]
-fn new_client_against_old_server_stays_on_v1() {
-    let server = seeded_server();
-    server.set_wire_caps(PeerCaps::NONE);
-    let mut t = Loopback::new(server.clone() as Arc<dyn Handler>);
-    let c = hello(&mut t);
-    assert_eq!(t.negotiated_caps(), PeerCaps::NONE);
+/// The diff bytes a `Granted` or `Update` reply embeds, if it carries one.
+fn reply_diff(reply: &Bytes) -> Option<Bytes> {
+    let mut r = WireReader::new(reply.clone());
+    match r.get_u8().ok()? {
+        2 => {
+            r.get_u64().ok()?;
+            if r.get_u8().ok()? != 1 {
+                return None;
+            }
+        }
+        6 => {}
+        _ => return None,
+    }
+    r.get_len_bytes().ok()
+}
 
-    let upd = poll_update(&mut t, c, 1);
-    assert_eq!((upd.from_version, upd.to_version), (1, 2));
+/// `write_diff(from, start, vals)` in the v1 layout, written field by
+/// field the way a pre-v2 encoder laid it out.
+fn v1_write_diff(from: u64, start: u64, vals: &[i32]) -> Bytes {
+    let data: Vec<u8> = vals.iter().flat_map(|v| v.to_be_bytes()).collect();
+    let mut w = WireWriter::new();
+    w.put_u64(from);
+    w.put_u64(from + 1);
+    w.put_u32(0); // type descriptors
+    w.put_u32(0); // new blocks
+    w.put_u32(1); // block diffs
+    w.put_u32(0); // serial
+    w.put_u32(data.len() as u32); // declared diff length
+    w.put_u32(1); // runs
+    w.put_u64(start);
+    w.put_u64(vals.len() as u64);
+    w.put_len_bytes(&data);
+    w.put_u32(0); // freed
+    w.finish()
+}
+
+/// A connection that never said Hello still sends and receives every
+/// diff in the link format: nothing waits for a handshake to pick it.
+#[test]
+fn loopback_without_hello_speaks_the_link_format() {
+    let server = seeded_server();
+    let client = server.hello("registered out of band");
+    let log: Arc<Mutex<Vec<(Bytes, Bytes)>>> = Arc::default();
+    let tap = {
+        let (server, log) = (server.clone(), log.clone());
+        move |req: Bytes| {
+            let reply = server.handle(req.clone());
+            log.lock().unwrap().push((req, reply.clone()));
+            reply
+        }
+    };
+    let mut t = Loopback::new(Arc::new(tap));
     let vals: Vec<i32> = (200..232).collect();
-    assert_eq!(commit(&mut t, c, write_diff(2, 32, &vals)), 3);
+    // The write acquire from version 0 piggybacks a full update.
+    assert_eq!(commit(&mut t, client, write_diff(2, 32, &vals)), 3);
+    poll_update(&mut t, client, 2);
+
+    let log = log.lock().unwrap();
+    let sent: Vec<Bytes> = log.iter().filter_map(|(q, _)| release_diff(q)).collect();
+    let received: Vec<Bytes> = log.iter().filter_map(|(_, r)| reply_diff(r)).collect();
+    assert_eq!(
+        (sent.len(), received.len()),
+        (1, 2),
+        "release; grant + update"
+    );
+    for body in sent.iter().chain(&received) {
+        assert_eq!(body[0], V2_MAGIC);
+    }
 }
 
-/// Two current peers negotiate the v2 revision, and a v1 reader of the
-/// same window sees a structurally identical diff — the revision is
-/// pure encoding, invisible at the protocol level.
+/// A client built when v2 still sat behind a capability handshake: its
+/// Hello carries a trailing capability byte, and with no byte in the
+/// Welcome its diffs stay v1. The server accepts both, and serves what
+/// it committed back in the link format.
 #[test]
-fn v2_and_v1_readers_decode_identical_updates() {
+fn older_client_commits_v1_and_reads_v2() {
     let server = seeded_server();
+    let mut hello = Request::Hello {
+        info: "older client".into(),
+    }
+    .encode()
+    .to_vec();
+    hello.push(0b11);
+    let welcome = server.handle(Bytes::from(hello));
+    let Ok(Reply::Welcome { client, .. }) = Reply::decode(welcome.clone()) else {
+        panic!("unexpected hello reply")
+    };
+    // No capability byte comes back, so such a client keeps sending v1.
+    assert_eq!(welcome, Reply::welcome(client).encode());
 
-    let mut t2 = Loopback::new(server.clone() as Arc<dyn Handler>);
-    let c2 = hello(&mut t2);
-    assert_eq!(t2.negotiated_caps(), PeerCaps::ALL);
-    let upd_v2 = poll_update(&mut t2, c2, 1);
+    let call = |req: &Request| Reply::decode(server.handle(req.encode())).unwrap();
+    call(&Request::Open {
+        client,
+        segment: SEG.into(),
+    });
+    let granted = call(&Request::Acquire {
+        client,
+        segment: SEG.into(),
+        mode: LockMode::Write,
+        have_version: 2,
+        coherence: Coherence::Full,
+    });
+    assert!(matches!(granted, Reply::Granted { .. }), "{granted:?}");
 
-    let mut t1 = Loopback::new(server.clone() as Arc<dyn Handler>);
-    t1.set_local_caps(PeerCaps::NONE);
-    let c1 = hello(&mut t1);
-    let upd_v1 = poll_update(&mut t1, c1, 1);
+    let vals: Vec<i32> = (300..316).collect();
+    let diff = write_diff(2, 8, &vals);
+    let v1 = v1_write_diff(2, 8, &vals);
+    assert_ne!(v1[0], V2_MAGIC);
+    assert_eq!(v1.len(), diff.encoded_len_hint());
+    let mut w = WireWriter::new();
+    w.put_u8(3); // Release
+    w.put_u64(client);
+    w.put_str(SEG);
+    w.put_u8(1);
+    w.put_len_bytes(&v1);
+    let released = Reply::decode(server.handle(w.finish())).unwrap();
+    assert_eq!(released, Reply::Released { version: 3 });
 
-    assert_eq!(upd_v2, upd_v1);
-    // The v2 leg must be accounted below the raw (v1) baseline.
-    let raw = counter(&server, "wire.diff_bytes_raw_total");
-    let sent = counter(&server, "wire.diff_bytes_sent_total");
-    assert!(sent < raw, "v2 sent {sent} must beat raw {raw}");
+    let reader = server.hello("reader");
+    let reply = server.handle(
+        Request::Poll {
+            client: reader,
+            segment: SEG.into(),
+            have_version: 2,
+            coherence: Coherence::Full,
+            floor: 0,
+        }
+        .encode(),
+    );
+    assert_eq!(reply_diff(&reply).expect("an update")[0], V2_MAGIC);
+    assert_eq!(Reply::decode(reply).unwrap(), Reply::Update { diff });
 }
 
 /// 200 readers of the same update window: the first poll pays the

@@ -59,7 +59,8 @@ impl Counter {
         self.value.load(Ordering::Relaxed)
     }
 
-    /// Resets to zero (used by the legacy `reset_stats` accessors).
+    /// Resets to zero (`Transport::reset_stats` between experiment
+    /// phases).
     pub fn reset(&self) {
         self.value.store(0, Ordering::Relaxed);
     }

@@ -13,10 +13,13 @@
 //!
 //! # Wire revisions
 //!
-//! Two encodings exist, selected by [`DiffWire`] and negotiated per
-//! connection by a capability bit in the Hello/Welcome handshake:
+//! Two encodings exist, selected by [`DiffWire`]. Every link and the WAL
+//! emit one of them, [`DiffWire::LINK`] (v2 with adaptive LZ), through
+//! [`SegmentDiff::encode`]; nothing is negotiated.
 //!
-//! - **v1** — the original fixed-width big-endian layout. Every count
+//! - **v1** — the original fixed-width big-endian layout, kept as the
+//!   reference encoding (differential tests, the BENCH_10 raw column,
+//!   the exactness of [`SegmentDiff::encoded_len_hint`]). Every count
 //!   and serial is a `u32`, every run header is `u64 start + u64 count +
 //!   u32 len` (20 bytes before any payload).
 //! - **v2** — a self-describing envelope (`0xD2` magic, then a 1-byte
@@ -27,10 +30,11 @@
 //!   `1` when the body is LZ-compressed ([`crate::lz`]), chosen
 //!   adaptively per diff by a size + entropy heuristic.
 //!
-//! [`SegmentDiff::decode`] accepts both transparently: v1 bodies start
-//! with the high byte of `from_version`, which is zero for any version
-//! below 2⁵⁶, so the `0xD2` first byte unambiguously marks a v2
-//! envelope in practice (a v1 diff would need `from_version ≥
+//! [`SegmentDiff::decode`] accepts both transparently, so pre-v2 WAL
+//! bodies still replay and an older client's v1 diffs still commit. v1
+//! bodies start with the high byte of `from_version`, which is zero for
+//! any version below 2⁵⁶, so the `0xD2` first byte unambiguously marks
+//! a v2 envelope in practice (a v1 diff would need `from_version ≥
 //! 0xD2 << 56 ≈ 1.5 × 10¹⁹` to collide — versions advance by one per
 //! commit).
 
@@ -60,7 +64,7 @@ const MAX_V2_BODY: u64 = 1 << 30;
 /// Which wire revision to emit for a [`SegmentDiff`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiffWire {
-    /// Fixed-width big-endian layout understood by every peer.
+    /// Fixed-width big-endian reference layout; no link emits it.
     V1,
     /// Varint/delta envelope; `compress` additionally allows the
     /// adaptive LZ codec when the heuristic predicts a win.
@@ -68,6 +72,12 @@ pub enum DiffWire {
         /// Permit per-diff LZ compression inside the envelope.
         compress: bool,
     },
+}
+
+impl DiffWire {
+    /// The one format every link and the WAL emit
+    /// ([`SegmentDiff::encode`]).
+    pub const LINK: DiffWire = DiffWire::V2 { compress: true };
 }
 
 /// One run-length-encoded change within a block.
@@ -121,25 +131,17 @@ pub struct NewBlock {
     pub data: Bytes,
 }
 
-/// Per-revision encoded-bytes slots filled lazily, at most once each.
-#[derive(Debug, Default)]
-struct EncSlots {
-    v1: OnceLock<Bytes>,
-    v2: OnceLock<Bytes>,
-    v2_lz: OnceLock<Bytes>,
-}
-
 /// Lazy encode-once/serve-many cache riding a [`SegmentDiff`].
 ///
 /// Disarmed (the default) it is a single `None` pointer and
-/// [`SegmentDiff::encode_as`] serializes afresh — client-built diffs
-/// pay nothing. The server *arms* it before parking a diff in its
-/// serve cache; every clone then shares the same slots, so the first
-/// encode per revision is kept and every later reply for the same
-/// version window is a cheap `Bytes` clone. Excluded from equality:
-/// two diffs are equal when their structure is, cached bytes or not.
+/// [`SegmentDiff::encode`] serializes afresh — client-built diffs pay
+/// nothing. The server *arms* it before parking a diff in its serve
+/// cache; every clone then shares the same slot, so the first link
+/// encoding is kept and every later reply for the same version window
+/// is a cheap `Bytes` clone. Excluded from equality: two diffs are
+/// equal when their structure is, cached bytes or not.
 #[derive(Debug, Clone, Default)]
-pub struct EncCache(Option<Arc<EncSlots>>);
+pub struct EncCache(Option<Arc<OnceLock<Bytes>>>);
 
 /// A complete wire diff for one segment version transition.
 ///
@@ -186,8 +188,8 @@ impl SegmentDiff {
             + self.new_blocks.iter().map(|b| b.data.len()).sum::<usize>()
     }
 
-    /// Exact v1 encoded size in bytes — a structural mirror of
-    /// [`SegmentDiff::encode`], including the type-descriptor section
+    /// Exact v1 encoded size in bytes — a structural mirror of the v1
+    /// reference encoder, including the type-descriptor section
     /// (via [`encoded_type_len`]). Used to pre-size the encode buffer so
     /// serialization never reallocates, by transports to pre-size
     /// message frames, and by the server as the "raw bytes" term of its
@@ -214,32 +216,39 @@ impl SegmentDiff {
 
     /// Arms the encode-once cache (idempotent). The server calls this
     /// before parking a diff in its serve cache so that the diff, its
-    /// cached clones, and every reply built from them share one set of
-    /// lazily-encoded bytes per wire revision.
+    /// cached clones, and every reply built from them share one lazily
+    /// encoded copy of the link bytes.
     pub fn arm_enc_cache(&mut self) {
         if self.enc.0.is_none() {
-            self.enc.0 = Some(Arc::new(EncSlots::default()));
+            self.enc.0 = Some(Arc::default());
         }
     }
 
-    /// `true` when [`SegmentDiff::encode_as`] for `fmt` would be served
-    /// from the armed cache without serializing. Always `false` while
-    /// disarmed.
-    pub fn enc_cached(&self, fmt: DiffWire) -> bool {
-        self.enc
-            .0
-            .as_ref()
-            .is_some_and(|s| slot(s, fmt).get().is_some())
+    /// `true` when [`SegmentDiff::encode`] would be served from the
+    /// armed cache without serializing. Always `false` while disarmed.
+    pub fn enc_cached(&self) -> bool {
+        self.enc.0.as_ref().is_some_and(|s| s.get().is_some())
     }
 
-    /// Serializes the diff in the given wire revision. With an armed
-    /// cache ([`SegmentDiff::arm_enc_cache`]) the first call per
-    /// revision encodes and every later call (from any clone sharing
-    /// the cache) returns the same `Bytes` for free.
-    pub fn encode_as(&self, fmt: DiffWire) -> Bytes {
+    /// Serializes the diff in the link format ([`DiffWire::LINK`]).
+    /// With an armed cache ([`SegmentDiff::arm_enc_cache`]) the first
+    /// call encodes and every later call (from any clone sharing the
+    /// cache) returns the same `Bytes` for free.
+    pub fn encode(&self) -> Bytes {
         match &self.enc.0 {
-            Some(s) => slot(s, fmt).get_or_init(|| self.encode_fresh(fmt)).clone(),
-            None => self.encode_fresh(fmt),
+            Some(s) => s.get_or_init(|| self.encode_fresh(DiffWire::LINK)).clone(),
+            None => self.encode_fresh(DiffWire::LINK),
+        }
+    }
+
+    /// Serializes the diff in the given wire revision: the link format
+    /// goes through [`SegmentDiff::encode`] and its cache, any other
+    /// revision is encoded afresh.
+    pub fn encode_as(&self, fmt: DiffWire) -> Bytes {
+        if fmt == DiffWire::LINK {
+            self.encode()
+        } else {
+            self.encode_fresh(fmt)
         }
     }
 
@@ -308,11 +317,6 @@ impl SegmentDiff {
             w.put_varint(u64::from(*s));
         }
         w.finish()
-    }
-
-    /// Serializes the diff in the v1 revision (the universal format).
-    pub fn encode(&self) -> Bytes {
-        self.encode_as(DiffWire::V1)
     }
 
     fn encode_v1(&self) -> Bytes {
@@ -552,15 +556,6 @@ impl SegmentDiff {
     }
 }
 
-/// Selects the [`EncSlots`] slot for a wire revision.
-fn slot(s: &EncSlots, fmt: DiffWire) -> &OnceLock<Bytes> {
-    match fmt {
-        DiffWire::V1 => &s.v1,
-        DiffWire::V2 { compress: false } => &s.v2,
-        DiffWire::V2 { compress: true } => &s.v2_lz,
-    }
-}
-
 /// Bounds element counts read off the wire so `Vec::with_capacity` cannot be
 /// used as an allocation bomb.
 fn checked_count(n: u32) -> Result<usize, WireError> {
@@ -637,16 +632,17 @@ mod tests {
     fn len_hint_is_exact() {
         // The hint mirrors the v1 encoder structurally, descriptors
         // included, so it is exact — not merely an upper bound.
+        let v1_len = |d: &SegmentDiff| d.encode_as(DiffWire::V1).len();
         let d = sample();
-        assert_eq!(d.encoded_len_hint(), d.encode().len());
+        assert_eq!(d.encoded_len_hint(), v1_len(&d));
         let no_types = SegmentDiff {
             new_types: Vec::new(),
             ..sample()
         };
-        assert_eq!(no_types.encoded_len_hint(), no_types.encode().len());
+        assert_eq!(no_types.encoded_len_hint(), v1_len(&no_types));
         assert_eq!(
             SegmentDiff::default().encoded_len_hint(),
-            SegmentDiff::default().encode().len()
+            v1_len(&SegmentDiff::default())
         );
     }
 
@@ -664,7 +660,7 @@ mod tests {
             assert!(r.is_empty());
             assert_eq!(out, d);
             assert!(
-                enc.len() < d.encode().len(),
+                enc.len() < d.encode_as(DiffWire::V1).len(),
                 "v2 ({fmt:?}) must be smaller than v1 on this sample"
             );
         }
@@ -724,18 +720,17 @@ mod tests {
     #[test]
     fn enc_cache_is_lazy_shared_and_ignored_by_eq() {
         let mut d = sample();
-        assert!(!d.enc_cached(DiffWire::V1));
+        assert!(!d.enc_cached());
         d.encode(); // disarmed: nothing retained
-        assert!(!d.enc_cached(DiffWire::V1));
+        assert!(!d.enc_cached());
         d.arm_enc_cache();
         let clone = d.clone();
-        assert!(!d.enc_cached(DiffWire::V1));
+        assert!(!d.enc_cached());
         let a = clone.encode(); // the *clone* encodes…
-        assert!(d.enc_cached(DiffWire::V1)); // …and the original sees it
-        let b = d.encode();
-        assert_eq!(a, b);
-        // Other revisions fill independently.
-        assert!(!d.enc_cached(DiffWire::V2 { compress: false }));
+        assert!(d.enc_cached()); // …and the original sees it
+        assert_eq!(a, d.encode());
+        assert_eq!(a, d.encode_as(DiffWire::LINK));
+        assert_eq!(a[0], V2_MAGIC);
         // Equality is structural, armed or not.
         assert_eq!(d, sample());
     }

@@ -13,7 +13,8 @@
 //! - [`tdesc`] — wire encoding of type descriptors (how servers learn
 //!   types from clients);
 //! - [`diff`] — the run-length-encoded wire diff ([`SegmentDiff`]), in
-//!   two negotiable revisions (fixed-width v1 and varint/delta v2);
+//!   one link format (varint/delta v2 with adaptive LZ) plus the
+//!   fixed-width v1 reference encoding, both decoded;
 //! - [`lz`] — the dependency-free LZ compressor the v2 envelope uses
 //!   when its entropy heuristic predicts a win;
 //! - [`wal`] — CRC-protected log-record framing for the durable diff

@@ -12,8 +12,8 @@
 //! strict win.
 //!
 //! This is a private transport codec, not an interchange format: both
-//! sides of the wire are this module, negotiated by a capability bit,
-//! and the decompressor is fully bounds-checked against hostile input
+//! sides of the wire are this module (every link may carry it), and
+//! the decompressor is fully bounds-checked against hostile input
 //! (bad offsets, declared-length mismatches, output bombs).
 
 use crate::codec::WireError;
