@@ -80,13 +80,6 @@ for seed in 1 7 42; do
   fi
 done
 
-echo "== bench smoke (durable release-path overhead, wal on vs off)"
-# Informational: prints µs/release for off / wal / wal+checkpoint so a
-# durability regression is visible in the CI log (EXPERIMENTS.md §PR6
-# records the reference numbers for this host class).
-cargo build --release -q -p iw-bench --bin bench_durable
-target/release/bench_durable 2000
-
 echo "== bench smoke (translation hot path + wire bytes vs committed baselines)"
 # Fails when any gated total regresses more than 25% against the
 # committed baselines: the collect+apply total (`total_secs`) and the
@@ -119,8 +112,9 @@ echo "== many-client scale (iw-net front end, release)"
 # end"); (2) the admission contract — beyond --max-conns every
 # connection still gets a *typed* answer (Overloaded), never a hang or
 # reset; (3) a chaos-seeded smoke: recoverable ingress faults survived
-# by reconnect/retry with zero surviving errors.
-cargo build --release -q -p iw-cli --bin iwsrv --bin iwload
+# by reconnect/retry with zero surviving errors, and at least one fault
+# actually injected.
+cargo build --release -q -p iw-cli --bin iwsrv --bin iwload --bin iwstat
 if [ "$(ulimit -n)" -lt 8192 ]; then ulimit -n 8192 || true; fi
 scale_dir=$(mktemp -d)
 scale_pid=""
@@ -151,6 +145,19 @@ stop_iwsrv
 start_iwsrv --chaos 7
 timeout 120 target/release/iwload --addr "$scale_addr" \
   --sessions 64 --rounds 5 --drivers 16 --chaos
+# A chaos run that injected nothing proves nothing. The scrape goes
+# through the same faulty ingress, so it may be hit itself: retry it.
+injected=""
+for _ in $(seq 1 20); do
+  injected=$(target/release/iwstat --server "$scale_addr" --filter faults. 2>/dev/null \
+    | awk '$1 == "faults.injected_total" { print $NF }') || true
+  [ -n "$injected" ] && break
+done
+if [ "${injected:-0}" -eq 0 ]; then
+  echo "chaos smoke injected no faults (faults.injected_total=${injected:-never scraped})"
+  exit 1
+fi
+echo "chaos smoke: faults.injected_total=$injected"
 stop_iwsrv
 
 echo "== read-replica fan-out (3-node group, 200 temporal readers)"

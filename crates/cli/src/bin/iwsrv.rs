@@ -1,27 +1,24 @@
 //! `iwsrv` — a standalone InterWeave server over TCP.
 //!
 //! ```text
-//! iwsrv [--listen 127.0.0.1:7474] [--data-dir DIR] [--durability MODE]
-//!       [--checkpoint-every N] [--backup-of ADDR] [--chaos SEED] [--chaos-rate PER_10K]
-//!       [--port-file PATH] [--workers N]
-//!       [--max-conns N] [--idle-timeout SECS] [--poller epoll|poll]
+//! iwsrv [--listen 127.0.0.1:7474] [--data-dir DIR] [--checkpoint-every N]
+//!       [--backup-of ADDR] [--chaos SEED] [--chaos-rate PER_10K]
+//!       [--port-file PATH] [--workers N] [--max-conns N] [--idle-timeout SECS]
 //! ```
 //!
-//! Connections are served by `iw-net`: `--workers` (default 4)
+//! Connections are served by `iw-net`: `--workers` (default 4) epoll
 //! run-to-completion loops, each owning its share of the sockets and
 //! calling the server itself, so `--workers` is also how many requests
 //! run — or wait on an fsync — at once. Admission control sits at
 //! `--max-conns` (default 4096, beyond which connections get a typed
-//! `Overloaded` reply), idle connections are reaped after
-//! `--idle-timeout` (default 300 s, 0 disables), and `--poller` forces
-//! the readiness backend (default: epoll on Linux, poll elsewhere).
+//! `Overloaded` reply), and idle connections are reaped after
+//! `--idle-timeout` (default 300 s, 0 disables).
 //!
 //! With `--data-dir`, the server runs on the durable diff store
 //! (`iw-durable`): committed diffs are WAL-logged and fsynced before the
 //! release is acknowledged, checkpoint images bound the log, and a
 //! restart with the same `--data-dir` recovers everything — including a
-//! `kill -9` mid-commit (torn tail truncated). `--durability` picks the
-//! mode (`wal` or the default `wal+checkpoint`); `--checkpoint-every`
+//! `kill -9` mid-commit (torn tail truncated). `--checkpoint-every`
 //! sets the checkpoint interval in versions (default 8). Without
 //! `--data-dir` nothing is persisted.
 //!
@@ -44,12 +41,14 @@
 //! replica face in front.
 //!
 //! With `--chaos SEED`, a deterministic fault injector sits between the
-//! wire and the server: a seeded fraction of requests (default 200 per
-//! 10 000, tune with `--chaos-rate`) is dropped, truncated, duplicated,
-//! or delayed before dispatch. The injected faults are the *recoverable*
-//! class (no corruption), so well-behaved clients retry through them;
-//! `faults.injected_total` counters land in the registry `iwstat`
-//! scrapes.
+//! wire and the server (`iw_faults::FaultyHandler`): a seeded fraction
+//! of requests (default 200 per 10 000, tune with `--chaos-rate`) is
+//! dropped, truncated, duplicated or delayed before dispatch, or
+//! executed with its reply lost. Either way the client gets an error
+//! reply on a link that stays up. The injected faults are the
+//! *recoverable* class (no corruption), so well-behaved clients retry
+//! through them; `faults.injected_total` counters land in the registry
+//! `iwstat` scrapes.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -57,9 +56,9 @@ use std::sync::Arc;
 use iw_cli::Args;
 use iw_cluster::{Backup, Primary};
 use iw_faults::{FaultLog, FaultPlan, FaultyHandler};
-use iw_net::{NetOptions, NetServer, PollerKind};
+use iw_net::{NetOptions, NetServer};
 use iw_proto::{Handler, Reply, Request, TcpTransport, Transport};
-use iw_server::{DurabilityMode, DurableOptions, Server};
+use iw_server::{DurableOptions, Server};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse(std::env::args().skip(1));
@@ -71,13 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or(8);
 
     let server = if let Some(dir) = args.flag("data-dir") {
-        let mode = match args.flag("durability") {
-            Some(m) => DurabilityMode::parse(m)
-                .ok_or_else(|| format!("unknown --durability mode `{m}`"))?,
-            None => DurabilityMode::WalCheckpoint,
-        };
         let opts = DurableOptions {
-            mode,
             checkpoint_interval: every.max(1),
             ..DurableOptions::default()
         };
@@ -86,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             eprintln!("iwsrv: recovery warning: {w}");
         }
         eprintln!(
-            "iwsrv: durable store at {dir} (mode {mode}): {} segments recovered, {} records replayed",
+            "iwsrv: durable store at {dir}: {} segments recovered, {} records replayed",
             recovery.segments.len(),
             recovery.replayed_records
         );
@@ -147,19 +140,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|v| v.parse())
         .transpose()?
         .unwrap_or(300);
-    let poller = match args.flag("poller") {
-        Some(p) => PollerKind::parse(p).ok_or_else(|| format!("unknown --poller `{p}`"))?,
-        None => PollerKind::default_for_platform(),
-    };
     let opts = NetOptions {
         workers: workers.max(1),
         max_connections,
         idle_timeout: (idle_secs > 0).then(|| std::time::Duration::from_secs(idle_secs)),
-        poller,
         ..NetOptions::default()
     };
     eprintln!(
-        "iwsrv: front end: {poller}, {} loops, {max_connections} conns max",
+        "iwsrv: front end: epoll, {} loops, {max_connections} conns max",
         opts.workers
     );
     let tcp = NetServer::spawn_with(listen.parse()?, handler, opts, &registry)?;

@@ -2,10 +2,11 @@
 //! exit status reflects convergence. Plus `iwsrv --chaos`: a degraded
 //! server ingress whose injections are scrapeable through `iwstat`.
 
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+mod common;
 
+use std::process::Command;
+
+use common::{spawn_iwsrv, try_iwstat};
 use iw_proto::{Coherence, Reply, Request, TcpTransport, Transport};
 
 fn run_iwchaos(extra: &[&str]) -> std::process::Output {
@@ -53,48 +54,16 @@ fn same_seed_yields_identical_injection_trace() {
     );
 }
 
-struct Srv(Child);
-
-impl Drop for Srv {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-const CHAOS_PORT: u16 = 17661;
-
 /// `iwsrv --chaos SEED` drops/delays a seeded fraction of requests at
 /// the ingress, clients see clean per-call server errors, and the
 /// injection counters land in the registry `iwstat` scrapes.
 #[test]
-#[allow(clippy::zombie_processes)] // killed + waited in Srv::drop
 fn iwsrv_chaos_ingress_counts_injections_in_iwstat() {
-    let child = Command::new(env!("CARGO_BIN_EXE_iwsrv"))
-        .args([
-            "--listen",
-            &format!("127.0.0.1:{CHAOS_PORT}"),
-            "--chaos",
-            "1",
-            "--chaos-rate",
-            "2000",
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn iwsrv");
-    let _srv = Srv(child);
-    for _ in 0..100 {
-        if TcpStream::connect(("127.0.0.1", CHAOS_PORT)).is_ok() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    let srv = spawn_iwsrv(&["--chaos", "1", "--chaos-rate", "2000"]);
 
     // Drive raw requests through the degraded ingress; injected drops
     // surface as `Reply::Error` on that call only, never a dead link.
-    let mut t =
-        TcpTransport::connect(format!("127.0.0.1:{CHAOS_PORT}").parse().unwrap()).expect("connect");
+    let mut t = TcpTransport::connect(srv.addr).expect("connect");
     let client = loop {
         match t.request(&Request::Hello { info: "c".into() }) {
             Ok(Reply::Welcome { client, .. }) => break client,
@@ -128,20 +97,7 @@ fn iwsrv_chaos_ingress_counts_injections_in_iwstat() {
     // The Stats request rides the same degraded ingress, so the scrape
     // itself can be hit — retry until one gets through.
     let text = (0..20)
-        .find_map(|_| {
-            let out = Command::new(env!("CARGO_BIN_EXE_iwstat"))
-                .args([
-                    "--server",
-                    &format!("127.0.0.1:{CHAOS_PORT}"),
-                    "--filter",
-                    "faults.",
-                ])
-                .output()
-                .expect("run iwstat");
-            out.status
-                .success()
-                .then(|| String::from_utf8(out.stdout).unwrap())
-        })
+        .find_map(|_| try_iwstat(srv.addr, &["--filter", "faults."]))
         .expect("no iwstat scrape survived 20 tries at a 20% fault rate");
     let total: u64 = text
         .lines()

@@ -3,73 +3,20 @@
 //! transparent failover, and a fresh reader verifying the backup holds
 //! bit-identical pre-kill contents.
 
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+mod common;
+
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
+use common::{iwstat, json_value, spawn_iwsrv};
 use iw_core::Session;
 use iw_types::{desc::TypeDesc, MachineArch};
 
-const PRIMARY_PORT: u16 = 17561;
-const BACKUP_PORT: u16 = 17562;
-
-struct Srv(Child);
-
-impl Drop for Srv {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-#[allow(clippy::zombie_processes)] // killed + waited in Srv::drop
-fn spawn_srv(port: u16, extra: &[String]) -> Srv {
-    let child = Command::new(env!("CARGO_BIN_EXE_iwsrv"))
-        .arg("--listen")
-        .arg(format!("127.0.0.1:{port}"))
-        .args(extra)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn iwsrv");
-    for _ in 0..100 {
-        if TcpStream::connect(("127.0.0.1", port)).is_ok() {
-            return Srv(child);
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    panic!("iwsrv did not come up on port {port}");
-}
-
-fn iwstat_json(port: u16) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_iwstat"))
-        .arg("--server")
-        .arg(format!("127.0.0.1:{port}"))
-        .arg("--json")
-        .stderr(Stdio::inherit())
-        .output()
-        .expect("run iwstat");
-    assert!(out.status.success(), "iwstat exited with {:?}", out.status);
-    String::from_utf8(out.stdout).expect("utf8")
-}
-
-/// Pulls `"name":value` out of the iwstat JSON dump, if present.
-fn json_value(json: &str, name: &str) -> Option<u64> {
-    let key = format!("\"{name}\":");
-    let at = json.find(&key)?;
-    json[at + key.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .ok()
-}
-
 /// Polls the backup until its copy of `clu/data` reaches `version`.
-fn await_backup_version(version: u64) {
+fn await_backup_version(backup: SocketAddr, version: u64) {
     let deadline = Instant::now() + Duration::from_secs(15);
     loop {
-        let json = iwstat_json(BACKUP_PORT);
+        let json = iwstat(backup, &["--json"]);
         if json_value(&json, "server.segment.clu/data.version") >= Some(version) {
             return;
         }
@@ -83,20 +30,11 @@ fn await_backup_version(version: u64) {
 
 #[test]
 fn two_node_cluster_survives_primary_death() {
-    let primary = spawn_srv(PRIMARY_PORT, &[]);
-    let _backup = spawn_srv(
-        BACKUP_PORT,
-        &[
-            "--backup-of".to_string(),
-            format!("127.0.0.1:{PRIMARY_PORT}"),
-        ],
-    );
+    let primary = spawn_iwsrv(&[]);
+    let backup = spawn_iwsrv(&["--backup-of", &primary.addr.to_string()]);
 
     // The client speaks to the replica group: primary first, backup next.
-    let addrs = [
-        format!("127.0.0.1:{PRIMARY_PORT}").parse().unwrap(),
-        format!("127.0.0.1:{BACKUP_PORT}").parse().unwrap(),
-    ];
+    let addrs = [primary.addr, backup.addr];
     let mut s = Session::new(
         MachineArch::x86(),
         Box::new(iw_proto::TcpTransport::connect(addrs[0]).expect("primary reachable")),
@@ -118,8 +56,8 @@ fn two_node_cluster_survives_primary_death() {
 
     // Replication is asynchronous: wait for the backup to catch up, so
     // everything written so far survives the kill.
-    await_backup_version(5);
-    let primary_stats = iwstat_json(PRIMARY_PORT);
+    await_backup_version(backup.addr, 5);
+    let primary_stats = iwstat(primary.addr, &["--json"]);
     assert!(
         json_value(&primary_stats, "cluster.diffs_shipped_total") > Some(0),
         "{primary_stats}"
@@ -161,7 +99,7 @@ fn two_node_cluster_survives_primary_death() {
     r.rl_release(&hr).unwrap();
 
     // The backup's own registry shows the replication and the failover.
-    let backup_stats = iwstat_json(BACKUP_PORT);
+    let backup_stats = iwstat(backup.addr, &["--json"]);
     assert!(
         json_value(&backup_stats, "cluster.diffs_applied_total") > Some(0),
         "{backup_stats}"

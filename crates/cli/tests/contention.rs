@@ -7,18 +7,19 @@
 //!
 //! The measured overlap ratio is printed for EXPERIMENTS.md.
 
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+mod common;
+
+use std::net::SocketAddr;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::Bytes;
+use common::{iwstat, json_value, spawn_iwsrv, Srv};
 use iw_proto::msg::{LockMode, Reply, Request};
 use iw_proto::{Coherence, TcpTransport, Transport};
 use iw_types::desc::TypeDesc;
 use iw_wire::diff::{BlockDiff, DiffRun, NewBlock, SegmentDiff};
 
-const PORT: u16 = 17571;
 /// Primitives per segment block: 1 MiB of int32 per diff, so each
 /// handler span is long enough for the scheduler to interleave the two
 /// workers inside it.
@@ -26,71 +27,37 @@ const PRIMS: u32 = 256 * 1024;
 /// Write cycles per client per attempt.
 const OPS: u64 = 25;
 
-struct Srv(Child, std::path::PathBuf);
+/// Removes the server's data dir once the test is done with it.
+struct DataDir(std::path::PathBuf);
 
-impl Drop for Srv {
+impl Drop for DataDir {
     fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-        let _ = std::fs::remove_dir_all(&self.1);
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
-#[allow(clippy::zombie_processes)] // killed + waited in Srv::drop
-fn spawn_srv(port: u16) -> Srv {
+fn spawn_srv() -> (DataDir, Srv) {
     // Durable store checkpointing every version: each release then logs
     // the diff and encodes and writes the whole segment inside the
     // handler — substantial server-side work with no client-side
     // counterpart, which widens the measurable overlap window.
-    let ckpt = std::env::temp_dir().join(format!("iw-contention-{}", std::process::id()));
-    let child = Command::new(env!("CARGO_BIN_EXE_iwsrv"))
-        .arg("--listen")
-        .arg(format!("127.0.0.1:{port}"))
-        .arg("--data-dir")
-        .arg(&ckpt)
-        .arg("--checkpoint-every")
-        .arg("1")
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn iwsrv");
-    for _ in 0..100 {
-        if TcpStream::connect(("127.0.0.1", port)).is_ok() {
-            return Srv(child, ckpt);
-        }
-        thread::sleep(Duration::from_millis(50));
-    }
-    panic!("iwsrv did not come up on port {port}");
+    let dir = std::env::temp_dir().join(format!("iw-contention-{}", std::process::id()));
+    let srv = spawn_iwsrv(&[
+        "--data-dir",
+        dir.to_str().unwrap(),
+        "--checkpoint-every",
+        "1",
+    ]);
+    (DataDir(dir), srv)
 }
 
-fn iwstat_json(port: u16) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_iwstat"))
-        .arg("--server")
-        .arg(format!("127.0.0.1:{port}"))
-        .arg("--json")
-        .stderr(Stdio::inherit())
-        .output()
-        .expect("run iwstat");
-    assert!(out.status.success(), "iwstat exited with {:?}", out.status);
-    String::from_utf8(out.stdout).expect("utf8")
-}
-
-/// Pulls `"name":value` out of the iwstat JSON dump, if present.
-fn json_value(json: &str, name: &str) -> Option<u64> {
-    let key = format!("\"{name}\":");
-    let at = json.find(&key)?;
-    json[at + key.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .ok()
+fn server_metric(addr: SocketAddr, name: &str) -> u64 {
+    json_value(&iwstat(addr, &["--json"]), name).unwrap_or_else(|| panic!("no {name}"))
 }
 
 /// One client over a real socket: `OPS` write cycles on its own
 /// segment, each shipping a full-block 256 KiB diff.
-fn hammer(segment: String, fill: i32) {
-    let addr = format!("127.0.0.1:{PORT}").parse().unwrap();
+fn hammer(addr: SocketAddr, segment: String, fill: i32) {
     let mut t = TcpTransport::connect(addr).expect("connect");
     let Reply::Welcome { client, .. } = t
         .request(&Request::Hello {
@@ -177,24 +144,23 @@ fn hammer(segment: String, fill: i32) {
 
 #[test]
 fn disjoint_segment_clients_overlap_on_the_wire() {
-    let _srv = spawn_srv(PORT);
+    // The server dies before its data dir is removed.
+    let (_dir, srv) = spawn_srv();
+    let addr = srv.addr;
 
     // Scheduling noise can thin out the overlap on a loaded machine;
     // the busy counter is cumulative, so simply re-running the workload
     // gives it another chance. Three attempts bound the worst case.
     let mut measured = None;
     for attempt in 0..3 {
-        let busy_before =
-            json_value(&iwstat_json(PORT), "server.busy_us_total").expect("busy metric");
+        let busy_before = server_metric(addr, "server.busy_us_total");
         let t0 = Instant::now();
-        let a = thread::spawn(move || hammer(format!("c/a{attempt}"), 0x1111));
-        let b = thread::spawn(move || hammer(format!("c/b{attempt}"), 0x2222));
+        let a = thread::spawn(move || hammer(addr, format!("c/a{attempt}"), 0x1111));
+        let b = thread::spawn(move || hammer(addr, format!("c/b{attempt}"), 0x2222));
         a.join().expect("client a");
         b.join().expect("client b");
         let elapsed_us = t0.elapsed().as_micros() as u64;
-        let busy_us = json_value(&iwstat_json(PORT), "server.busy_us_total")
-            .expect("busy metric")
-            .saturating_sub(busy_before);
+        let busy_us = server_metric(addr, "server.busy_us_total").saturating_sub(busy_before);
         let ratio = busy_us as f64 / elapsed_us as f64;
         println!(
             "contention attempt {attempt}: elapsed={elapsed_us}us \
@@ -215,7 +181,6 @@ fn disjoint_segment_clients_overlap_on_the_wire() {
     );
 
     // And the server itself observed ≥2 requests in flight at once.
-    let peak =
-        json_value(&iwstat_json(PORT), "server.concurrent_requests_peak").expect("peak metric");
+    let peak = server_metric(addr, "server.concurrent_requests_peak");
     assert!(peak >= 2, "concurrent_requests_peak = {peak}");
 }

@@ -2,79 +2,32 @@
 //! through the client library over TCP, then scrape the server with
 //! `iwstat` and check the diff, lock, and diff-cache metrics are live.
 
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+mod common;
 
+use std::net::SocketAddr;
+
+use common::{iwstat, json_value, spawn_iwsrv};
 use iw_core::Session;
 use iw_proto::{Coherence, TcpTransport};
 use iw_types::{idl, MachineArch};
 
-struct Srv(Child);
-
-impl Drop for Srv {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-#[allow(clippy::zombie_processes)] // killed + waited in Srv::drop
-fn spawn_srv(port: u16) -> Srv {
-    let child = Command::new(env!("CARGO_BIN_EXE_iwsrv"))
-        .arg("--listen")
-        .arg(format!("127.0.0.1:{port}"))
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn iwsrv");
-    for _ in 0..100 {
-        if TcpStream::connect(("127.0.0.1", port)).is_ok() {
-            return Srv(child);
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    panic!("iwsrv did not come up on port {port}");
-}
-
-fn iwstat(port: u16, extra: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_iwstat"))
-        .arg("--server")
-        .arg(format!("127.0.0.1:{port}"))
-        .args(extra)
-        .stderr(Stdio::inherit())
-        .output()
-        .expect("run iwstat");
-    assert!(out.status.success(), "iwstat exited with {:?}", out.status);
-    String::from_utf8(out.stdout).expect("utf8")
-}
-
-/// Pulls `"name":value` out of the iwstat JSON dump.
+/// `json_value`, but a missing metric fails the test.
 fn json_counter(json: &str, name: &str) -> u64 {
-    let key = format!("\"{name}\":");
-    let at = json
-        .find(&key)
-        .unwrap_or_else(|| panic!("{name} not in {json}"));
-    json[at + key.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("{name} has no numeric value"))
+    json_value(json, name).unwrap_or_else(|| panic!("{name} not in {json}"))
 }
 
-fn connect(port: u16) -> Session {
+fn connect(addr: SocketAddr) -> Session {
     Session::new(
         MachineArch::x86(),
-        Box::new(TcpTransport::connect(format!("127.0.0.1:{port}").parse().unwrap()).unwrap()),
+        Box::new(TcpTransport::connect(addr).unwrap()),
     )
     .unwrap()
 }
 
 #[test]
 fn workload_metrics_visible_through_iwstat() {
-    let port = 17493;
-    let _srv = spawn_srv(port);
+    let srv = spawn_iwsrv(&[]);
+    let addr = srv.addr;
 
     let ty = idl::compile("struct pt { int x; int y; };")
         .unwrap()
@@ -83,7 +36,7 @@ fn workload_metrics_visible_through_iwstat() {
         .clone();
 
     // Writer: create blocks, then publish several versions.
-    let mut w = connect(port);
+    let mut w = connect(addr);
     let hw = w.open_segment("stats/demo").unwrap();
     w.wl_acquire(&hw).unwrap();
     let blk = w.malloc(&hw, &ty, 64, Some("pts")).unwrap();
@@ -97,7 +50,7 @@ fn workload_metrics_visible_through_iwstat() {
 
     // Reader: lag behind, then catch up twice — the second catch-up from
     // an intermediate version exercises the diff cache.
-    let mut r = connect(port);
+    let mut r = connect(addr);
     let hr = r.open_segment("stats/demo").unwrap();
     r.set_coherence(&hr, Coherence::Full).unwrap();
     r.rl_acquire(&hr).unwrap();
@@ -112,7 +65,7 @@ fn workload_metrics_visible_through_iwstat() {
     r.rl_release(&hr).unwrap();
     // A second reader from scratch re-requests an update the cache may
     // now serve.
-    let mut r2 = connect(port);
+    let mut r2 = connect(addr);
     let hr2 = r2.open_segment("stats/demo").unwrap();
     r2.rl_acquire(&hr2).unwrap();
     r2.rl_release(&hr2).unwrap();
@@ -124,7 +77,7 @@ fn workload_metrics_visible_through_iwstat() {
     assert!(client_snap.counter("proto.requests_total").unwrap() > 0);
 
     // Scrape over TCP with the real binary.
-    let json = iwstat(port, &["--json"]);
+    let json = iwstat(addr, &["--json"]);
     assert!(json_counter(&json, "server.req.acquire_total") >= 12);
     assert!(json_counter(&json, "server.req.release_total") >= 12);
     assert!(json_counter(&json, "server.lock.granted_total") >= 12);
@@ -144,28 +97,28 @@ fn workload_metrics_visible_through_iwstat() {
     );
 
     // Text rendering carries the same numbers.
-    let text = iwstat(port, &[]);
+    let text = iwstat(addr, &[]);
     assert!(text.contains("server.requests_total"), "{text}");
     // Prometheus rendering sanitizes names.
-    let prom = iwstat(port, &["--prom"]);
+    let prom = iwstat(addr, &["--prom"]);
     assert!(
         prom.contains("# TYPE server_requests_total counter"),
         "{prom}"
     );
     // Filtering keeps only the requested prefix.
-    let filtered = iwstat(port, &["--json", "--filter", "server.lock."]);
+    let filtered = iwstat(addr, &["--json", "--filter", "server.lock."]);
     assert!(filtered.contains("server.lock.granted_total"), "{filtered}");
     assert!(!filtered.contains("server.req.acquire_total"), "{filtered}");
 }
 
 #[test]
 fn probe_mode_surfaces_client_iso_counters() {
-    let port = 17494;
-    let _srv = spawn_srv(port);
+    let srv = spawn_iwsrv(&[]);
+    let addr = srv.addr;
 
     // The probe runs as a big-endian machine over a packed int array, so
     // both translation directions must take the isomorphic fast path.
-    let json = iwstat(port, &["--probe", "--json"]);
+    let json = iwstat(addr, &["--probe", "--json"]);
     assert!(
         json_counter(&json, "client.translate.iso_collects_total") > 0,
         "probe writer skipped the fast path: {json}"
@@ -183,12 +136,12 @@ fn probe_mode_surfaces_client_iso_counters() {
     assert!(json_counter(&json, "server.req.acquire_total") > 0);
 
     // A second probe against the same server reuses the probe segment.
-    let again = iwstat(port, &["--probe", "--json"]);
+    let again = iwstat(addr, &["--probe", "--json"]);
     assert!(json_counter(&again, "client.translate.iso_collects_total") > 0);
 
     // Probe counters compose with --filter and --prom like any metric.
     let filtered = iwstat(
-        port,
+        addr,
         &["--probe", "--json", "--filter", "client.translate.iso"],
     );
     assert!(
@@ -196,7 +149,7 @@ fn probe_mode_surfaces_client_iso_counters() {
         "{filtered}"
     );
     assert!(!filtered.contains("server.req.acquire_total"), "{filtered}");
-    let prom = iwstat(port, &["--probe", "--prom"]);
+    let prom = iwstat(addr, &["--probe", "--prom"]);
     assert!(
         prom.contains("# TYPE client_translate_iso_collects_total counter"),
         "{prom}"

@@ -47,56 +47,36 @@ use iw_telemetry::{Counter, Gauge, Histogram, Registry};
 pub use records::{LogRecord, KIND_CHECKPOINT, KIND_DIFF};
 pub use store::{DiffStore, Recovery, SegmentRecovery};
 
-/// How much the server persists.
+/// Whether the server persists at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DurabilityMode {
-    /// Nothing is persisted (the seed behaviour).
+    /// Nothing is persisted (a server without `--data-dir`).
     Off,
-    /// Committed diffs are logged and fsynced at release time; the log
-    /// grows until compacted externally, and recovery replays it from
-    /// the beginning (plus any full images forced by replication
-    /// catch-up).
-    Wal,
     /// The log plus periodic per-segment checkpoint images and
     /// threshold-triggered compaction — bounded log, bounded recovery
-    /// time. The default for `--data-dir`.
+    /// time. What `--data-dir` runs.
     #[default]
     WalCheckpoint,
 }
 
-impl DurabilityMode {
-    /// Parses the CLI spelling (`off` / `wal` / `wal+checkpoint`).
-    pub fn parse(s: &str) -> Option<DurabilityMode> {
-        match s {
-            "off" => Some(DurabilityMode::Off),
-            "wal" => Some(DurabilityMode::Wal),
-            "wal+checkpoint" | "wal-checkpoint" | "full" => Some(DurabilityMode::WalCheckpoint),
-            _ => None,
-        }
-    }
-}
-
 impl std::fmt::Display for DurabilityMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DurabilityMode::Off => write!(f, "off"),
-            DurabilityMode::Wal => write!(f, "wal"),
-            DurabilityMode::WalCheckpoint => write!(f, "wal+checkpoint"),
-        }
+        f.write_str(match self {
+            DurabilityMode::Off => "off",
+            DurabilityMode::WalCheckpoint => "wal+checkpoint",
+        })
     }
 }
 
 /// Tuning knobs for a [`DiffStore`].
 #[derive(Debug, Clone)]
 pub struct DurableOptions {
-    /// What to persist (see [`DurabilityMode`]).
+    /// Whether to persist at all (see [`DurabilityMode`]).
     pub mode: DurabilityMode,
-    /// Versions between per-segment checkpoint images (ignored in
-    /// [`DurabilityMode::Wal`]).
+    /// Versions between per-segment checkpoint images.
     pub checkpoint_interval: u64,
     /// Live log bytes (active file plus not-yet-deleted rotations) above
-    /// which the server triggers compaction (ignored in
-    /// [`DurabilityMode::Wal`]).
+    /// which the server triggers compaction.
     pub compact_threshold_bytes: u64,
     /// When `false`, appends skip the fsync barrier. Only for tests and
     /// benchmarks that measure the non-sync cost — an acked release is

@@ -12,8 +12,8 @@
 //! ```
 //!
 //! Exactly one log file is *active*; the rest exist only between a
-//! compaction's rotate step and its delete step (or across restarts in
-//! plain-WAL mode, where nothing ever deletes them). Recovery reads
+//! compaction's rotate step and its delete step (or, after a restart,
+//! until the next compaction reclaims them). Recovery reads
 //! every log file in sequence order, so a crash at **any** point of the
 //! compaction protocol — rotate, checkpoint each segment, delete old
 //! files — leaves a recoverable store: the rotate happens first, so a
@@ -33,7 +33,7 @@ use iw_wire::wal::{FrameDefect, FrameReader};
 use iw_wire::SegmentDiff;
 
 use crate::records::{decode_checkpoint_file, encode_checkpoint_file, LogRecord};
-use crate::{DurabilityMode, DurableOptions, Metrics};
+use crate::{DurableOptions, Metrics};
 
 /// Magic prefixing every log file.
 const LOG_MAGIC: &[u8; 4] = b"IWAL";
@@ -210,9 +210,8 @@ impl DiffStore {
         metrics.recovery_replayed.add(recovery.replayed_records);
 
         // Fresh active file: one past the highest sequence seen. The
-        // recovered files become "old" immediately — plain-WAL mode
-        // keeps them forever (recovery re-reads the whole set), while
-        // wal+checkpoint mode reclaims them at the next compaction.
+        // recovered files become "old" immediately; the next compaction
+        // reclaims them.
         let file_seq = logs.last().map(|&(s, _)| s + 1).unwrap_or(1);
         let path = dir.join(log_file_name(file_seq));
         let mut file = OpenOptions::new()
@@ -374,11 +373,10 @@ impl DiffStore {
         g.bytes + g.old_bytes
     }
 
-    /// `true` when the server should run a compaction pass: checkpoint
-    /// mode, above the byte threshold, and no pass already running.
+    /// `true` when the server should run a compaction pass: above the
+    /// byte threshold, and no pass already running.
     pub fn needs_compaction(&self) -> bool {
-        self.opts.mode == DurabilityMode::WalCheckpoint
-            && !self.compacting.load(Ordering::Acquire)
+        !self.compacting.load(Ordering::Acquire)
             && self.log_bytes() > self.opts.compact_threshold_bytes
     }
 
@@ -862,7 +860,7 @@ mod tests {
     }
 
     #[test]
-    fn needs_compaction_tracks_threshold_and_mode() {
+    fn needs_compaction_tracks_threshold_and_running_pass() {
         let dir = temp_dir("thresh");
         let mut o = opts();
         o.compact_threshold_bytes = 64;
@@ -872,13 +870,10 @@ mod tests {
             store.append_diff("s", &diff(v, vec![])).unwrap();
         }
         assert!(store.needs_compaction());
-        let dir2 = temp_dir("thresh-wal");
-        let mut o2 = opts();
-        o2.mode = DurabilityMode::Wal;
-        o2.compact_threshold_bytes = 1;
-        let (store2, _) = DiffStore::open(&dir2, o2, &registry()).unwrap();
-        store2.append_diff("s", &diff(0, vec![])).unwrap();
-        assert!(!store2.needs_compaction(), "plain WAL mode never compacts");
+        assert!(store.begin_compaction().unwrap());
+        assert!(!store.needs_compaction(), "a pass is already running");
+        store.finish_compaction(true);
+        assert!(!store.needs_compaction(), "the rotated files are gone");
     }
 
     #[test]

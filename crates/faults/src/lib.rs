@@ -427,12 +427,17 @@ impl FaultLayer for FaultInjector {
 /// [`Handler`] and subjects every incoming request to a [`FaultPlan`],
 /// degrading the whole server rather than one client's link.
 ///
-/// In-process delivery has no connection to reset, so connection faults
-/// map to their observable effect: [`FaultKind::Drop`] and
-/// [`FaultKind::DropReply`] answer with a `Reply::Error` (clients treat
-/// server errors as fatal per-call, like a torn reply), truncation and
-/// corruption hand the inner handler a damaged frame (it answers
-/// `bad request`), duplication calls the inner handler twice.
+/// This is the only server-side injector: it sees request bytes, so the
+/// front end it runs behind needs no fault hooks of its own. A handler
+/// has no connection to reset, so connection faults map to their
+/// observable effect and the link stays up: [`FaultKind::Drop`] answers
+/// a `Reply::Error` without calling the inner handler (the request
+/// never arrived), [`FaultKind::DropReply`] calls it and then answers
+/// the error instead of its reply (the request took effect, the ack was
+/// lost); truncation and corruption hand the inner handler a damaged
+/// frame (it answers `bad request`), duplication calls it twice and
+/// returns the first reply, and a delay sleeps on the calling thread
+/// before the call.
 pub struct FaultyHandler {
     inner: Arc<dyn Handler>,
     injector: Mutex<FaultInjector>,
@@ -471,10 +476,17 @@ impl Handler for FaultyHandler {
                 std::thread::sleep(d);
                 self.inner.handle(request)
             }
-            FaultAction::Drop | FaultAction::DropReply => Reply::Error {
+            FaultAction::Drop => Reply::Error {
                 message: "injected: request dropped by chaos ingress".into(),
             }
             .encode(),
+            FaultAction::DropReply => {
+                let _ = self.inner.handle(request);
+                Reply::Error {
+                    message: "injected: reply dropped by chaos ingress".into(),
+                }
+                .encode()
+            }
             FaultAction::Corrupt(bytes) => self.inner.handle(bytes),
             FaultAction::Truncate(n) => {
                 let keep = n.min(request.len());

@@ -2,10 +2,11 @@
 //!
 //! `workers` identical loops (`iw-net-loop-{i}`), each with its own
 //! poller, connection slab, read buffer and idle sweep. A loop that
-//! finds a complete frame on one of its sockets decodes it, consults
-//! the fault layer, **calls the shared [`Handler`] itself**, frames the
-//! reply and writes it on the spot: no queue, no second thread, no
-//! wake-up between a request's bytes arriving and its reply leaving.
+//! finds a complete frame on one of its sockets **calls the shared
+//! [`Handler`] itself** with the frame's bytes, frames the reply and
+//! writes it on the spot: no queue, no second thread, no wake-up between
+//! a request's bytes arriving and its reply leaving. The front end never
+//! decodes a request; what the bytes mean is the handler's business.
 //! Loop 0 also owns the listener and hands accepted sockets out
 //! strictly round-robin, so a connection lives on exactly one loop and
 //! its replies are in request order by construction.
@@ -57,9 +58,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use iw_proto::msg::{Reply, Request};
+use iw_proto::msg::Reply;
 use iw_proto::tcp::{accept_retry_delay, is_fd_exhaustion};
-use iw_proto::{FaultAction, FaultLayer, Handler};
+use iw_proto::Handler;
 use iw_telemetry::{Counter, Gauge, Registry};
 
 use crate::decode::FrameDecoder;
@@ -108,6 +109,7 @@ const QUICK_GAP: Duration = Duration::from_micros(100);
 const MAX_TICK: Duration = Duration::from_millis(250);
 
 /// Tuning knobs for a [`NetServer`].
+#[derive(Debug)]
 pub struct NetOptions {
     /// Run-to-completion loops; each owns its share of the connections
     /// and calls the handler itself, so this is also the number of
@@ -120,12 +122,9 @@ pub struct NetOptions {
     pub idle_timeout: Option<Duration>,
     /// Bound on the graceful drain when the server is dropped.
     pub drain_timeout: Duration,
-    /// Readiness backend.
+    /// Readiness backend; epoll is the only one.
+    #[doc(hidden)]
     pub poller: PollerKind,
-    /// Optional server-side fault layer consulted per request before
-    /// the handler runs (chaos testing: delays, duplicate dispatch,
-    /// torn reply writes on the nonblocking socket — see `iw-faults`).
-    pub fault_layer: Option<Box<dyn FaultLayer>>,
 }
 
 impl Default for NetOptions {
@@ -135,22 +134,8 @@ impl Default for NetOptions {
             max_connections: 4096,
             idle_timeout: None,
             drain_timeout: Duration::from_secs(5),
-            poller: PollerKind::default_for_platform(),
-            fault_layer: None,
+            poller: PollerKind::Epoll,
         }
-    }
-}
-
-impl std::fmt::Debug for NetOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NetOptions")
-            .field("workers", &self.workers)
-            .field("max_connections", &self.max_connections)
-            .field("idle_timeout", &self.idle_timeout)
-            .field("drain_timeout", &self.drain_timeout)
-            .field("poller", &self.poller)
-            .field("faulty", &self.fault_layer.is_some())
-            .finish()
     }
 }
 
@@ -158,24 +143,10 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// What the fault layer and the handler decided a request's connection
-/// should see.
-enum Outcome {
-    /// Deliver this encoded reply.
-    Reply(Bytes),
-    /// Announce the full reply but deliver only `keep` bytes, then
-    /// close — a torn write on the nonblocking socket (fault
-    /// injection).
-    Torn { reply: Bytes, keep: usize },
-    /// Close the connection without replying (injected drop).
-    Kill,
-}
-
 /// Everything the loops share: the handler, the limits, the admission
 /// counters and the front-end telemetry.
 struct Shared {
     handler: Arc<dyn Handler>,
-    faults: Option<Mutex<Box<dyn FaultLayer>>>,
     stop: AtomicBool,
     max_connections: usize,
     idle_timeout: Option<Duration>,
@@ -214,41 +185,6 @@ impl Shared {
                     message: format!("internal server error: request handler panicked: {msg}"),
                 }
                 .encode()
-            }
-        }
-    }
-
-    /// One request, start to finish, on the calling loop's thread.
-    fn execute(&self, body: Bytes) -> Outcome {
-        let action = match &self.faults {
-            Some(layer) => match Request::decode(body.clone()) {
-                // Undecodable frames skip the injector (it plans per
-                // decoded request); the handler answers `bad request`.
-                Err(_) => FaultAction::Deliver,
-                Ok(req) => lock(layer).plan(&req, &body),
-            },
-            None => FaultAction::Deliver,
-        };
-        match action {
-            FaultAction::Deliver => Outcome::Reply(self.call(body)),
-            FaultAction::Delay(d) => {
-                std::thread::sleep(d);
-                Outcome::Reply(self.call(body))
-            }
-            FaultAction::Drop => Outcome::Kill,
-            FaultAction::DropReply => {
-                let _ = self.call(body);
-                Outcome::Kill
-            }
-            FaultAction::Corrupt(bytes) => Outcome::Reply(self.call(bytes)),
-            FaultAction::Truncate(keep) => Outcome::Torn {
-                reply: self.call(body),
-                keep,
-            },
-            FaultAction::Duplicate => {
-                let first = self.call(body.clone());
-                let _ = self.call(body);
-                Outcome::Reply(first)
             }
         }
     }
@@ -328,21 +264,15 @@ impl Conn {
         }
     }
 
-    /// Sends one frame whose prefix announces `announce` bytes and
-    /// whose payload is `body` (shorter than announced only for an
-    /// injected torn reply): one vectored write when nothing is queued
-    /// ahead of it, and only what that write did not take is queued.
+    /// Sends `body` as one frame: one vectored `[prefix, body]` write
+    /// when nothing is queued ahead of it, and only what that write did
+    /// not take is queued.
     ///
     /// # Errors
     ///
     /// The peer is gone; the connection must be closed.
-    fn send_frame(
-        &mut self,
-        announce: usize,
-        body: Bytes,
-        write_stalls: &Counter,
-    ) -> io::Result<()> {
-        let prefix = (announce as u32).to_be_bytes();
+    fn send_frame(&mut self, body: Bytes, write_stalls: &Counter) -> io::Result<()> {
+        let prefix = (body.len() as u32).to_be_bytes();
         let mut done = 0;
         if self.out.is_empty() {
             let total = prefix.len() + body.len();
@@ -691,8 +621,7 @@ impl EventLoop {
     }
 
     /// One turn of service: up to [`FRAMES_PER_TURN`] buffered frames
-    /// of `slot` run to completion — decode, fault layer, handler,
-    /// reply on the wire. A connection that may hold more goes onto the
+    /// of `slot` run to completion — handler, reply on the wire. A connection that may hold more goes onto the
     /// ready list.
     fn serve(&mut self, slot: usize) {
         for _ in 0..FRAMES_PER_TURN {
@@ -716,25 +645,14 @@ impl EventLoop {
             }
             conn.was_quick = quick;
             conn.last_activity = now;
-            let outcome = if conn.rejecting {
+            let reply = if conn.rejecting {
                 // Typed admission answer, then close.
                 conn.close_after_flush = true;
-                Outcome::Reply(Reply::Overloaded.encode())
+                Reply::Overloaded.encode()
             } else {
-                self.shared.execute(body)
+                self.shared.call(body)
             };
-            let conn = self.conns[slot].as_mut().expect("checked above");
-            let sent = match outcome {
-                Outcome::Reply(reply) => {
-                    conn.send_frame(reply.len(), reply, &self.shared.write_stalls)
-                }
-                Outcome::Torn { reply, keep } => {
-                    conn.close_after_flush = true;
-                    let keep = keep.min(reply.len());
-                    conn.send_frame(reply.len(), reply.slice(..keep), &self.shared.write_stalls)
-                }
-                Outcome::Kill => Err(io::ErrorKind::ConnectionAborted.into()),
-            };
+            let sent = conn.send_frame(reply, &self.shared.write_stalls);
             if sent.is_err() || (conn.close_after_flush && conn.out.is_empty()) {
                 return self.close_conn(slot);
             }
@@ -906,10 +824,6 @@ impl NetServer {
         registry.gauge("tcp.loops").set(loops as i64);
         let shared = Arc::new(Shared {
             handler,
-            faults: opts.fault_layer.map(|mut layer| {
-                layer.bind_registry(registry);
-                Mutex::new(layer)
-            }),
             stop: AtomicBool::new(false),
             max_connections: opts.max_connections.max(1),
             idle_timeout: opts.idle_timeout,
@@ -928,7 +842,7 @@ impl NetServer {
 
         let mut parts = Vec::with_capacity(loops);
         for _ in 0..loops {
-            let mut poller = Poller::new(opts.poller)?;
+            let mut poller = Poller::new()?;
             let (wake_rx, wake_tx) = crate::sys::wake_pipe()?;
             poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
             let mailbox = Arc::new(Mailbox {

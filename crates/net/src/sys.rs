@@ -2,16 +2,16 @@
 //!
 //! The build environment has no crates-registry route, so there is no
 //! `libc` crate to lean on. The handful of symbols the event loop needs
-//! — `epoll_create1`/`epoll_ctl`/`epoll_wait` on Linux, portable
-//! `poll(2)`, and `pipe2` for the loop wake-up — are declared here and
-//! resolved from the C runtime `std` already links. This is the only
+//! — `epoll_create1`/`epoll_ctl`/`epoll_pwait`, and `pipe2` for the loop
+//! wake-up, all with Linux flag values — are declared here and resolved
+//! from the C runtime `std` already links. This is the only
 //! module in the workspace that uses `unsafe`; everything above it
 //! speaks [`Poller`](crate::poller::Poller) and owned fds.
 
 use std::fs::File;
 use std::io;
 use std::os::fd::{FromRawFd, OwnedFd, RawFd};
-use std::os::raw::{c_int, c_ulong};
+use std::os::raw::{c_int, c_void};
 
 /// `EPOLLIN`: the fd is readable.
 pub const EPOLLIN: u32 = 0x001;
@@ -38,15 +38,6 @@ const O_NONBLOCK: c_int = 0o4000;
 /// `O_CLOEXEC` (Linux generic).
 const O_CLOEXEC: c_int = 0o200_0000;
 
-/// `POLLIN` for `poll(2)`.
-pub const POLLIN: i16 = 0x001;
-/// `POLLOUT` for `poll(2)`.
-pub const POLLOUT: i16 = 0x004;
-/// `POLLERR` for `poll(2)` (revents only).
-pub const POLLERR: i16 = 0x008;
-/// `POLLHUP` for `poll(2)` (revents only).
-pub const POLLHUP: i16 = 0x010;
-
 /// One `struct epoll_event`. On x86-64 the kernel ABI packs the struct
 /// (u32 events immediately followed by the u64 payload); other
 /// architectures use natural alignment.
@@ -60,23 +51,16 @@ pub struct EpollEvent {
     pub data: u64,
 }
 
-/// One `struct pollfd` for `poll(2)`.
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub struct PollFd {
-    /// The fd to poll.
-    pub fd: c_int,
-    /// Requested events (`POLLIN` / `POLLOUT`).
-    pub events: i16,
-    /// Returned events.
-    pub revents: i16,
-}
-
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
-    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    fn epoll_pwait(
+        epfd: c_int,
+        events: *mut EpollEvent,
+        maxevents: c_int,
+        timeout: c_int,
+        sigmask: *const c_void,
+    ) -> c_int;
     fn pipe2(fds: *mut c_int, flags: c_int) -> c_int;
 }
 
@@ -114,30 +98,17 @@ pub fn epoll_control(epfd: RawFd, op: c_int, fd: RawFd, events: u32, token: u64)
     Ok(())
 }
 
-/// `epoll_wait` into `events`, returning how many entries were filled.
+/// Waits on `epfd` (`epoll_pwait` with no signal mask, i.e. a plain
+/// epoll wait) into `events`, returning how many entries were filled.
 /// `timeout_ms < 0` blocks indefinitely. `EINTR` surfaces as `Ok(0)` so
 /// callers simply re-iterate.
 ///
 /// # Errors
 ///
-/// Any other `epoll_wait` errno.
-pub fn epoll_pwait(epfd: RawFd, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
-    let n = unsafe { epoll_wait(epfd, events.as_mut_ptr(), events.len() as c_int, timeout_ms) };
-    match cvt(n) {
-        Ok(n) => Ok(n as usize),
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(0),
-        Err(e) => Err(e),
-    }
-}
-
-/// `poll(2)` over `fds`, returning how many fds have events. `EINTR`
-/// surfaces as `Ok(0)`.
-///
-/// # Errors
-///
-/// Any other `poll` errno.
-pub fn poll_wait(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-    let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
+/// Any other `epoll_pwait` errno.
+pub fn epoll_ready(epfd: RawFd, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+    let len = events.len() as c_int;
+    let n = unsafe { epoll_pwait(epfd, events.as_mut_ptr(), len, timeout_ms, std::ptr::null()) };
     match cvt(n) {
         Ok(n) => Ok(n as usize),
         Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(0),
@@ -186,25 +157,11 @@ mod tests {
         epoll_control(ep.as_raw_fd(), EPOLL_CTL_ADD, r.as_raw_fd(), EPOLLIN, 42).unwrap();
         let mut events = [EpollEvent { events: 0, data: 0 }; 4];
         // Nothing pending: times out empty.
-        assert_eq!(epoll_pwait(ep.as_raw_fd(), &mut events, 0).unwrap(), 0);
+        assert_eq!(epoll_ready(ep.as_raw_fd(), &mut events, 0).unwrap(), 0);
         w.write_all(&[1]).unwrap();
-        let n = epoll_pwait(ep.as_raw_fd(), &mut events, 1000).unwrap();
+        let n = epoll_ready(ep.as_raw_fd(), &mut events, 1000).unwrap();
         assert_eq!(n, 1);
         let data = events[0].data;
         assert_eq!(data, 42);
-    }
-
-    #[test]
-    fn poll_reports_pipe_readability() {
-        let (r, mut w) = wake_pipe().unwrap();
-        let mut fds = [PollFd {
-            fd: r.as_raw_fd(),
-            events: POLLIN,
-            revents: 0,
-        }];
-        assert_eq!(poll_wait(&mut fds, 0).unwrap(), 0);
-        w.write_all(&[1]).unwrap();
-        assert_eq!(poll_wait(&mut fds, 1000).unwrap(), 1);
-        assert_ne!(fds[0].revents & POLLIN, 0);
     }
 }

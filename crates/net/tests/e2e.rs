@@ -1,5 +1,5 @@
 //! End-to-end tests for the run-to-completion front end: real sockets,
-//! real readiness loops, both poller backends, loop placement,
+//! real readiness loops, loop placement,
 //! pipelining, fairness, backpressure, admission control, idle reaping,
 //! graceful drain, and panic isolation.
 
@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use iw_net::{NetOptions, NetServer, PollerKind};
+use iw_net::{NetOptions, NetServer};
 use iw_proto::tcp::{read_frame, write_frame};
 use iw_proto::{Handler, Reply, Request, TcpTransport, Transport};
 use iw_telemetry::Registry;
@@ -47,12 +47,6 @@ fn opts() -> NetOptions {
     NetOptions::default()
 }
 
-fn pollers() -> impl Iterator<Item = PollerKind> {
-    [PollerKind::Epoll, PollerKind::Poll]
-        .into_iter()
-        .filter(|&kind| kind != PollerKind::Epoll || cfg!(target_os = "linux"))
-}
-
 /// Answers `Hello { info: "<n>" }` with `Welcome { client: n }` after
 /// `work`, so a reply names the request it answers.
 fn numbered_handler(work: Duration) -> Arc<dyn Handler> {
@@ -85,25 +79,14 @@ fn read_reply(stream: &mut TcpStream) -> Reply {
 }
 
 #[test]
-fn roundtrip_on_both_pollers() {
-    for kind in pollers() {
-        let server = NetServer::spawn_with(
-            "127.0.0.1:0".parse().unwrap(),
-            echo_handler(),
-            NetOptions {
-                poller: kind,
-                ..opts()
-            },
-            &Arc::new(Registry::new()),
-        )
-        .unwrap();
-        let mut t = TcpTransport::connect(server.addr()).unwrap();
-        let reply = t.request(&hello("abcd")).unwrap();
-        assert_eq!(reply, Reply::welcome(4), "poller {kind}");
-        assert_eq!(t.stats().requests, 1);
-        assert!(t.stats().bytes_sent > 0);
-        assert!(t.stats().bytes_received > 0);
-    }
+fn roundtrip_updates_transport_stats() {
+    let server = NetServer::spawn("127.0.0.1:0".parse().unwrap(), echo_handler()).unwrap();
+    let mut t = TcpTransport::connect(server.addr()).unwrap();
+    let reply = t.request(&hello("abcd")).unwrap();
+    assert_eq!(reply, Reply::welcome(4));
+    assert_eq!(t.stats().requests, 1);
+    assert!(t.stats().bytes_sent > 0);
+    assert!(t.stats().bytes_received > 0);
 }
 
 #[test]
@@ -111,53 +94,50 @@ fn one_connection_one_loop_and_accepts_go_round_robin() {
     // The handler runs on the loop that owns the socket, so the thread
     // it sees is the connection's placement: constant for one
     // connection, and four consecutive accepts on four distinct loops.
-    for kind in pollers() {
-        let seen: Arc<Mutex<Vec<(String, String)>>> = Arc::default();
-        let handler: Arc<dyn Handler> = {
-            let seen = seen.clone();
-            Arc::new(move |req: Bytes| {
-                let Ok(Request::Hello { info }) = Request::decode(req) else {
-                    panic!("test sends only Hello");
-                };
-                let thread = std::thread::current().name().unwrap_or("").to_string();
-                seen.lock().unwrap().push((info, thread));
-                Reply::welcome(0).encode()
-            })
-        };
-        let server = NetServer::spawn_with(
-            "127.0.0.1:0".parse().unwrap(),
-            handler,
-            NetOptions {
-                workers: 4,
-                poller: kind,
-                ..opts()
-            },
-            &Arc::new(Registry::new()),
-        )
-        .unwrap();
-        let mut conns: Vec<TcpTransport> = (0..4)
-            .map(|i| {
-                let mut t = TcpTransport::connect(server.addr()).unwrap();
-                t.request(&hello(&format!("c{i}"))).unwrap();
-                t
-            })
-            .collect();
-        for _ in 0..20 {
-            conns[0].request(&hello("c0")).unwrap();
-        }
-        let seen = seen.lock().unwrap();
-        let threads_of = |conn: &str| -> std::collections::BTreeSet<&str> {
-            seen.iter()
-                .filter(|(info, _)| info == conn)
-                .map(|(_, thread)| thread.as_str())
-                .collect()
-        };
-        assert_eq!(threads_of("c0").len(), 1, "poller {kind}: {seen:?}");
-        let all: std::collections::BTreeSet<&str> =
-            seen.iter().map(|(_, thread)| thread.as_str()).collect();
-        assert_eq!(all.len(), 4, "poller {kind}: {all:?}");
-        assert!(all.iter().all(|t| t.starts_with("iw-net-loop-")), "{all:?}");
+    let seen: Arc<Mutex<Vec<(String, String)>>> = Arc::default();
+    let handler: Arc<dyn Handler> = {
+        let seen = seen.clone();
+        Arc::new(move |req: Bytes| {
+            let Ok(Request::Hello { info }) = Request::decode(req) else {
+                panic!("test sends only Hello");
+            };
+            let thread = std::thread::current().name().unwrap_or("").to_string();
+            seen.lock().unwrap().push((info, thread));
+            Reply::welcome(0).encode()
+        })
+    };
+    let server = NetServer::spawn_with(
+        "127.0.0.1:0".parse().unwrap(),
+        handler,
+        NetOptions {
+            workers: 4,
+            ..opts()
+        },
+        &Arc::new(Registry::new()),
+    )
+    .unwrap();
+    let mut conns: Vec<TcpTransport> = (0..4)
+        .map(|i| {
+            let mut t = TcpTransport::connect(server.addr()).unwrap();
+            t.request(&hello(&format!("c{i}"))).unwrap();
+            t
+        })
+        .collect();
+    for _ in 0..20 {
+        conns[0].request(&hello("c0")).unwrap();
     }
+    let seen = seen.lock().unwrap();
+    let threads_of = |conn: &str| -> std::collections::BTreeSet<&str> {
+        seen.iter()
+            .filter(|(info, _)| info == conn)
+            .map(|(_, thread)| thread.as_str())
+            .collect()
+    };
+    assert_eq!(threads_of("c0").len(), 1, "{seen:?}");
+    let all: std::collections::BTreeSet<&str> =
+        seen.iter().map(|(_, thread)| thread.as_str()).collect();
+    assert_eq!(all.len(), 4, "{all:?}");
+    assert!(all.iter().all(|t| t.starts_with("iw-net-loop-")), "{all:?}");
 }
 
 #[test]
@@ -224,26 +204,23 @@ fn frames_buffered_past_one_turn_are_served_without_new_bytes() {
     // One write, so one read puts every frame in the decoder; nothing
     // arrives afterwards, so no readiness event announces the frames a
     // bounded turn left behind. They must be served all the same.
-    for kind in pollers() {
-        let server = NetServer::spawn_with(
-            "127.0.0.1:0".parse().unwrap(),
-            numbered_handler(Duration::ZERO),
-            NetOptions {
-                workers: 1,
-                poller: kind,
-                ..opts()
-            },
-            &Arc::new(Registry::new()),
-        )
+    let server = NetServer::spawn_with(
+        "127.0.0.1:0".parse().unwrap(),
+        numbered_handler(Duration::ZERO),
+        NetOptions {
+            workers: 1,
+            ..opts()
+        },
+        &Arc::new(Registry::new()),
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        stream.write_all(&numbered_burst(200)).unwrap();
-        for i in 0..200 {
-            assert_eq!(read_reply(&mut stream), Reply::welcome(i), "poller {kind}");
-        }
+    stream.write_all(&numbered_burst(200)).unwrap();
+    for i in 0..200 {
+        assert_eq!(read_reply(&mut stream), Reply::welcome(i), "reply {i}");
     }
 }
 

@@ -438,10 +438,9 @@ impl Server {
             return;
         };
         let _ = store.append_diff(segment, diff);
-        if store.options().mode == DurabilityMode::WalCheckpoint
-            && seg
-                .version()
-                .is_multiple_of(store.options().checkpoint_interval.max(1))
+        if seg
+            .version()
+            .is_multiple_of(store.options().checkpoint_interval.max(1))
         {
             Self::durable_image(store, seg);
         }
@@ -748,8 +747,8 @@ impl Server {
         let mut guard = self.write_seg(&shard);
         *guard = seg;
         // A full sync jumps the version, breaking the WAL's diff chain:
-        // persist a full image (any durability mode) so recovery has a
-        // base to chain subsequent diff records from.
+        // persist a full image so recovery has a base to chain
+        // subsequent diff records from.
         if let Some(store) = &self.durable {
             Self::durable_image(store, &mut guard);
         }

@@ -21,9 +21,8 @@ fn temp_dir(tag: &str) -> PathBuf {
     d
 }
 
-fn opts(mode: DurabilityMode) -> DurableOptions {
+fn opts() -> DurableOptions {
     DurableOptions {
-        mode,
         fsync: false, // unit tests stay fast; real fsync is chaos-tested
         ..DurableOptions::default()
     }
@@ -98,9 +97,11 @@ fn image_of(s: &Server, segment: &str) -> Bytes {
 
 #[test]
 fn wal_replay_recovers_byte_identical_state() {
+    // Six versions per segment, under the default checkpoint interval:
+    // recovery is the log alone.
     let dir = temp_dir("wal");
     {
-        let (s, rec) = Server::with_durability(dir.clone(), opts(DurabilityMode::Wal)).unwrap();
+        let (s, rec) = Server::with_durability(dir.clone(), opts()).unwrap();
         assert!(rec.warnings.is_empty(), "{:?}", rec.warnings);
         let c = s.hello("w");
         for seg in ["a/seg", "b/seg"] {
@@ -110,7 +111,7 @@ fn wal_replay_recovers_byte_identical_state() {
             }
         }
     }
-    let (recovered, rec) = Server::with_durability(dir, opts(DurabilityMode::Wal)).unwrap();
+    let (recovered, rec) = Server::with_durability(dir, opts()).unwrap();
     assert!(rec.warnings.is_empty(), "{:?}", rec.warnings);
     assert_eq!(rec.replayed_records, 12);
     for seg in ["a/seg", "b/seg"] {
@@ -128,7 +129,7 @@ fn checkpoint_plus_tail_recovers_and_bounds_replay() {
     let dir = temp_dir("ck-tail");
     let o = DurableOptions {
         checkpoint_interval: 4,
-        ..opts(DurabilityMode::WalCheckpoint)
+        ..opts()
     };
     {
         let (s, _) = Server::with_durability(dir.clone(), o.clone()).unwrap();
@@ -156,7 +157,7 @@ fn compaction_bounds_log_and_preserves_state() {
     let o = DurableOptions {
         checkpoint_interval: 1000, // periodic images off: compaction does the work
         compact_threshold_bytes: 2_000,
-        ..opts(DurabilityMode::WalCheckpoint)
+        ..opts()
     };
     {
         let (s, _) = Server::with_durability(dir.clone(), o.clone()).unwrap();
@@ -192,7 +193,11 @@ fn compaction_bounds_log_and_preserves_state() {
 fn mode_off_persists_nothing() {
     let dir = temp_dir("off");
     {
-        let (s, rec) = Server::with_durability(dir.clone(), opts(DurabilityMode::Off)).unwrap();
+        let off = DurableOptions {
+            mode: DurabilityMode::Off,
+            ..opts()
+        };
+        let (s, rec) = Server::with_durability(dir.clone(), off).unwrap();
         assert!(rec.segments.is_empty());
         assert_eq!(s.durability_mode(), DurabilityMode::Off);
         let c = s.hello("w");
@@ -200,8 +205,7 @@ fn mode_off_persists_nothing() {
         write_cycle(&s, c, "h/s", 0);
     }
     assert!(!dir.exists(), "Off mode must not create a data dir");
-    let (recovered, rec) =
-        Server::with_durability(dir, opts(DurabilityMode::WalCheckpoint)).unwrap();
+    let (recovered, rec) = Server::with_durability(dir, opts()).unwrap();
     assert!(rec.segments.is_empty());
     assert_eq!(recovered.segment_version("h/s"), None);
 }
@@ -210,8 +214,7 @@ fn mode_off_persists_nothing() {
 fn multi_segment_commit_is_durable() {
     let dir = temp_dir("txn");
     {
-        let (s, _) =
-            Server::with_durability(dir.clone(), opts(DurabilityMode::WalCheckpoint)).unwrap();
+        let (s, _) = Server::with_durability(dir.clone(), opts()).unwrap();
         let c = s.hello("w");
         for seg in ["t/a", "t/b"] {
             s.open(seg);
@@ -238,8 +241,7 @@ fn multi_segment_commit_is_durable() {
             }
         );
     }
-    let (recovered, rec) =
-        Server::with_durability(dir, opts(DurabilityMode::WalCheckpoint)).unwrap();
+    let (recovered, rec) = Server::with_durability(dir, opts()).unwrap();
     assert_eq!(rec.replayed_records, 2);
     assert_eq!(recovered.segment_version("t/a"), Some(1));
     assert_eq!(recovered.segment_version("t/b"), Some(1));
@@ -249,8 +251,7 @@ fn multi_segment_commit_is_durable() {
 fn undecodable_checkpoint_image_skips_that_segment_only() {
     let dir = temp_dir("badimg");
     {
-        let (s, _) =
-            Server::with_durability(dir.clone(), opts(DurabilityMode::WalCheckpoint)).unwrap();
+        let (s, _) = Server::with_durability(dir.clone(), opts()).unwrap();
         let c = s.hello("w");
         s.open("h/good");
         for v in 0..3 {
@@ -261,13 +262,10 @@ fn undecodable_checkpoint_image_skips_that_segment_only() {
         // A well-framed checkpoint file whose payload is not a segment
         // image (the store checks framing; only the server can tell).
         let registry = std::sync::Arc::new(iw_telemetry::Registry::new());
-        let (store, _) =
-            iw_durable::DiffStore::open(&dir, opts(DurabilityMode::WalCheckpoint), &registry)
-                .unwrap();
+        let (store, _) = iw_durable::DiffStore::open(&dir, opts(), &registry).unwrap();
         store.write_checkpoint("h/bad", 5, b"NOTAMAGIC").unwrap();
     }
-    let (recovered, rec) =
-        Server::with_durability(dir.clone(), opts(DurabilityMode::WalCheckpoint)).unwrap();
+    let (recovered, rec) = Server::with_durability(dir.clone(), opts()).unwrap();
     assert_eq!(recovered.segment_version("h/good"), Some(3));
     assert_eq!(
         image_of(&recovered, "h/good"),
