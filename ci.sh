@@ -14,6 +14,15 @@ if grep -rn "DiffWire::V1" crates | grep -v "^crates/wire/\|^crates/bench/"; the
   exit 1
 fi
 
+echo "== one file holds the client's connections"
+# crates/core/src/links.rs is the only client code that calls a
+# transport, says Hello or Goodbye, or sleeps between retries.
+if grep -n '\.request(\|Request::Hello\|Request::Goodbye\|thread::sleep' crates/core/src/*.rs \
+  | grep -v '^crates/core/src/links.rs:'; then
+  echo "transport call, handshake or sleep outside crates/core/src/links.rs"
+  exit 1
+fi
+
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 

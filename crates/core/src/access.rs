@@ -1,4 +1,5 @@
-//! Typed access to shared data, and the public swizzling API.
+//! Allocation, typed and raw access to shared data, and the public
+//! swizzling API.
 //!
 //! The paper's clients use ordinary reads and writes on swizzled C
 //! pointers. Safe Rust cannot hand out raw interior pointers into
@@ -12,7 +13,7 @@
 //! `mip_to_ptr`/`ptr_to_mip` are the paper's `IW_mip_to_ptr` and
 //! `IW_ptr_to_mip`.
 
-use iw_proto::msg::{Reply, Request};
+use iw_proto::msg::Reply;
 use iw_proto::Coherence;
 use iw_types::desc::{PrimKind, TypeDesc, TypeKind};
 use iw_types::layout::layout_of;
@@ -20,7 +21,7 @@ use iw_wire::mip::{BlockRef, Mip};
 use iw_wire::prim::local_str_bytes;
 
 use crate::error::CoreError;
-use crate::session::{Ptr, Session};
+use crate::session::{poll, Ptr, SegHandle, Session};
 use crate::translate::{mip_for_va, read_va, resolve_mip, write_va, ResolvedPtr};
 
 impl Session {
@@ -554,21 +555,137 @@ impl Session {
     pub fn fetch_segment(&mut self, segment: &str) -> Result<(), CoreError> {
         let h = self.open_segment(segment)?;
         let have = self.segs.get(segment).map(|st| st.version).unwrap_or(0);
-        let reply = self.request_for(segment, |client| Request::Poll {
-            client,
-            segment: segment.to_string(),
-            have_version: have,
-            coherence: Coherence::Full,
-            floor: 0,
-        })?;
+        let reply = self.request_for(segment, poll(segment, have, Coherence::Full, 0))?;
         match reply {
             Reply::UpToDate => Ok(()),
-            Reply::Update { diff } => {
-                self.apply_segment_diff(&h, &diff)?;
-                Ok(())
-            }
-            Reply::Error { message } => Err(CoreError::Server(message)),
-            other => Err(CoreError::Server(format!("unexpected reply: {other:?}"))),
+            Reply::Update { diff } => self.apply_segment_diff(&h, &diff),
+            other => Err(CoreError::unexpected(other)),
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Bulk raw access
+    // ------------------------------------------------------------------
+
+    /// Bulk write of raw local-format bytes at `p` (through modification
+    /// tracking). Intended for large array updates where per-element
+    /// accessors would dominate; the caller is responsible for encoding
+    /// values in this session's architecture format.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::NotLocked`] without the write lock; heap bounds
+    /// errors.
+    pub fn write_bytes_raw(&mut self, p: &Ptr, bytes: &[u8]) -> Result<(), CoreError> {
+        self.raw_window(p, bytes.len(), true)?;
+        self.heap.write_bytes(p.va, bytes)?;
+        Ok(())
+    }
+
+    /// Bulk read of raw local-format bytes at `p`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::NotLocked`] without a lock; heap bounds errors.
+    pub fn read_bytes_raw(&self, p: &Ptr, len: usize) -> Result<&[u8], CoreError> {
+        self.raw_window(p, len, false)?;
+        Ok(self.heap.read_bytes(p.va, len)?)
+    }
+
+    /// Checks that `len` raw bytes at `p` lie in one block this session
+    /// holds the lock a raw read (or `write`) needs.
+    fn raw_window(&self, p: &Ptr, len: usize, write: bool) -> Result<(), CoreError> {
+        let (seg, meta) = self.heap.block_at(p.va)?;
+        self.require_lock(seg, write)?;
+        if p.va + len as u64 > meta.end() {
+            let op = if write { "write" } else { "read" };
+            return Err(CoreError::BadPath(format!(
+                "raw {op} of {len} bytes overruns block {}",
+                meta.serial
+            )));
+        }
+        Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // Allocation
+    // ------------------------------------------------------------------
+
+    /// Allocates a block of `count` elements of `ty`: the paper's
+    /// `IW_malloc` (with an optional symbolic name). Requires the write
+    /// lock.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::NotLocked`] without the write lock; heap errors for
+    /// bad names or sizes.
+    pub fn malloc(
+        &mut self,
+        h: &SegHandle,
+        ty: &TypeDesc,
+        count: u32,
+        name: Option<&str>,
+    ) -> Result<Ptr, CoreError> {
+        let (id, serial) = {
+            let st = self.state(h.name())?;
+            (st.id, st.next_serial)
+        };
+        self.require_lock(id, true)?;
+        let va = self.heap.alloc_block(id, serial, name, ty, count)?;
+        // Register the type so it travels in the next diff (a no-op when
+        // already known).
+        self.heap.segment_types_mut(id).register(ty);
+        let iso = self
+            .heap
+            .segment(id)
+            .block_by_serial(serial)?
+            .flat
+            .wire_identity()
+            .is_iso();
+        let st = self.state_mut(h.name())?;
+        st.next_serial += 1;
+        st.new_blocks.push(serial);
+        st.iso &= iso;
+        Ok(Ptr { va, ty: ty.clone() })
+    }
+
+    /// Frees a block: the paper's `IW_free`. The pointer must reference
+    /// the start of a block. Requires the write lock.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::NotLocked`]; [`CoreError::BadPath`] when `p` is not a
+    /// block start.
+    pub fn free(&mut self, h: &SegHandle, p: &Ptr) -> Result<(), CoreError> {
+        let seg_name = h.name();
+        let id = self.state(seg_name)?.id;
+        self.require_lock(id, true)?;
+        let (bseg, meta) = self.heap.block_at(p.va)?;
+        let serial = meta.serial;
+        if bseg != id || meta.va != p.va {
+            return Err(CoreError::BadPath(format!(
+                "free() requires a pointer to the start of a block in `{seg_name}`"
+            )));
+        }
+        let in_tx = self.tx.is_some();
+        let created_here = self.state(seg_name)?.new_blocks.contains(&serial);
+        if in_tx && !created_here {
+            // Deferred: the block must stay resurrectable until commit.
+            let st = self.state_mut(seg_name)?;
+            if !st.pending_free.contains(&serial) {
+                st.pending_free.push(serial);
+            }
+            return Ok(());
+        }
+        self.drop_block(id, serial)?;
+        let st = self.state_mut(seg_name)?;
+        if let Some(pos) = st.new_blocks.iter().position(|&s| s == serial) {
+            // Created and freed in the same critical section: never tell
+            // the server.
+            st.new_blocks.remove(pos);
+        } else {
+            st.freed.push(serial);
+        }
+        Ok(())
     }
 }

@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use iw_heap::HeapError;
+use iw_proto::msg::Reply;
 use iw_proto::ProtoError;
 use iw_types::desc::PrimKind;
 use iw_wire::codec::WireError;
@@ -106,6 +107,17 @@ impl From<WireError> for CoreError {
 impl From<ProtoError> for CoreError {
     fn from(e: ProtoError) -> Self {
         CoreError::Proto(e)
+    }
+}
+
+impl CoreError {
+    /// The error for a reply the protocol does not allow at this point;
+    /// a server `Error` reply keeps its message.
+    pub(crate) fn unexpected(reply: Reply) -> CoreError {
+        match reply {
+            Reply::Error { message } => CoreError::Server(message),
+            other => CoreError::Server(format!("unexpected reply: {other:?}")),
+        }
     }
 }
 

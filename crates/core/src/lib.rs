@@ -56,6 +56,7 @@
 mod access;
 pub mod diffing;
 mod error;
+mod links;
 mod metrics;
 mod segstate;
 mod session;
@@ -63,5 +64,6 @@ pub mod translate;
 pub mod tx;
 
 pub use error::CoreError;
+pub use links::Connector;
 pub use segstate::{TrackMode, NO_DIFF_ENTER_FRACTION, NO_DIFF_ENTER_STREAK, NO_DIFF_PROBE_PERIOD};
-pub use session::{Connector, Ptr, SegHandle, Session, SessionOptions};
+pub use session::{Ptr, SegHandle, Session, SessionOptions};

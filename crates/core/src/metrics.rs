@@ -48,9 +48,6 @@ pub(crate) struct SessionMetrics {
     /// back to the primary because no replica satisfied the coherence
     /// predicate (or none answered).
     pub replica_fallbacks: Arc<Counter>,
-    /// `cluster.replica_not_fresh_total` — replica polls refused with
-    /// `NotFresh` (the replica's version was below the requested floor).
-    pub replica_not_fresh: Arc<Counter>,
     /// `cluster.replica_read_violations_total` — replica-served reads
     /// whose final cached version landed below the coherence floor.
     /// The server-side floor check makes this impossible; a non-zero
@@ -76,7 +73,6 @@ impl SessionMetrics {
             twin_faults: registry.gauge("client.twin_faults"),
             replica_reads: registry.counter("cluster.replica_reads_total"),
             replica_fallbacks: registry.counter("cluster.replica_read_fallbacks_total"),
-            replica_not_fresh: registry.counter("cluster.replica_not_fresh_total"),
             replica_violations: registry.counter("cluster.replica_read_violations_total"),
             frontier_probes: registry.counter("cluster.frontier_probes_total"),
             registry,

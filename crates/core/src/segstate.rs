@@ -1,11 +1,14 @@
 //! Per-segment client state: versions, locks, coherence, and the no-diff
-//! adaptation machinery.
+//! adaptation machinery (with its public tracking-mode controls).
 
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use iw_heap::SegId;
 use iw_proto::{Coherence, LockMode};
+
+use crate::error::CoreError;
+use crate::session::{SegHandle, Session};
 
 /// How modifications are being tracked for a segment (§3.3 "No-diff
 /// mode").
@@ -177,6 +180,41 @@ impl SegState {
                 }
             }
         }
+    }
+}
+
+impl Session {
+    /// Forces the tracking mode of a segment (benchmarks pin `Diff` or
+    /// `NoDiff` to measure "collect diff" vs "collect block"; normal
+    /// callers rely on the automatic adaptation).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::NotOpen`].
+    pub fn set_tracking_mode(&mut self, h: &SegHandle, mode: TrackMode) -> Result<(), CoreError> {
+        let st = self.state_mut(h.name())?;
+        st.mode = mode;
+        let id = st.id;
+        let locked_for_write = st.lock == Some(LockMode::Write);
+        // Mode changes normally take effect at the next write-lock
+        // acquire; if we already hold the write lock, align protection
+        // with the mode now.
+        if locked_for_write {
+            match mode {
+                TrackMode::Diff => self.heap.protect_segment(id),
+                TrackMode::NoDiff { .. } => self.heap.unprotect_segment(id),
+            }
+        }
+        Ok(())
+    }
+
+    /// The current tracking mode of a segment.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::NotOpen`].
+    pub fn tracking_mode(&self, h: &SegHandle) -> Result<TrackMode, CoreError> {
+        Ok(self.state(h.name())?.mode)
     }
 }
 

@@ -458,17 +458,70 @@ impl Translator {
             // A tombstone for a block this cache never created (e.g. a
             // create+free pair inside one composed chain, or a server
             // being conservative) is simply a no-op.
-            let Ok(meta) = heap.segment(seg).block_by_serial(serial) else {
-                continue;
-            };
-            let (bva, bend) = (meta.va, meta.end());
-            heap.free_block(seg, serial)?;
-            unresolved.retain(|&va, _| !(bva..bend).contains(&va));
+            if heap.segment(seg).block_by_serial(serial).is_ok() {
+                drop_block(heap, unresolved, seg, serial)?;
+            }
         }
 
         self.metrics.diffs_applied.inc();
         Ok(new_all_iso)
     }
+}
+
+/// Frees block `serial` of `seg` and forgets the unresolved pointer
+/// fields that lived in it.
+pub(crate) fn drop_block(
+    heap: &mut Heap,
+    unresolved: &mut HashMap<u64, Mip>,
+    seg: SegId,
+    serial: u32,
+) -> Result<(), CoreError> {
+    let meta = heap.segment(seg).block_by_serial(serial)?;
+    let (bva, bend) = (meta.va, meta.end());
+    heap.free_block(seg, serial)?;
+    unresolved.retain(|&va, _| !(bva..bend).contains(&va));
+    Ok(())
+}
+
+/// Unswizzles the pointers into a segment that is leaving the cache:
+/// every pointer field in the `others` segments that points into one of
+/// `target`'s blocks becomes an unresolved MIP (its local word 0), so the
+/// other caches stay usable and re-fetch the target on next use.
+/// Unresolved entries whose *field* lived in `target` are dropped.
+pub(crate) fn demote_pointers_into(
+    heap: &mut Heap,
+    unresolved: &mut HashMap<u64, Mip>,
+    target: SegId,
+    others: &[SegId],
+) -> Result<(), CoreError> {
+    let spans: Vec<(u64, u64)> = heap
+        .segment(target)
+        .blocks()
+        .map(|b| (b.va, b.end()))
+        .collect();
+    let arch = heap.arch();
+    let size = arch.pointer_size as usize;
+    let mut demotions: Vec<(u64, Mip)> = Vec::new();
+    for &other in others {
+        for meta in heap.segment(other).blocks() {
+            let slice = heap.read_bytes(meta.va, meta.size() as usize)?;
+            for run in meta.flat.runs().filter(|r| r.kind == PrimKind::Ptr) {
+                for k in 0..run.count {
+                    let off = (run.local_off + k * run.stride) as usize;
+                    let va = read_va(&slice[off..off + size], arch);
+                    if va != 0 && spans.iter().any(|&(lo, hi)| (lo..hi).contains(&va)) {
+                        demotions.push((meta.va + off as u64, mip_for_va(heap, va)?));
+                    }
+                }
+            }
+        }
+    }
+    for (field_va, mip) in demotions {
+        heap.bytes_mut_unprotected(field_va, size)?.fill(0);
+        unresolved.insert(field_va, mip);
+    }
+    unresolved.retain(|&va, _| !spans.iter().any(|&(lo, hi)| (lo..hi).contains(&va)));
+    Ok(())
 }
 
 /// Builds the MIP for an arbitrary local address (`IW_ptr_to_mip`'s

@@ -41,19 +41,22 @@
 //! # Ok(()) }
 //! ```
 
+use std::collections::HashMap;
+
 use iw_proto::msg::{Reply, Request};
 use iw_proto::LockMode;
 use iw_wire::diff::SegmentDiff;
 
 use crate::error::CoreError;
-use crate::session::Session;
+use crate::links::host_of;
+use crate::session::{SegHandle, Session};
 
 /// One commit entry: a segment name and its (possibly empty) diff.
 type CommitEntry = (String, Option<SegmentDiff>);
 
-/// Post-release adaptation inputs per segment: `(name, changed prims,
+/// Post-release adaptation inputs per segment: `(changed prims,
 /// per-block change fractions)`.
-type AdaptEntry = (String, u64, Vec<(u32, f64)>);
+type AdaptEntry = (u64, Vec<(u32, f64)>);
 
 /// State of an open transaction.
 #[derive(Debug, Default)]
@@ -111,113 +114,58 @@ impl Session {
             .tx
             .take()
             .ok_or_else(|| CoreError::BadPath("no open transaction".into()))?;
-        // Apply deferred frees, then collect per-segment diffs.
-        let mut entries: Vec<CommitEntry> = Vec::new();
-        let mut adapt: Vec<AdaptEntry> = Vec::new();
+        // Apply deferred frees, then collect per-segment diffs, grouped by
+        // server: each server commits its own segments atomically.
+        // (Cross-server atomicity would need two-phase commit; this
+        // prototype documents per-server atomicity.)
+        let mut by_host: Vec<(&str, Vec<CommitEntry>)> = Vec::new();
+        let mut adapt: HashMap<&str, AdaptEntry> = HashMap::new();
         for name in &tx.segments {
-            let (id, pending) = {
-                let st = self.state(name)?;
-                (st.id, st.pending_free.clone())
-            };
-            for serial in pending {
-                let (bva, bend) = {
-                    let meta = self.heap.segment(id).block_by_serial(serial)?;
-                    (meta.va, meta.end())
-                };
-                self.heap.free_block(id, serial)?;
-                self.unresolved.retain(|&va, _| !(bva..bend).contains(&va));
-                self.state_mut(name)?.freed.push(serial);
+            let st = self.state_mut(name)?;
+            let (id, pending) = (st.id, std::mem::take(&mut st.pending_free));
+            for &serial in &pending {
+                self.drop_block(id, serial)?;
             }
-            self.state_mut(name)?.pending_free.clear();
-            let h = crate::session::SegHandle::for_name(name);
-            let (diff, changed, fractions) = self.collect_segment_diff(&h)?;
-            let is_empty = diff.new_types.is_empty()
-                && diff.new_blocks.is_empty()
-                && diff.block_diffs.is_empty()
-                && diff.freed.is_empty();
-            entries.push((name.clone(), (!is_empty).then_some(diff)));
-            adapt.push((name.clone(), changed, fractions));
-        }
-        if entries.is_empty() {
-            return Ok(()); // empty transaction
-        }
-        // Group entries by server: each server commits its own segments
-        // atomically. (Cross-server atomicity would need two-phase
-        // commit; this prototype documents per-server atomicity.)
-        let mut by_host: Vec<(String, Vec<CommitEntry>)> = Vec::new();
-        for (name, diff) in &entries {
-            let host = name.split('/').next().unwrap_or("").to_string();
-            match by_host.iter_mut().find(|(h, _)| *h == host) {
-                Some((_, v)) => v.push((name.clone(), diff.clone())),
-                None => by_host.push((host, vec![(name.clone(), diff.clone())])),
+            self.state_mut(name)?.freed.extend(pending);
+            let (diff, changed, fractions) =
+                self.collect_segment_diff(&SegHandle::for_name(name))?;
+            let entry = (name.clone(), (!diff.is_empty()).then_some(diff));
+            match by_host.iter_mut().find(|(h, _)| *h == host_of(name)) {
+                Some((_, group)) => group.push(entry),
+                None => by_host.push((host_of(name), vec![entry])),
             }
+            adapt.insert(name, (changed, fractions));
         }
-        let mut versions: Vec<(String, u64)> = Vec::new();
+        let mut committed: Vec<(String, u64)> = Vec::new();
         for (_, group) in &by_host {
-            let first_segment = group[0].0.clone();
-            let group_clone = group.clone();
-            let reply = self.request_for(&first_segment, |client| Request::Commit {
+            let reply = self.request_for(&group[0].0, |client| Request::Commit {
                 client,
-                entries: group_clone.clone(),
+                entries: group.clone(),
             })?;
             match reply {
-                Reply::Committed { versions: vs } => {
-                    for ((name, _), v) in group.iter().zip(vs) {
-                        versions.push((name.clone(), v));
-                    }
+                Reply::Committed { versions } => {
+                    committed.extend(group.iter().map(|(n, _)| n.clone()).zip(versions));
                 }
                 Reply::Error { message } => {
                     // Roll back locally; locks are still ours, so release
                     // them everywhere.
                     self.rollback_segments(&tx.segments)?;
                     for name in &tx.segments {
-                        let n = name.clone();
-                        let _ = self.request_for(&n, |client| Request::Release {
-                            client,
-                            segment: n.clone(),
-                            diff: None,
-                        });
+                        // Best effort: the commit's error is the one to
+                        // report, and the lock is dropped here either way.
+                        let _ = self.unlock(name);
                         let st = self.state_mut(name)?;
                         st.lock = None;
                         st.server_locked = false;
                     }
                     return Err(CoreError::Server(message));
                 }
-                other => return Err(CoreError::Server(format!("unexpected reply: {other:?}"))),
+                other => return Err(CoreError::unexpected(other)),
             }
         }
-        let versions: Vec<u64> = entries
-            .iter()
-            .map(|(n, _)| {
-                versions
-                    .iter()
-                    .find(|(vn, _)| vn == n)
-                    .map(|(_, v)| *v)
-                    .expect("every entry committed")
-            })
-            .collect();
-        for ((name, version), (_, changed, fractions)) in
-            entries.iter().map(|(n, _)| n).zip(versions).zip(adapt)
-        {
-            let id = self.state(name)?.id;
-            self.heap.clear_tracking(id);
-            let total: u64 = self
-                .heap
-                .segment(id)
-                .blocks()
-                .map(iw_heap::BlockMeta::prim_count)
-                .sum();
-            let adapt_on = self.opts.no_diff_adaptation;
-            let st = self.state_mut(name)?;
-            st.version = version;
-            st.lock = None;
-            st.server_locked = false;
-            st.new_blocks.clear();
-            st.freed.clear();
-            st.last_update = std::time::Instant::now();
-            if adapt_on {
-                st.adapt_after_release(changed, total, &fractions);
-            }
+        for (name, version) in committed {
+            let (changed, fractions) = &adapt[name.as_str()];
+            self.finish_release(&name, version, *changed, fractions)?;
         }
         Ok(())
     }
@@ -238,18 +186,7 @@ impl Session {
             .ok_or_else(|| CoreError::BadPath("no open transaction".into()))?;
         self.rollback_segments(&tx.segments)?;
         for name in &tx.segments {
-            let n = name.clone();
-            let reply = self.request_for(&n, |client| Request::Release {
-                client,
-                segment: n.clone(),
-                diff: None,
-            })?;
-            if !matches!(reply, Reply::Released { .. }) {
-                return Err(CoreError::Server(format!("unexpected reply: {reply:?}")));
-            }
-            let st = self.state_mut(name)?;
-            st.lock = None;
-            st.server_locked = false;
+            self.unlock(name)?;
         }
         Ok(())
     }
@@ -258,25 +195,16 @@ impl Session {
     /// pre-transaction content.
     pub(crate) fn rollback_segments(&mut self, segments: &[String]) -> Result<(), CoreError> {
         for name in segments {
-            let (id, new_blocks) = {
-                let st = self.state(name)?;
-                (st.id, st.new_blocks.clone())
-            };
+            let st = self.state_mut(name)?;
+            let (id, new_blocks) = (st.id, std::mem::take(&mut st.new_blocks));
+            st.freed.clear();
+            st.pending_free.clear();
             // Undo tracked writes from twins, then discard tx-allocated
             // blocks (their contents are gone with them).
             self.heap.restore_segment_twins(id);
             for serial in new_blocks {
-                let (bva, bend) = {
-                    let meta = self.heap.segment(id).block_by_serial(serial)?;
-                    (meta.va, meta.end())
-                };
-                self.heap.free_block(id, serial)?;
-                self.unresolved.retain(|&va, _| !(bva..bend).contains(&va));
+                self.drop_block(id, serial)?;
             }
-            let st = self.state_mut(name)?;
-            st.new_blocks.clear();
-            st.freed.clear();
-            st.pending_free.clear();
         }
         Ok(())
     }

@@ -2,10 +2,12 @@
 //! server at the IP address corresponding to the segment's URL.
 //! Different segments may be managed by different servers." (§2.1)
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use iw_core::Session;
-use iw_proto::{Handler, Loopback};
+use iw_core::{CoreError, Session};
+use iw_proto::msg::{Reply, Request};
+use iw_proto::{Handler, Loopback, ProtoError, Transport, TransportStats};
 use iw_server::Server;
 use iw_types::desc::TypeDesc;
 use iw_types::MachineArch;
@@ -149,7 +151,69 @@ fn traffic_counters_aggregate_and_reset() {
     s.wl_release(&hm).unwrap();
     s.wl_acquire(&ho).unwrap();
     s.wl_release(&ho).unwrap();
-    // Default-link stats exist; extra-link stats reset with the session.
+    // Both links count: two Hellos, two Opens, two Acquire/Release pairs.
+    assert_eq!(s.transport_stats().requests, 8);
     s.reset_transport_stats();
     assert_eq!(s.transport_stats().requests, 0);
+}
+
+#[test]
+fn add_server_links_report_into_the_session_registry() {
+    let (mut s, _m, _o) = dual_session();
+    let h = s.open_segment("other.net/seen").unwrap();
+    s.wl_acquire(&h).unwrap();
+    s.wl_release(&h).unwrap();
+    // Hello on each link, then Open, Acquire and Release on the second.
+    let snap = s.metrics_snapshot();
+    assert_eq!(snap.counter("proto.requests_total"), Some(5));
+    assert_eq!(snap.counter("proto.req.hello_total"), Some(2));
+}
+
+/// A loopback connection that fails like a dead TCP peer once its shared
+/// `dead` flag is raised.
+struct Killable {
+    inner: Loopback,
+    dead: Arc<AtomicBool>,
+}
+
+impl Transport for Killable {
+    fn request(&mut self, req: &Request) -> Result<Reply, ProtoError> {
+        if self.dead.load(Ordering::SeqCst) {
+            return Err(ProtoError::Channel("server is down".into()));
+        }
+        self.inner.request(req)
+    }
+
+    fn stats(&self) -> TransportStats {
+        self.inner.stats()
+    }
+
+    fn reset_stats(&mut self) {
+        self.inner.reset_stats();
+    }
+}
+
+#[test]
+fn plain_links_surface_channel_errors_and_never_fail_over() {
+    let dead = Arc::new(AtomicBool::new(false));
+    let killable = |srv: SharedHandler| {
+        Box::new(Killable {
+            inner: Loopback::new(srv),
+            dead: dead.clone(),
+        })
+    };
+    let mut s = Session::new(MachineArch::x86(), killable(handler())).unwrap();
+    s.add_server("other.net", killable(handler())).unwrap();
+    let on_default = s.open_segment("main.org/a").unwrap();
+    let on_added = s.open_segment("other.net/b").unwrap();
+    dead.store(true, Ordering::SeqCst);
+    for h in [&on_default, &on_added] {
+        match s.wl_acquire(h) {
+            Err(CoreError::Proto(ProtoError::Channel(_))) => {}
+            other => panic!("{}: want a channel error, got {other:?}", h.name()),
+        }
+    }
+    let snap = s.metrics_snapshot();
+    assert_eq!(snap.counter("client.failovers_total"), Some(0));
+    assert_eq!(snap.counter("client.reconnects_total"), Some(0));
 }

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use iw_core::{CoreError, Session};
+use iw_core::{CoreError, Session, TrackMode};
 use iw_proto::{Handler, Loopback};
 use iw_server::Server;
 use iw_types::desc::TypeDesc;
@@ -188,6 +188,43 @@ fn empty_transaction_commits_cleanly() {
     s.tx_begin().unwrap();
     s.tx_commit().unwrap();
     assert!(!s.in_tx());
+}
+
+#[test]
+fn commits_count_no_diff_transitions_like_releases() {
+    // Fully dirty tenures move a segment into no-diff mode whether they
+    // end in wl_release or tx_commit; both must count the transition.
+    let srv = server();
+    for via_tx in [false, true] {
+        let mut s = session(&srv);
+        let h = s.open_segment(&format!("tx/nodiff-{via_tx}")).unwrap();
+        s.wl_acquire(&h).unwrap();
+        let arr = s.malloc(&h, &TypeDesc::int32(), 64, Some("arr")).unwrap();
+        s.wl_release(&h).unwrap();
+        for round in 1..=3 {
+            if via_tx {
+                s.tx_begin().unwrap();
+            }
+            s.wl_acquire(&h).unwrap();
+            for i in 0..64 {
+                let v = round * 1_000 + i as i32;
+                s.write_i32(&s.index(&arr, i).unwrap(), v).unwrap();
+            }
+            if via_tx {
+                s.tx_commit().unwrap();
+            } else {
+                s.wl_release(&h).unwrap();
+            }
+        }
+        assert!(matches!(
+            s.tracking_mode(&h).unwrap(),
+            TrackMode::NoDiff { .. }
+        ));
+        let transitions = s
+            .metrics_snapshot()
+            .counter("client.no_diff.transitions_total");
+        assert_eq!(transitions, Some(1), "via_tx = {via_tx}");
+    }
 }
 
 #[test]

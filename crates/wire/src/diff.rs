@@ -178,6 +178,15 @@ impl PartialEq for SegmentDiff {
 }
 
 impl SegmentDiff {
+    /// Whether the diff changes nothing: no new types, no new blocks, no
+    /// modified blocks and no frees. A writer ships no diff for it.
+    pub fn is_empty(&self) -> bool {
+        self.new_types.is_empty()
+            && self.new_blocks.is_empty()
+            && self.block_diffs.is_empty()
+            && self.freed.is_empty()
+    }
+
     /// Total wire payload size in bytes: run data plus new-block images.
     /// This is the quantity the bandwidth experiments report.
     pub fn payload_len(&self) -> usize {
