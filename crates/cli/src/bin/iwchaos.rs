@@ -20,7 +20,10 @@
 //!    image the primary held at soak end;
 //! 2. the process-kill harness: a real `iwsrv --data-dir` child is
 //!    SIGKILLed mid-commit at a seeded point, restarted, and its
-//!    recovered segment byte-compared against a fault-free oracle.
+//!    recovered segment byte-compared against a fault-free oracle —
+//!    once with iwsrv's default checkpoint interval and once with
+//!    `--checkpoint-every 1`, so the kill can land inside an image-slot
+//!    write.
 //!
 //! With `--replica-reads`, the replica-read soak runs instead: one
 //! writer streams versions through the primary while reader sessions
@@ -72,29 +75,33 @@ fn run_recover(cfg: &SoakConfig, seed: u64) -> Result<bool, Box<dyn std::error::
     }
     drop(recovered);
 
-    // Check 2: SIGKILL a real iwsrv mid-commit and restart it.
+    // Check 2: SIGKILL a real iwsrv mid-commit and restart it, with
+    // the default image interval and with an image on every commit.
     let iwsrv = std::env::current_exe()?
         .parent()
         .map(|d| d.join("iwsrv"))
         .filter(|p| p.exists())
         .ok_or("iwsrv binary not found next to iwchaos (build the workspace first)")?;
-    let kill_cfg = KillConfig {
-        seed,
-        rounds: 200,
-        iwsrv,
-        data_dir: scratch.join("kill"),
-    };
-    let kr = run_kill_restart(&kill_cfg)?;
-    for f in &kr.failures {
-        eprintln!("iwchaos: FAIL (kill/restart) {f}");
-        ok = false;
-    }
-    if kr.passed() {
-        println!(
-            "iwchaos: SIGKILL mid-commit at ack {} → recovered v{} byte-identical \
-             ({} records replayed)",
-            kr.acked, kr.recovered_version, kr.replayed_records
-        );
+    for checkpoint_every in [8, 1] {
+        let kill_cfg = KillConfig {
+            seed,
+            rounds: 200,
+            iwsrv: iwsrv.clone(),
+            checkpoint_every,
+            data_dir: scratch.join(format!("kill-ck{checkpoint_every}")),
+        };
+        let kr = run_kill_restart(&kill_cfg)?;
+        for f in &kr.failures {
+            eprintln!("iwchaos: FAIL (kill/restart, checkpoint every {checkpoint_every}) {f}");
+            ok = false;
+        }
+        if kr.passed() {
+            println!(
+                "iwchaos: SIGKILL mid-commit (checkpoint every {checkpoint_every}) at ack {} \
+                 → recovered v{} byte-identical ({} records replayed)",
+                kr.acked, kr.recovered_version, kr.replayed_records
+            );
+        }
     }
     if ok {
         let _ = std::fs::remove_dir_all(&scratch);

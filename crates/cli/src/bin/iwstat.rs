@@ -8,7 +8,9 @@
 //! request, and renders the server's metrics snapshot: human-readable
 //! text by default, JSON with `--json`, Prometheus text exposition with
 //! `--prom`. `--filter` keeps only metrics whose name starts with the
-//! given prefix (e.g. `server.lock.`).
+//! given prefix (e.g. `server.lock.`). The text view ends with derived
+//! lines: wire compaction and, for a `--data-dir` server, what one
+//! checkpoint image costs (`durable.checkpoint_us`).
 //!
 //! `--probe` additionally drives a small writer/reader workload against
 //! the server from this process and merges the client library's own
@@ -130,6 +132,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         print!("{}", snapshot.render_text());
         print_wire_summary(&snapshot);
+        print_durable_summary(&snapshot);
     }
     Ok(())
 }
@@ -161,4 +164,20 @@ fn print_wire_summary(s: &Snapshot) {
             100.0 * hits as f64 / (hits + misses) as f64
         );
     }
+}
+
+/// Derived durability line for the human-readable view: what one
+/// checkpoint image costs (its in-place slot write plus `fdatasync`,
+/// taken under the segment's write lock) next to one WAL fsync.
+fn print_durable_summary(s: &Snapshot) {
+    let Some(ck) = s.histogram("durable.checkpoint_us").filter(|h| h.count > 0) else {
+        return;
+    };
+    let fsync = s.histogram("durable.fsync_us").map_or(0, |h| h.mean());
+    println!(
+        "# durable: {} checkpoint images, mean {} us each (slot write + fdatasync); \
+         WAL fsync mean {fsync} us",
+        ck.count,
+        ck.mean()
+    );
 }

@@ -155,3 +155,56 @@ fn probe_mode_surfaces_client_iso_counters() {
         "{prom}"
     );
 }
+
+#[test]
+fn checkpoint_cost_visible_through_iwstat() {
+    let dir = std::env::temp_dir().join(format!("iwstat-ck-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let srv = spawn_iwsrv(&[
+        "--data-dir",
+        dir.to_str().unwrap(),
+        "--checkpoint-every",
+        "1",
+    ]);
+    let ty = idl::compile("struct pt { int x; int y; };")
+        .unwrap()
+        .get("pt")
+        .unwrap()
+        .clone();
+    let mut w = connect(srv.addr);
+    let h = w.open_segment("stats/ck").unwrap();
+    w.wl_acquire(&h).unwrap();
+    let blk = w.malloc(&h, &ty, 8, Some("pts")).unwrap();
+    w.wl_release(&h).unwrap();
+    for round in 0..3 {
+        w.wl_acquire(&h).unwrap();
+        let f = w.index(&blk, round as u32).unwrap();
+        w.write_i32(&w.field(&f, "x").unwrap(), round + 1).unwrap();
+        w.wl_release(&h).unwrap();
+    }
+
+    // One image per version, each timed from slot write to fdatasync.
+    let json = iwstat(srv.addr, &["--json", "--filter", "durable."]);
+    let key = "\"durable.checkpoint_us\":{\"count\":";
+    let at = json
+        .find(key)
+        .unwrap_or_else(|| panic!("no histogram: {json}"));
+    let count: u64 = json[at + key.len()..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect::<String>()
+        .parse()
+        .unwrap();
+    assert_eq!(count, 4, "{json}");
+    assert_eq!(json_counter(&json, "durable.checkpoints_written_total"), 4);
+    let text = iwstat(srv.addr, &[]);
+    assert!(
+        text.contains("# durable: 4 checkpoint images, mean "),
+        "{text}"
+    );
+    // Two slot files hold the segment's images, however many were taken.
+    let slots = std::fs::read_dir(dir.join("ck")).unwrap().count();
+    assert_eq!(slots, 2);
+    drop(srv);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -16,17 +16,21 @@
 //! - **Incremental checkpoints.** Per segment, every
 //!   [`DurableOptions::checkpoint_interval`] versions the server writes
 //!   a full image (the existing checkpoint codec — unchanged) into the
-//!   store's `ck/` directory. A checkpoint makes every older log record
-//!   for that segment dead weight.
+//!   store's `ck/` directory. Each segment owns two slot files there;
+//!   an image overwrites, in place, the slot that does not hold the
+//!   newest durable image, then one `fdatasync` makes it durable. A
+//!   crash mid-write tears only that slot, and the other one still
+//!   holds the previous image. A checkpoint makes every older log
+//!   record for that segment dead weight.
 //! - **Compaction.** When the live log exceeds
 //!   [`DurableOptions::compact_threshold_bytes`], the log is rotated and
 //!   every segment's outstanding diff chain is folded into a fresh
 //!   checkpoint image; the rotated files are then deleted. Recovery
 //!   afterwards reads only the newest images plus the (short) new tail.
-//! - **Recovery.** On restart the store loads the newest checkpoint per
-//!   segment and replays the log tail in append order. A torn tail
-//!   (crash mid-append) is truncated, not fatal; a CRC mismatch stops
-//!   the scan at the last good record, loudly.
+//! - **Recovery.** On restart the store loads the newest CRC-valid
+//!   checkpoint per segment and replays the log tail in append order. A
+//!   torn tail (crash mid-append) is truncated, not fatal; a CRC
+//!   mismatch stops the scan at the last good record, loudly.
 //!
 //! The store is deliberately ignorant of server internals: checkpoint
 //! images and diff payloads are opaque bytes plus the version metadata
@@ -110,6 +114,9 @@ pub(crate) struct Metrics {
     pub fsync_us: Arc<Histogram>,
     /// `durable.checkpoints_written_total` — checkpoint images written.
     pub checkpoints_written: Arc<Counter>,
+    /// `durable.checkpoint_us` — wall time of one image's in-place
+    /// write plus its `fdatasync`.
+    pub checkpoint_us: Arc<Histogram>,
     /// `durable.compactions_total` — completed log compactions.
     pub compactions: Arc<Counter>,
     /// `durable.recovery_replayed_records` — diff records replayed by
@@ -131,6 +138,7 @@ impl Metrics {
             fsyncs: registry.counter("durable.fsyncs_total"),
             fsync_us: registry.histogram_us("durable.fsync_us"),
             checkpoints_written: registry.counter("durable.checkpoints_written_total"),
+            checkpoint_us: registry.histogram_us("durable.checkpoint_us"),
             compactions: registry.counter("durable.compactions_total"),
             recovery_replayed: registry.counter("durable.recovery_replayed_records"),
             errors: registry.counter("durable.errors_total"),

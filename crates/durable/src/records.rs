@@ -4,11 +4,12 @@
 //! this module gives the kinds meaning:
 //!
 //! - **Diff** (`kind = 1`): a committed [`SegmentDiff`] for one segment —
-//!   the workhorse record, one per acknowledged release.
+//!   the only record the store writes, one per acknowledged release
+//!   ([`encode_diff_frame`]).
 //! - **Checkpoint** (`kind = 2`): a marker that segment X's image at
-//!   version V was durably written to the `ck/` directory. Recovery does
-//!   not depend on markers (it trusts the checkpoint files themselves);
-//!   they exist so a log is self-describing when inspected offline.
+//!   version V was written to the `ck/` directory. Read-only: recovery
+//!   trusts the image files themselves, so the store never writes one;
+//!   older logs that carry it still decode and replay.
 //!
 //! Checkpoint **files** carry their own envelope (`IWDC` magic, version,
 //! CRC) around the server's opaque segment image, so recovery can order
@@ -16,12 +17,13 @@
 
 use bytes::Bytes;
 use iw_wire::codec::{WireError, WireReader, WireWriter};
-use iw_wire::wal::{crc32, encode_frame};
+use iw_wire::wal::{crc32, crc32_continue, encode_frame};
 use iw_wire::SegmentDiff;
 
 /// Record kind: one committed segment diff.
 pub const KIND_DIFF: u8 = 1;
-/// Record kind: checkpoint-written marker (informational).
+/// Record kind: checkpoint-written marker (read-only: decoded from
+/// older logs, never written).
 pub const KIND_CHECKPOINT: u8 = 2;
 
 /// Magic prefixing every durable checkpoint file.
@@ -39,7 +41,8 @@ pub enum LogRecord {
         /// The committed wire diff.
         diff: SegmentDiff,
     },
-    /// Segment `segment`'s image at `version` was checkpointed.
+    /// Segment `segment`'s image at `version` was checkpointed (decoded
+    /// from older logs; the store never writes it).
     Checkpoint {
         /// Segment name.
         segment: String,
@@ -48,27 +51,18 @@ pub enum LogRecord {
     },
 }
 
-impl LogRecord {
-    /// Frames this record (header + CRC + kind + body) ready to append.
-    pub fn encode_frame(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        let kind = match self {
-            LogRecord::Diff { segment, diff } => {
-                w.put_str(segment);
-                // The link format; old logs (v1 bodies) keep replaying
-                // through the same auto-detecting decode.
-                w.put_bytes(&diff.encode());
-                KIND_DIFF
-            }
-            LogRecord::Checkpoint { segment, version } => {
-                w.put_str(segment);
-                w.put_u64(*version);
-                KIND_CHECKPOINT
-            }
-        };
-        encode_frame(kind, &w.finish())
-    }
+/// Frames one committed diff of `segment` (header + CRC + kind + body)
+/// ready to append. The body is the link format; old logs (v1 bodies)
+/// keep replaying through the same auto-detecting decode.
+pub fn encode_diff_frame(segment: &str, diff: &SegmentDiff) -> Vec<u8> {
+    let encoded = diff.encode();
+    let mut w = WireWriter::with_capacity(4 + segment.len() + encoded.len());
+    w.put_str(segment);
+    w.put_bytes(&encoded);
+    encode_frame(KIND_DIFF, &w.finish())
+}
 
+impl LogRecord {
     /// Decodes a record from a frame's kind byte and body.
     ///
     /// # Errors
@@ -100,19 +94,24 @@ impl LogRecord {
 /// Wraps an opaque segment image in the checkpoint-file envelope: magic,
 /// format, then a CRC-protected payload of segment name, captured
 /// version, and the image bytes. The segment name travels *inside* the
-/// file (the escaped file name is a write-only convenience), so recovery
-/// never needs to reverse the escaping.
+/// file (recovery only checks a file's name against the escaped name of
+/// the segment inside it, to tell which slot it is), so recovery never
+/// needs to reverse the escaping.
 pub fn encode_checkpoint_file(segment: &str, version: u64, image: &[u8]) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(4 + 4 + 4 + 4 + segment.len() + 8 + 4 + image.len());
+    // The payload is `head` then the image; its CRC is computed over the
+    // two parts so the image is copied once, into `out`.
+    let mut w = WireWriter::with_capacity(4 + segment.len() + 8 + 4);
     w.put_str(segment);
     w.put_u64(version);
-    w.put_len_bytes(image);
-    let payload = w.finish();
-    let mut out = Vec::with_capacity(12 + payload.len());
+    w.put_u32(image.len() as u32);
+    let head = w.finish();
+    let crc = crc32_continue(crc32(&head), image);
+    let mut out = Vec::with_capacity(12 + head.len() + image.len());
     out.extend_from_slice(CK_MAGIC);
     out.extend_from_slice(&CK_FORMAT.to_be_bytes());
-    out.extend_from_slice(&crc32(&payload).to_be_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&crc.to_be_bytes());
+    out.extend_from_slice(&head);
+    out.extend_from_slice(image);
     out
 }
 
@@ -176,24 +175,29 @@ mod tests {
 
     #[test]
     fn diff_record_roundtrips_through_framing() {
+        let frame = encode_diff_frame("org/seg", &sample_diff(4, 5));
+        let mut r = FrameReader::new(&frame);
+        let f = r.next().unwrap();
         let rec = LogRecord::Diff {
             segment: "org/seg".into(),
             diff: sample_diff(4, 5),
         };
-        let frame = rec.encode_frame();
-        let mut r = FrameReader::new(&frame);
-        let f = r.next().unwrap();
         assert_eq!(LogRecord::decode(f.kind, f.body).unwrap(), rec);
         assert_eq!(r.defect(), None);
     }
 
+    /// Markers are no longer written, but a log that holds one (written
+    /// before that) still decodes.
     #[test]
     fn checkpoint_record_roundtrips() {
         let rec = LogRecord::Checkpoint {
             segment: "a/b".into(),
             version: 77,
         };
-        let frame = rec.encode_frame();
+        let mut w = WireWriter::new();
+        w.put_str("a/b");
+        w.put_u64(77);
+        let frame = encode_frame(KIND_CHECKPOINT, &w.finish());
         let mut r = FrameReader::new(&frame);
         let f = r.next().unwrap();
         assert_eq!(LogRecord::decode(f.kind, f.body).unwrap(), rec);
@@ -245,11 +249,8 @@ mod tests {
             ..Default::default()
         };
         for (name, diff) in [("sparse", &sparse), ("bulky", &bulky)] {
-            let rec = LogRecord::Diff {
-                segment: "org/seg".into(),
-                diff: diff.clone(),
-            };
-            let now = rec.encode_frame().len();
+            let frame = encode_diff_frame("org/seg", diff);
+            let now = frame.len();
             let v1 = v1_frame("org/seg", diff);
             println!("wal {name}: v1 body {v1} B, current {now} B");
             assert!(
@@ -257,9 +258,12 @@ mod tests {
                 "{name}: WAL record must halve: v1 {v1} B vs current {now} B"
             );
             // And it still replays.
-            let frame = rec.encode_frame();
             let mut r = FrameReader::new(&frame);
             let f = r.next().unwrap();
+            let rec = LogRecord::Diff {
+                segment: "org/seg".into(),
+                diff: diff.clone(),
+            };
             assert_eq!(LogRecord::decode(f.kind, f.body).unwrap(), rec);
         }
     }
@@ -270,6 +274,24 @@ mod tests {
             LogRecord::decode(0x7F, b""),
             Err(WireError::BadTag { tag: 0x7F, .. })
         ));
+    }
+
+    /// The envelope is byte-identical to one built the obvious way:
+    /// one payload buffer, one CRC over all of it.
+    #[test]
+    fn checkpoint_file_bytes_match_the_one_buffer_encoding() {
+        let image: Vec<u8> = (0..5000u32).map(|i| (i * 7) as u8).collect();
+        let mut w = WireWriter::new();
+        w.put_str("org/seg");
+        w.put_u64(42);
+        w.put_len_bytes(&image);
+        let payload = w.finish();
+        let mut want = Vec::new();
+        want.extend_from_slice(CK_MAGIC);
+        want.extend_from_slice(&CK_FORMAT.to_be_bytes());
+        want.extend_from_slice(&crc32(&payload).to_be_bytes());
+        want.extend_from_slice(&payload);
+        assert_eq!(encode_checkpoint_file("org/seg", 42, &image), want);
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! On-disk layout under the data directory:
 //!
 //! ```text
-//! <dir>/wal-<seq>.iwlog   append-only log files, 16-byte header
-//!                          ("IWAL", format, file sequence number),
-//!                          then CRC-framed records
-//! <dir>/ck/<segment>.iwck  newest checkpoint image per segment
-//!                          (records.rs envelope; tmp+rename writes)
+//! <dir>/wal-<seq>.iwlog      append-only log files, 16-byte header
+//!                             ("IWAL", format, file sequence number),
+//!                             then CRC-framed records
+//! <dir>/ck/<segment>.iwck.0  the segment's two checkpoint-image slots
+//! <dir>/ck/<segment>.iwck.1   (records.rs envelope, overwritten in place)
+//! <dir>/ck/<segment>.iwck    legacy single image: read, never written
 //! ```
 //!
 //! Exactly one log file is *active*; the rest exist only between a
@@ -18,6 +19,17 @@
 //! compaction protocol — rotate, checkpoint each segment, delete old
 //! files — leaves a recoverable store: the rotate happens first, so a
 //! checkpoint image never describes state newer than a deleted record.
+//!
+//! **Image slots.** An image overwrites, in place, the slot that does
+//! *not* hold the segment's newest durable image, then `fdatasync`s it;
+//! only after that sync succeeds does the slot count as newest. So the
+//! newest durable image is never the one being written: a crash mid-write
+//! tears the other slot, which fails its CRC, and recovery takes the
+//! newest CRC-valid image plus the log records after it — records a
+//! compaction deletes only after every segment has a newer durable image
+//! and the `ck/` directory entries are synced. The slot state is seeded
+//! at open from the images recovery read, so the first image after a
+//! restart does not overwrite the newest one either.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -32,7 +44,9 @@ use iw_telemetry::Registry;
 use iw_wire::wal::{FrameDefect, FrameReader};
 use iw_wire::SegmentDiff;
 
-use crate::records::{decode_checkpoint_file, encode_checkpoint_file, LogRecord};
+use crate::records::{
+    decode_checkpoint_file, encode_checkpoint_file, encode_diff_frame, LogRecord,
+};
 use crate::{DurableOptions, Metrics};
 
 /// Magic prefixing every log file.
@@ -46,11 +60,14 @@ fn log_file_name(seq: u64) -> String {
     format!("wal-{seq:016x}.iwlog")
 }
 
-/// Same escaping scheme as the server's checkpoint codec. Write-only:
-/// recovery reads the segment name from inside the file, never from the
-/// file name.
-fn ck_file_name(segment: &str) -> String {
-    let mut out = String::with_capacity(segment.len() + 5);
+/// Name of `segment`'s image slot `slot` (0 or 1), with the same
+/// escaping as the server's checkpoint codec. Recovery reads the segment
+/// name from inside the file and uses this only to tell which slot a
+/// file is. The `.iwck.<slot>` suffix never ends in `.iwck`, so a slot
+/// cannot collide with a legacy `<segment>.iwck` image of a segment
+/// named `<other>.0`.
+fn slot_file_name(segment: &str, slot: usize) -> String {
+    let mut out = String::with_capacity(segment.len() + 7);
     for c in segment.chars() {
         match c {
             '/' => out.push_str("%2F"),
@@ -58,14 +75,14 @@ fn ck_file_name(segment: &str) -> String {
             c => out.push(c),
         }
     }
-    out.push_str(".iwck");
+    out.push_str(if slot == 0 { ".iwck.0" } else { ".iwck.1" });
     out
 }
 
-/// Best-effort directory fsync so renames and creations survive power
-/// loss. Opening a directory read-only works on unix; elsewhere (and on
-/// exotic filesystems) failure is ignored — the data-file fsyncs still
-/// hold.
+/// Best-effort directory fsync so file creations and deletions survive
+/// power loss. Opening a directory read-only works on unix; elsewhere
+/// (and on exotic filesystems) failure is ignored — the data-file
+/// fsyncs still hold.
 fn sync_dir(dir: &Path) {
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
@@ -140,6 +157,9 @@ pub struct DiffStore {
     log: Mutex<ActiveLog>,
     sync_cv: Condvar,
     compacting: AtomicBool,
+    /// Per segment, the slot (0 or 1) holding its newest durable image;
+    /// absent when no slot does yet (the next image goes to slot 0).
+    newest_slot: Mutex<HashMap<String, usize>>,
     metrics: Metrics,
 }
 
@@ -181,7 +201,11 @@ impl DiffStore {
         let checkpoints = read_checkpoints(&ck_dir, &mut recovery.warnings);
         let logs = list_logs(&dir)?;
         let mut chains: HashMap<String, SegmentRecovery> = HashMap::new();
-        for (name, (version, image)) in checkpoints {
+        let mut newest_slot = HashMap::new();
+        for (name, (version, image, slot)) in checkpoints {
+            if let Some(slot) = slot {
+                newest_slot.insert(name.clone(), slot);
+            }
             chains.insert(
                 name.clone(),
                 SegmentRecovery {
@@ -242,6 +266,7 @@ impl DiffStore {
             }),
             sync_cv: Condvar::new(),
             compacting: AtomicBool::new(false),
+            newest_slot: Mutex::new(newest_slot),
             metrics,
         };
         store
@@ -266,23 +291,14 @@ impl DiffStore {
     /// The append's own write error, or — for the leader — the fsync
     /// error. A follower whose leader fails retries the sync itself.
     pub fn append_diff(&self, segment: &str, diff: &SegmentDiff) -> io::Result<()> {
-        let frame = LogRecord::Diff {
-            segment: segment.to_string(),
-            diff: diff.clone(),
-        }
-        .encode_frame();
-        self.append_frame(&frame)
-    }
-
-    fn append_frame(&self, frame: &[u8]) -> io::Result<()> {
-        let r = self.append_frame_inner(frame);
+        let r = self.append_frame(&encode_diff_frame(segment, diff));
         if r.is_err() {
             self.metrics.errors.inc();
         }
         r
     }
 
-    fn append_frame_inner(&self, frame: &[u8]) -> io::Result<()> {
+    fn append_frame(&self, frame: &[u8]) -> io::Result<()> {
         let mut g = self.log.lock().expect("wal lock");
         g.file.write_all(frame)?;
         g.bytes += frame.len() as u64;
@@ -330,14 +346,15 @@ impl DiffStore {
         }
     }
 
-    /// Writes segment `segment`'s image at `version` as the newest
-    /// checkpoint file (tmp + rename, fsynced), then logs an
-    /// informational marker record.
+    /// Writes segment `segment`'s image at `version` over the slot that
+    /// does not hold its newest durable image, `fdatasync`s it, and only
+    /// then makes that slot the newest. Images of one segment must not be
+    /// written concurrently (the server holds the segment's write lock).
     ///
     /// # Errors
     ///
-    /// Any I/O failure along the way; the previous checkpoint file (if
-    /// any) is still intact in that case.
+    /// Any I/O failure along the way; the newest durable image is intact
+    /// in that case, and the next image retries the same slot.
     pub fn write_checkpoint(&self, segment: &str, version: u64, image: &[u8]) -> io::Result<()> {
         let r = self.write_checkpoint_inner(segment, version, image);
         if r.is_err() {
@@ -347,24 +364,29 @@ impl DiffStore {
     }
 
     fn write_checkpoint_inner(&self, segment: &str, version: u64, image: &[u8]) -> io::Result<()> {
-        let name = ck_file_name(segment);
-        let path = self.ck_dir.join(&name);
-        let tmp = self.ck_dir.join(format!("{name}.tmp"));
+        let slot = match self.newest_slot.lock().expect("slot lock").get(segment) {
+            Some(&newest) => 1 - newest,
+            None => 0,
+        };
         let bytes = encode_checkpoint_file(segment, version, image);
-        let mut f = File::create(&tmp)?;
+        let t = Instant::now();
+        let mut f = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(self.ck_dir.join(slot_file_name(segment, slot)))?;
         f.write_all(&bytes)?;
+        if f.metadata()?.len() != bytes.len() as u64 {
+            f.set_len(bytes.len() as u64)?;
+        }
         f.sync_data()?;
-        drop(f);
-        fs::rename(&tmp, &path)?;
-        sync_dir(&self.ck_dir);
+        self.metrics.checkpoint_us.record_duration(t.elapsed());
+        self.newest_slot
+            .lock()
+            .expect("slot lock")
+            .insert(segment.to_string(), slot);
         self.metrics.checkpoints_written.inc();
-        self.append_frame(
-            &LogRecord::Checkpoint {
-                segment: segment.to_string(),
-                version,
-            }
-            .encode_frame(),
-        )
+        Ok(())
     }
 
     /// Live log bytes: active file plus rotated-but-undeleted files.
@@ -445,14 +467,16 @@ impl DiffStore {
     /// pass costs disk space, never correctness.
     pub fn finish_compaction(&self, success: bool) {
         if success {
-            let (files, freed) = {
+            // A segment's first image created its slot file: make those
+            // directory entries durable before the records they replace
+            // are deleted.
+            sync_dir(&self.ck_dir);
+            let files = {
                 let mut g = self.log.lock().expect("wal lock");
-                let files = std::mem::take(&mut g.old_files);
-                let freed = std::mem::take(&mut g.old_bytes);
+                g.old_bytes = 0;
                 self.metrics.log_bytes.set(g.bytes as i64);
-                (files, freed)
+                std::mem::take(&mut g.old_files)
             };
-            let _ = freed;
             for f in files {
                 let _ = fs::remove_file(f);
             }
@@ -463,23 +487,31 @@ impl DiffStore {
     }
 }
 
-/// Reads every `.iwck` file, keeping the newest image per segment (the
-/// file name is deterministic so duplicates only arise from manual
-/// copies; higher version wins).
-fn read_checkpoints(ck_dir: &Path, warnings: &mut Vec<String>) -> HashMap<String, (u64, Bytes)> {
-    let mut out: HashMap<String, (u64, Bytes)> = HashMap::new();
+/// The newest CRC-valid image of one segment: `(version, image, slot)`,
+/// where `slot` is `None` for a file that is not one of the segment's
+/// own slots (a legacy `.iwck` image).
+type NewestImage = (u64, Bytes, Option<usize>);
+
+/// Reads every image slot and legacy `.iwck` file, keeping the newest
+/// CRC-valid image per segment (higher version wins; a torn slot fails
+/// its CRC and is reported as a warning).
+fn read_checkpoints(ck_dir: &Path, warnings: &mut Vec<String>) -> HashMap<String, NewestImage> {
+    let mut out: HashMap<String, NewestImage> = HashMap::new();
     let entries = match fs::read_dir(ck_dir) {
         Ok(e) => e,
         Err(_) => return out,
     };
     for entry in entries.flatten() {
         let path = entry.path();
-        let is_ck = path
-            .extension()
-            .is_some_and(|e| e.eq_ignore_ascii_case("iwck"));
-        if !is_ck {
+        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             continue;
-        }
+        };
+        let slot = match name.rsplit_once('.') {
+            Some((base, "0")) if base.ends_with(".iwck") => Some(0),
+            Some((base, "1")) if base.ends_with(".iwck") => Some(1),
+            Some((_, ext)) if ext.eq_ignore_ascii_case("iwck") => None,
+            _ => continue,
+        };
         let bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(e) => {
@@ -489,9 +521,12 @@ fn read_checkpoints(ck_dir: &Path, warnings: &mut Vec<String>) -> HashMap<String
         };
         match decode_checkpoint_file(&bytes) {
             Ok((segment, version, image)) => {
-                let slot = out.entry(segment).or_insert((0, Bytes::new()));
-                if version >= slot.0 {
-                    *slot = (version, image);
+                // A slot file counts as a slot only under its own
+                // segment's name (a manual copy is read like a legacy file).
+                let slot = slot.filter(|&n| name == slot_file_name(&segment, n));
+                let newest = out.entry(segment).or_insert((0, Bytes::new(), None));
+                if version >= newest.0 {
+                    *newest = (version, image, slot);
                 }
             }
             Err(e) => warnings.push(format!("{}: bad checkpoint: {e}", path.display())),
@@ -580,7 +615,7 @@ fn scan_log(
             }
         };
         let LogRecord::Diff { segment, diff } = record else {
-            continue; // checkpoint markers are informational
+            continue; // a checkpoint marker (older logs) has nothing to replay
         };
         let chain = chains
             .entry(segment.clone())
@@ -768,12 +803,7 @@ mod tests {
         let log = list_logs(&dir).unwrap().pop().unwrap().1;
         let mut bytes = fs::read(&log).unwrap();
         // Flip a bit in the middle record's body.
-        let frame_len = LogRecord::Diff {
-            segment: "s".into(),
-            diff: diff(0, vec![]),
-        }
-        .encode_frame()
-        .len();
+        let frame_len = encode_diff_frame("s", &diff(0, vec![])).len();
         bytes[LOG_HEADER_LEN + frame_len + 12] ^= 0x10;
         fs::write(&log, &bytes).unwrap();
         let (_store, rec) = DiffStore::open(&dir, opts(), &registry()).unwrap();
@@ -922,5 +952,195 @@ mod tests {
         assert!(rec.warnings.is_empty(), "{:?}", rec.warnings);
         assert_eq!(rec.segments[0].name, "org/app%2/seg");
         assert_eq!(rec.segments[0].checkpoint.as_ref().unwrap().0, 9);
+    }
+
+    /// An image whose length depends on its version, so consecutive
+    /// images of a slot differ in size.
+    fn image(v: u64) -> Vec<u8> {
+        format!("image@{v};")
+            .repeat(20 + (v % 3) as usize * 15)
+            .into_bytes()
+    }
+
+    fn slot_path(dir: &Path, segment: &str, slot: usize) -> PathBuf {
+        dir.join("ck").join(slot_file_name(segment, slot))
+    }
+
+    fn slot_version(dir: &Path, segment: &str, slot: usize) -> u64 {
+        let bytes = fs::read(slot_path(dir, segment, slot)).unwrap();
+        decode_checkpoint_file(&bytes).unwrap().1
+    }
+
+    /// A crash mid-image leaves the slot being written torn: its first
+    /// bytes new, the rest whatever the slot held before. Recovery must
+    /// take the other slot plus the log after it, before and right after
+    /// a compaction (whose rotated logs are gone by then).
+    #[test]
+    fn torn_slot_recovers_from_the_other_slot_plus_the_log() {
+        for compact in [false, true] {
+            for k in 0..5 {
+                let dir = temp_dir("tear");
+                let (store, _) = DiffStore::open(&dir, opts(), &registry()).unwrap();
+                let append = |range: std::ops::Range<u64>| {
+                    for v in range {
+                        store.append_diff("s", &diff(v, vec![v as u32])).unwrap();
+                    }
+                };
+                append(0..4);
+                store.write_checkpoint("s", 4, &image(4)).unwrap(); // slot 0
+                append(4..8);
+                store.write_checkpoint("s", 8, &image(8)).unwrap(); // slot 1
+                let mut base = 8;
+                if compact {
+                    assert!(store.begin_compaction().unwrap());
+                    append(8..10);
+                    store.write_checkpoint("s", 10, &image(10)).unwrap(); // slot 0
+                    store.finish_compaction(true);
+                    base = 10;
+                }
+                let torn_slot = if compact { 1 } else { 0 };
+                append(base..base + 3);
+                let end = base + 3;
+                let old = fs::read(slot_path(&dir, "s", torn_slot)).unwrap();
+                store.write_checkpoint("s", end, &image(end)).unwrap();
+                drop(store);
+                let new = fs::read(slot_path(&dir, "s", torn_slot)).unwrap();
+                let cut = [1, 10, 30, new.len() / 2, new.len() - 1][k];
+                let mut torn = old.clone();
+                torn.resize(old.len().max(cut), 0);
+                torn[..cut].copy_from_slice(&new[..cut]);
+                fs::write(slot_path(&dir, "s", torn_slot), &torn).unwrap();
+
+                let (_store, rec) = DiffStore::open(&dir, opts(), &registry()).unwrap();
+                let s = &rec.segments[0];
+                let ctx = format!("compact {compact}, cut {cut}");
+                assert_eq!(
+                    s.checkpoint,
+                    Some((base, Bytes::from(image(base)))),
+                    "{ctx}"
+                );
+                let want: Vec<SegmentDiff> = (base..end).map(|v| diff(v, vec![v as u32])).collect();
+                assert_eq!(s.tail, want, "{ctx}");
+                // A cut inside the unchanged magic leaves the old image
+                // intact; any other cut fails the CRC, loudly.
+                let warned = rec.warnings.iter().any(|w| w.contains("bad checkpoint"));
+                assert_eq!(warned, torn != old, "{ctx}: {:?}", rec.warnings);
+            }
+        }
+    }
+
+    /// The first image after a restart goes to the slot that does not
+    /// hold the newest image: the slot state survives the reopen.
+    #[test]
+    fn reopen_never_overwrites_the_newest_slot() {
+        let dir = temp_dir("reopen");
+        {
+            let (store, _) = DiffStore::open(&dir, opts(), &registry()).unwrap();
+            for v in [2, 4, 6] {
+                store.write_checkpoint("a/s", v, &image(v)).unwrap();
+            }
+        }
+        assert_eq!(slot_version(&dir, "a/s", 0), 6);
+        let newest = fs::read(slot_path(&dir, "a/s", 0)).unwrap();
+        let (store, rec) = DiffStore::open(&dir, opts(), &registry()).unwrap();
+        assert_eq!(rec.segments[0].recovered_version(), 6);
+        store.write_checkpoint("a/s", 8, &image(8)).unwrap();
+        assert_eq!(fs::read(slot_path(&dir, "a/s", 0)).unwrap(), newest);
+        assert_eq!(slot_version(&dir, "a/s", 1), 8);
+        // However many images, a segment owns exactly two files.
+        for v in 9..20 {
+            store.write_checkpoint("a/s", v, &image(v)).unwrap();
+        }
+        assert_eq!(fs::read_dir(dir.join("ck")).unwrap().count(), 2);
+        drop(store);
+        let (_store, rec) = DiffStore::open(&dir, opts(), &registry()).unwrap();
+        assert!(rec.warnings.is_empty(), "{:?}", rec.warnings);
+        assert_eq!(
+            rec.segments[0].checkpoint,
+            Some((19, Bytes::from(image(19))))
+        );
+    }
+
+    /// An image write that fails leaves the slot choice alone: the next
+    /// image goes to the same slot, never over the newest one.
+    #[test]
+    fn failed_image_write_keeps_the_slot_choice() {
+        let dir = temp_dir("fail");
+        let reg = registry();
+        let (store, _) = DiffStore::open(&dir, opts(), &reg).unwrap();
+        store.write_checkpoint("s", 2, &image(2)).unwrap(); // slot 0
+        store.write_checkpoint("s", 4, &image(4)).unwrap(); // slot 1, newest
+                                                            // Slot 0 cannot be opened for writing (a directory in its place
+                                                            // refuses even a privileged process, unlike a read-only mode).
+        let slot0 = slot_path(&dir, "s", 0);
+        fs::remove_file(&slot0).unwrap();
+        fs::create_dir(&slot0).unwrap();
+        assert!(store.write_checkpoint("s", 6, &image(6)).is_err());
+        assert_eq!(
+            reg.snapshot().counter("durable.errors_total"),
+            Some(1),
+            "a failed image is counted"
+        );
+        assert_eq!(slot_version(&dir, "s", 1), 4);
+        fs::remove_dir(&slot0).unwrap();
+        store.write_checkpoint("s", 8, &image(8)).unwrap();
+        assert_eq!(slot_version(&dir, "s", 0), 8);
+        assert_eq!(slot_version(&dir, "s", 1), 4);
+    }
+
+    /// A data dir written before image slots existed — one `<seg>.iwck`
+    /// image plus a `.tmp` the old write path left behind — recovers
+    /// byte-identically. New slot images win over it; it is never
+    /// written, not even by a segment whose slot name would have
+    /// collided with it under a `<seg>.0.iwck` scheme.
+    #[test]
+    fn legacy_image_and_stale_tmp_recover_byte_identically() {
+        let dir = temp_dir("legacy");
+        {
+            let (store, _) = DiffStore::open(&dir, opts(), &registry()).unwrap();
+            for v in 0..6 {
+                store.append_diff("x", &diff(v, vec![v as u32])).unwrap();
+            }
+        }
+        let ck = dir.join("ck");
+        let legacy = encode_checkpoint_file("x", 4, &image(4));
+        let other = encode_checkpoint_file("x.0", 7, &image(7));
+        fs::write(ck.join("x.iwck"), &legacy).unwrap();
+        fs::write(ck.join("x.iwck.tmp"), &legacy[..17]).unwrap();
+        fs::write(ck.join("x.0.iwck"), &other).unwrap();
+
+        let (store, rec) = DiffStore::open(&dir, opts(), &registry()).unwrap();
+        assert!(rec.warnings.is_empty(), "{:?}", rec.warnings);
+        let x = rec.segments.iter().find(|s| s.name == "x").unwrap();
+        assert_eq!(x.checkpoint, Some((4, Bytes::from(image(4)))));
+        let want: Vec<SegmentDiff> = (4..6).map(|v| diff(v, vec![v as u32])).collect();
+        assert_eq!(x.tail, want);
+        let x0 = rec.segments.iter().find(|s| s.name == "x.0").unwrap();
+        assert_eq!(x0.checkpoint, Some((7, Bytes::from(image(7)))));
+
+        store.write_checkpoint("x", 6, &image(6)).unwrap();
+        store.write_checkpoint("x", 6, &image(6)).unwrap();
+        drop(store);
+        assert_eq!(fs::read(ck.join("x.iwck")).unwrap(), legacy);
+        assert_eq!(fs::read(ck.join("x.0.iwck")).unwrap(), other);
+        let (_store, rec) = DiffStore::open(&dir, opts(), &registry()).unwrap();
+        assert!(rec.warnings.is_empty(), "{:?}", rec.warnings);
+        let x = rec.segments.iter().find(|s| s.name == "x").unwrap();
+        assert_eq!(x.checkpoint, Some((6, Bytes::from(image(6)))));
+        assert!(x.tail.is_empty());
+    }
+
+    /// No marker record follows an image: the log holds diffs only.
+    #[test]
+    fn images_append_nothing_to_the_log() {
+        let dir = temp_dir("nomarker");
+        let reg = registry();
+        let (store, _) = DiffStore::open(&dir, opts(), &reg).unwrap();
+        let before = store.log_bytes();
+        store.write_checkpoint("s", 3, &image(3)).unwrap();
+        assert_eq!(store.log_bytes(), before);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("durable.wal_appends_total"), Some(0));
+        assert_eq!(snap.histogram("durable.checkpoint_us").unwrap().count, 1);
     }
 }

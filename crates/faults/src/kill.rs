@@ -5,8 +5,10 @@
 //! This is the one fault class the in-process harness cannot inject —
 //! the process dying with its memory. The harness:
 //!
-//! 1. spawns `iwsrv --data-dir <tmp> --listen 127.0.0.1:0 --port-file …`
-//!    and learns the ephemeral port through the port file;
+//! 1. spawns `iwsrv --data-dir <tmp> --checkpoint-every N --listen
+//!    127.0.0.1:0 --port-file …` and learns the ephemeral port through
+//!    the port file (with `N = 1` every commit also writes a checkpoint
+//!    image, so the kill can land inside an image-slot write);
 //! 2. runs a synchronous writer over real TCP: round `r` commits the
 //!    deterministic diff `r → r+1` (round 0 allocates one `int64` block,
 //!    later rounds overwrite it with `r`), counting acknowledged rounds;
@@ -27,7 +29,8 @@
 //! - *byte-identical state*: the full-transfer update a fresh client
 //!   receives from the recovered server equals, byte for byte on the
 //!   wire, the one produced by a fault-free in-process server fed
-//!   exactly `V` rounds.
+//!   exactly `V` rounds;
+//! - *bounded images*: `ck/` holds at most the segment's two image slots.
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -58,6 +61,9 @@ pub struct KillConfig {
     pub rounds: u64,
     /// Path to the `iwsrv` binary.
     pub iwsrv: PathBuf,
+    /// `iwsrv --checkpoint-every`: versions between checkpoint images
+    /// (8 is iwsrv's default; 1 images every commit).
+    pub checkpoint_every: u64,
     /// Data directory for the victim server (created; removed on a
     /// successful run).
     pub data_dir: PathBuf,
@@ -128,7 +134,7 @@ impl Drop for Victim {
     }
 }
 
-fn spawn_iwsrv(iwsrv: &Path, data_dir: &Path) -> Result<Victim, String> {
+fn spawn_iwsrv(iwsrv: &Path, data_dir: &Path, checkpoint_every: u64) -> Result<Victim, String> {
     let port_file = data_dir.join("port");
     let _ = std::fs::remove_file(&port_file);
     std::fs::create_dir_all(data_dir).map_err(|e| format!("create {}: {e}", data_dir.display()))?;
@@ -137,6 +143,8 @@ fn spawn_iwsrv(iwsrv: &Path, data_dir: &Path) -> Result<Victim, String> {
         .arg("127.0.0.1:0")
         .arg("--data-dir")
         .arg(data_dir)
+        .arg("--checkpoint-every")
+        .arg(checkpoint_every.to_string())
         .arg("--port-file")
         .arg(&port_file)
         .stdout(Stdio::null())
@@ -281,7 +289,7 @@ pub fn run_kill_restart(cfg: &KillConfig) -> Result<KillReport, String> {
 
     // Phase 1: victim serves, writer commits, killer strikes.
     let acked = Arc::new(AtomicU64::new(0));
-    let victim = spawn_iwsrv(&cfg.iwsrv, &cfg.data_dir)?;
+    let victim = spawn_iwsrv(&cfg.iwsrv, &cfg.data_dir, cfg.checkpoint_every)?;
     let (mut t, client) = connect(victim.addr)?;
     // Kill after `target` acks — seeded into the middle of the run so
     // there is always a next commit in flight to tear.
@@ -328,7 +336,7 @@ pub fn run_kill_restart(cfg: &KillConfig) -> Result<KillReport, String> {
     }
 
     // Phase 2: restart from disk, read back, compare.
-    let victim = spawn_iwsrv(&cfg.iwsrv, &cfg.data_dir)?;
+    let victim = spawn_iwsrv(&cfg.iwsrv, &cfg.data_dir, cfg.checkpoint_every)?;
     let (mut t, client) = connect(victim.addr)?;
     let (recovered_version, recovered_bytes) = full_transfer(&mut t, client)?;
     let replayed_records = match t.request(&Request::Stats { client }) {
@@ -358,6 +366,12 @@ pub fn run_kill_restart(cfg: &KillConfig) -> Result<KillReport, String> {
              ({} vs {} bytes)",
             recovered_bytes.len(),
             oracle_bytes.len()
+        ));
+    }
+    let images = std::fs::read_dir(cfg.data_dir.join("ck")).map_or(0, |d| d.count());
+    if images > 2 {
+        failures.push(format!(
+            "ck/ holds {images} files for one segment (at most 2 slots)"
         ));
     }
     if failures.is_empty() {

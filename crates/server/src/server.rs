@@ -446,9 +446,10 @@ impl Server {
         }
     }
 
-    /// Writes a fresh checkpoint image of `seg` into the durable store
-    /// (best-effort; an error leaves the previous image intact and is
-    /// counted by the store).
+    /// Writes a fresh checkpoint image of `seg` into the durable store,
+    /// inline under the segment's write lock: one in-place slot write
+    /// and one `fdatasync` (best-effort; an error leaves the newest
+    /// durable image intact and is counted by the store).
     fn durable_image(store: &DiffStore, seg: &mut ServerSegment) -> bool {
         match checkpoint::encode_segment(seg) {
             Ok(image) => store

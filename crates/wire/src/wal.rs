@@ -21,7 +21,8 @@
 //! unknowable.
 //!
 //! The framing knows nothing about what the records mean; `iw-durable`
-//! layers segment-diff and checkpoint-marker records on top.
+//! layers segment-diff records on top (and still reads the checkpoint
+//! markers older logs carry).
 
 /// Upper bound on one frame's `len` field. Nothing legitimate comes close
 /// (the largest payload is one segment diff); anything larger is treated
@@ -31,39 +32,71 @@ pub const MAX_FRAME_LEN: u32 = 1 << 30;
 /// Bytes of framing overhead per record (len + crc fields).
 pub const FRAME_HEADER_LEN: usize = 8;
 
-/// The 1 KiB CRC-32 lookup table — a pure function of the polynomial,
-/// built once.
-fn crc_table() -> &'static [u32; 256] {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
+/// Slicing-by-8 CRC-32 tables, built at compile time. `CRC_TABLES[0]` is
+/// the classic bytewise table; `CRC_TABLES[k][i]` is the CRC state after
+/// byte `i` is followed by `k` zero bytes, so eight table lookups fold
+/// eight input bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        t
-    })
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) — the classic
-/// zlib/gzip checksum, computed bytewise from a lazily built table.
+/// zlib/gzip checksum, computed eight bytes at a time (slicing-by-8).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    !crc32_raw(!0u32, bytes)
+    crc32_continue(0, bytes)
 }
 
-fn crc32_raw(mut c: u32, bytes: &[u8]) -> u32 {
-    let table = crc_table();
-    for &b in bytes {
-        c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+/// Continues a CRC-32 over more bytes: `crc32_continue(crc32(a), b)`
+/// equals `crc32` of `a` followed by `b`, so parts of a record need not
+/// be copied into one buffer just to checksum them.
+pub fn crc32_continue(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = !crc;
+    let mut chunks = bytes.chunks_exact(8);
+    for b in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let hi = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
     }
-    c
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
 }
 
 /// Frames one record (`kind` + `body`) for appending to a log.
@@ -71,20 +104,11 @@ pub fn encode_frame(kind: u8, body: &[u8]) -> Vec<u8> {
     let len = (body.len() + 1) as u32;
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + 1 + body.len());
     out.extend_from_slice(&len.to_be_bytes());
-    // CRC over kind+body; computed over the contiguous tail we are about
-    // to write, so no intermediate buffer is needed.
-    let mut crc = crc32(&[kind]);
-    crc = crc32_continue(crc, body);
+    let crc = crc32_continue(crc32(&[kind]), body);
     out.extend_from_slice(&crc.to_be_bytes());
     out.push(kind);
     out.extend_from_slice(body);
     out
-}
-
-/// Continues a CRC-32 over more bytes (so `kind` and `body` need not be
-/// copied into one buffer just to checksum them).
-fn crc32_continue(crc: u32, bytes: &[u8]) -> u32 {
-    !crc32_raw(!crc, bytes)
 }
 
 /// Why a [`FrameReader`] stopped before the end of its buffer.
