@@ -1,15 +1,17 @@
 //! Trajectory benchmark for the translation hot path: measures Figure 4
-//! collect/apply and the layout-identity dimension (isomorphic fast path
-//! on vs off), and emits `BENCH_9.json`.
+//! collect/apply and the layout-identity dimension (fused vs unfused copy
+//! programs), and emits `BENCH_9.json`.
 //!
 //! Two measurements per mix:
 //!
-//! - **descriptor walk** (on x86, where translation always walks the
-//!   descriptor): `collect_segment_diff` and `apply_segment_diff`;
+//! - **translation** (on x86, little-endian, so every multi-byte field is
+//!   swapped): `collect_segment_diff` and `apply_segment_diff`, each as
+//!   seconds and as a ratio to a hot `memcpy` of the same local image
+//!   taken in the same run;
 //! - **layout identity** (on big-endian sparc_v9, where packed
-//!   pointer-free mixes are wire-identical): the same pair with the
-//!   isomorphic fast path enabled vs disabled, plus a raw `memcpy`
-//!   bandwidth reference over the same image size.
+//!   pointer-free mixes compile to one copy): the same pair with the
+//!   fused programs (`iso_fast_path` on) vs the unfused ones (off), plus
+//!   a raw `memcpy` bandwidth reference over the same image size.
 //!
 //! A third dimension measures the wire itself: every mix's full-dirty
 //! diff encoded as v1, v2 (varint/delta), and v2 with adaptive LZ
@@ -17,11 +19,12 @@
 //! emits `BENCH_10.json`. Bytes are deterministic (same diff → same
 //! encoding), so the byte gate is far tighter than any timing gate.
 //!
-//! The JSON doubles as a CI regression gate: pass `--baseline <path>` to
-//! compare both the collect+apply total and the iso-mix total against a
-//! committed run and exit non-zero on a regression beyond `--tolerance`
-//! percent; pass `--wire-baseline <path>` to gate the v2/v2+lz byte
-//! totals against a committed `BENCH_10.json` the same way.
+//! The JSON doubles as a CI regression gate. Pass `--baseline <path>` to
+//! hold every mix's collect and apply ratio (to the hot `memcpy` of its
+//! image, both from this run, so the host's speed cancels) under the
+//! `<mix>.<phase>_limit` the committed `BENCH_9.json` carries; pass
+//! `--wire-baseline <path>` to gate the v2/v2+lz byte totals against a
+//! committed `BENCH_10.json` within `--tolerance` percent.
 //!
 //! Usage:
 //! ```console
@@ -39,52 +42,83 @@ use iw_types::{FlatLayout, MachineArch};
 use iw_wire::codec::WireReader;
 use iw_wire::diff::{DiffWire, SegmentDiff};
 
+/// Dirty rounds per measurement.
 const ITERS: u32 = 3;
 
-/// Ignore regressions when the baseline total is below this many seconds:
-/// sub-50 ms totals are dominated by scheduler noise, not translation.
-const ABS_FLOOR_SECS: f64 = 0.05;
+/// Timed collects and applies per dirty round: both leave the state they
+/// read as it was, so repeating them costs no re-dirtying and their
+/// best-of shrinks the scheduler's noise.
+const REPEATS: u32 = 10;
 
 struct Row {
     name: &'static str,
     /// Best-of collect/apply seconds.
     collect: f64,
     apply: f64,
+    /// Local image bytes and the best-of hot `memcpy` seconds over them.
+    bytes: usize,
+    memcpy_hot_secs: f64,
 }
 
-/// Best-of-`ITERS` collect and apply seconds for one workload under the
-/// given architecture and session options.
-fn measure_cfg(w: &Workload, arch: &MachineArch, o: SessionOptions) -> (f64, f64) {
+impl Row {
+    /// Collect and apply seconds over the same run's hot `memcpy` of the
+    /// image: the gated, host-independent figures.
+    fn ratios(&self) -> [f64; 2] {
+        let m = self.memcpy_hot_secs.max(1e-9);
+        [self.collect / m, self.apply / m]
+    }
+}
+
+/// Best-of-`ITERS × REPEATS` collect, apply and hot-`memcpy` seconds
+/// for one workload under the given architecture and session options.
+/// A `memcpy` of an image-sized buffer runs beside every collect and
+/// apply, so the gated ratios compare samples of the same moments of a
+/// noisy host.
+fn measure_cfg(w: &Workload, arch: &MachineArch, o: SessionOptions) -> [f64; 3] {
     let mut bed = setup_with_options(w, arch.clone(), o.clone());
     let mut reader =
         Session::with_options(arch.clone(), Box::new(Loopback::new(bed.server.clone())), o)
             .expect("reader");
     reader.fetch_segment("bench/data").expect("sync");
     let rh = reader.open_segment("bench/data").expect("open");
+    let bytes = iw_types::layout::layout_of(&w.ty, arch).size as usize * w.count as usize;
+    let (src, mut dst) = (vec![0xA5u8; bytes.max(1)], vec![0u8; bytes.max(1)]);
+    let mut memcpy = || {
+        time(|| {
+            dst.copy_from_slice(&src);
+            std::hint::black_box(&mut dst);
+        })
+        .1
+    };
 
     bed.session.wl_acquire(&bed.handle).expect("wl");
     bed.session
         .set_tracking_mode(&bed.handle, TrackMode::Diff)
         .expect("mode");
     let block = bed.block.clone();
-    let (mut best_collect, mut best_apply) = (f64::MAX, f64::MAX);
+    let mut best = [f64::MAX; 3];
     for round in 1..=ITERS {
         dirty_all(&mut bed.session, &block, w, round);
-        let ((diff, _, _), d_collect) = time(|| {
-            bed.session
-                .collect_segment_diff(&bed.handle)
-                .expect("collect")
-        });
-        let (_, d_apply) = time(|| reader.apply_segment_diff(&rh, &diff).expect("apply"));
-        best_collect = best_collect.min(d_collect.as_secs_f64());
-        best_apply = best_apply.min(d_apply.as_secs_f64());
+        for _ in 0..REPEATS {
+            let ((diff, _, _), d_collect) = time(|| {
+                bed.session
+                    .collect_segment_diff(&bed.handle)
+                    .expect("collect")
+            });
+            let d_memcpy = memcpy().min(memcpy());
+            let (_, d_apply) = time(|| reader.apply_segment_diff(&rh, &diff).expect("apply"));
+            for (b, d) in best.iter_mut().zip([d_collect, d_apply, d_memcpy]) {
+                *b = b.min(d.as_secs_f64());
+            }
+        }
     }
     bed.session.wl_release(&bed.handle).expect("release");
-    (best_collect, best_apply)
+    best
 }
 
-/// Best-of-`ITERS` seconds to memcpy a buffer of the workload's local
-/// image size — the floor any translation scheme can aspire to. Returns
+/// Best-of-`ITERS × REPEATS` seconds to memcpy a buffer of the
+/// workload's local image size — the floor any translation scheme can
+/// aspire to. Returns
 /// `(hot, cold)` seconds: hot reuses a warmed destination (pure copy
 /// bandwidth), cold allocates a fresh destination per copy (first-touch
 /// page faults included — what applying a network payload into newly
@@ -93,7 +127,7 @@ fn measure_memcpy(bytes: usize) -> (f64, f64) {
     let src = vec![0xA5u8; bytes.max(1)];
     let mut dst = vec![0u8; bytes.max(1)];
     let (mut hot, mut cold) = (f64::MAX, f64::MAX);
-    for _ in 0..ITERS {
+    for _ in 0..ITERS * REPEATS {
         let (_, d) = time(|| {
             dst.copy_from_slice(&src);
             std::hint::black_box(&mut dst);
@@ -112,7 +146,7 @@ fn measure_memcpy(bytes: usize) -> (f64, f64) {
 struct IsoRow {
     name: &'static str,
     eligible: bool,
-    /// Best-of collect/apply seconds with the fast path on and off.
+    /// Best-of collect/apply seconds with the fused and the unfused programs.
     collect: [f64; 2],
     apply: [f64; 2],
     /// Local image bytes and the raw memcpy floors over them.
@@ -255,26 +289,37 @@ fn main() {
     }
 
     println!("# BENCH_9 — translation trajectory (scale {scale})");
-    println!("{:<14} {:>10} {:>10}", "workload", "collect", "apply");
+    println!(
+        "{:<14} {:>10} {:>10} {:>11} {:>8} {:>8}",
+        "workload", "collect", "apply", "memcpy_hot", "c/mcpy", "a/mcpy"
+    );
 
+    let x86 = MachineArch::x86();
     let mut rows: Vec<Row> = Vec::new();
     for w in figure4_workloads(scale) {
-        let (collect, apply) = measure_cfg(&w, &MachineArch::x86(), SessionOptions::default());
-        println!("{:<14} {:>10.4} {:>10.4}", w.name, collect, apply);
-        rows.push(Row {
+        let [collect, apply, memcpy_hot_secs] = measure_cfg(&w, &x86, SessionOptions::default());
+        let row = Row {
             name: w.name,
             collect,
             apply,
-        });
+            bytes: iw_types::layout::layout_of(&w.ty, &x86).size as usize * w.count as usize,
+            memcpy_hot_secs,
+        };
+        let [c, a] = row.ratios();
+        println!(
+            "{:<14} {:>10.4} {:>10.4} {:>11.6} {:>8.1} {:>8.1}",
+            w.name, collect, apply, row.memcpy_hot_secs, c, a
+        );
+        rows.push(row);
     }
     let total: f64 = rows.iter().map(|r| r.collect + r.apply).sum();
     println!("\n# total (collect+apply, nine mixes): {total:.4}s");
 
     // Layout-identity dimension: the same mixes on a big-endian machine,
-    // fast path on vs off, against a raw memcpy floor.
+    // fused vs unfused programs, against a raw memcpy floor.
     let be = MachineArch::sparc_v9();
     println!(
-        "\n# layout identity on {} (iso fast path on vs off)",
+        "\n# layout identity on {} (fused vs unfused programs)",
         be.name
     );
     println!(
@@ -293,7 +338,7 @@ fn main() {
     for w in figure4_workloads(scale) {
         let eligible = FlatLayout::new(&w.ty, &be).wire_identity().is_iso();
         let bytes = iw_types::layout::layout_of(&w.ty, &be).size as usize * w.count as usize;
-        let (c_iso, a_iso) = measure_cfg(
+        let [c_iso, a_iso, _] = measure_cfg(
             &w,
             &be,
             SessionOptions {
@@ -301,7 +346,7 @@ fn main() {
                 ..SessionOptions::default()
             },
         );
-        let (c_walk, a_walk) = measure_cfg(
+        let [c_walk, a_walk, _] = measure_cfg(
             &w,
             &be,
             SessionOptions {
@@ -344,7 +389,7 @@ fn main() {
         .map(|r| r.collect[1] + r.apply[1])
         .sum();
     println!(
-        "# iso-eligible totals (collect+apply): fast path {total_iso:.4}s, walk {total_walk:.4}s ({:.2}x)",
+        "# iso-eligible totals (collect+apply): fused {total_iso:.4}s, unfused {total_walk:.4}s ({:.2}x)",
         total_walk / total_iso.max(1e-9)
     );
 
@@ -420,11 +465,16 @@ fn main() {
         "  \"total_iso_secs\": {total_iso:.6},\n  \"total_walk_secs\": {total_walk:.6},\n  \"workloads\": [\n"
     ));
     for (k, r) in rows.iter().enumerate() {
+        let [c, a] = r.ratios();
         j.push_str(&format!(
-            "    {{\"name\": \"{}\", \"collect\": {:.6}, \"apply\": {:.6}}}{}\n",
+            "    {{\"name\": \"{}\", \"collect\": {:.6}, \"apply\": {:.6}, \"image_bytes\": {}, \"memcpy_hot\": {:.6}, \"collect_ratio\": {:.2}, \"apply_ratio\": {:.2}}}{}\n",
             r.name,
             r.collect,
             r.apply,
+            r.bytes,
+            r.memcpy_hot_secs,
+            c,
+            a,
             if k + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -489,34 +539,34 @@ fn main() {
     f.write_all(jw.as_bytes()).expect("write wire output");
     println!("# wrote {wire_out_path}");
 
-    // Regression gate against a committed baseline: both the collect+apply
-    // total and the iso-mix fast-path total must stay within tolerance.
+    // Ratio gate against a committed baseline: every mix's collect and
+    // apply, over the hot memcpy of its image in this same run, must stay
+    // under the limit the baseline derived from a ten-run spread.
     if let Some(path) = baseline {
         let doc = std::fs::read_to_string(&path).expect("read baseline");
         let mut failed = false;
-        let mut gate = |key: &str, current: f64| {
-            let Some(base) = json_number(&doc, key) else {
-                println!("# baseline lacks {key}; skipping that gate");
-                return;
-            };
-            let limit = base * (1.0 + tolerance / 100.0);
-            println!(
-                "# baseline {key} {base:.4}s, current {current:.4}s, limit {limit:.4}s (+{tolerance}%)"
-            );
-            if base >= ABS_FLOOR_SECS && current > limit {
-                eprintln!(
-                    "BENCH REGRESSION: {key} {current:.4}s exceeds {limit:.4}s \
-                     ({tolerance}% over the committed baseline {base:.4}s)"
-                );
-                failed = true;
+        for r in &rows {
+            for (phase, ratio) in ["collect", "apply"].into_iter().zip(r.ratios()) {
+                let key = format!("{}.{phase}_limit", r.name);
+                let Some(limit) = json_number(&doc, &key) else {
+                    println!("# baseline lacks {key}; skipping that gate");
+                    continue;
+                };
+                println!("# {key}: ratio {ratio:.1}, limit {limit:.1}");
+                if ratio > limit {
+                    eprintln!(
+                        "BENCH REGRESSION: {} {phase} is {ratio:.1}x a memcpy of its image, \
+                         over the limit {limit:.1}x",
+                        r.name
+                    );
+                    failed = true;
+                }
             }
-        };
-        gate("total_secs", total);
-        gate("total_iso_secs", total_iso);
+        }
         if failed {
             std::process::exit(1);
         }
-        println!("# bench-smoke: within tolerance");
+        println!("# bench-smoke: every ratio within its limit");
     }
 
     // Byte gate against a committed BENCH_10: encodings are

@@ -117,14 +117,13 @@ pub(crate) struct TranslateMetrics {
     /// `client.unswizzle.cache_misses_total` — resolutions that searched.
     pub unswizzle_cache_misses: Arc<Counter>,
     /// `client.translate.iso_collects_total` — collects where at least one
-    /// block took the isomorphic memcpy fast path.
+    /// block translated by a one-copy (isomorphic) program.
     pub iso_collects: Arc<Counter>,
     /// `client.translate.iso_applies_total` — applies where at least one
-    /// run took the isomorphic memcpy fast path.
+    /// run decoded by a one-copy (isomorphic) program.
     pub iso_applies: Arc<Counter>,
-    /// `client.translate.iso_memcpy_bytes_total` — wire bytes moved by
-    /// the isomorphic fast path instead of the descriptor walk, both
-    /// directions.
+    /// `client.translate.iso_memcpy_bytes_total` — wire bytes translated
+    /// by one-copy programs, both directions.
     pub iso_memcpy_bytes: Arc<Counter>,
     /// `client.scan.pages_total` — modified pages word-diffed.
     pub scan_pages: Arc<Counter>,

@@ -93,12 +93,13 @@ pub struct SessionOptions {
     /// default of 4096). Small pages let tests exercise page-boundary
     /// logic cheaply.
     pub page_size: Option<u32>,
-    /// Collapse translation to `memcpy` for blocks whose layout is
-    /// byte-identical to the wire encoding
-    /// ([`iw_types::flat::WireIdentity::Iso`]). The wire diffs and
-    /// applied images are byte-identical either way; disable for
-    /// ablation benchmarks and differential tests of the general
-    /// descriptor walk.
+    /// Translate by each layout's fused copy program
+    /// ([`iw_types::flat::FlatLayout::program`]), where a layout
+    /// byte-identical to its wire encoding
+    /// ([`iw_types::flat::WireIdentity::Iso`]) is one `memcpy`. Off
+    /// interprets the unfused program instead: the same wire diffs and
+    /// applied images, kept as the differential reference for the
+    /// fusion and for ablation benchmarks.
     pub iso_fast_path: bool,
 }
 

@@ -9,11 +9,23 @@
 //! without one. [`crate::Session`] wraps the two entry points with its
 //! lock-and-coherence protocol.
 //!
-//! The engine is one serial walk. Three things keep it cheap: all of a
-//! modified block's ranges translate into one wire buffer whose runs are
-//! zero-copy slices of it; apply decodes into pooled scratch buffers so
-//! steady-state application stops allocating; and a packed layout skips
-//! the scratch pre-fill, since decode overwrites every byte of the span.
+//! Translation interprets each block's copy program
+//! ([`iw_types::program`]): the flat op list its layout compiled to once,
+//! at flatten time. One walk serves both directions. Collect walks a dirty
+//! byte range and appends wire bytes; apply walks the span of a wire run
+//! and fills a scratch image of it. The walk enters at the first
+//! primitive the range (or the floor) admits, mid-element included, and
+//! stops at the range's byte bound, by arithmetic on the ops alone. Whole
+//! iterations of a fixed-size repeat body move column by column in bulk
+//! ([`iw_types::program::Columns`]); pointers resolve through one-entry
+//! caches that allocate nothing on a hit. An isomorphic layout (§3.3) is
+//! the one-op `copy` program, so its translation is one `memcpy` through
+//! the same walk; `iso_fast_path` off runs the unfused programs instead,
+//! as the differential reference.
+//!
+//! All of a modified block's ranges translate into one wire buffer whose
+//! runs are zero-copy slices of it, and apply decodes into pooled scratch
+//! buffers so steady-state application stops allocating.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -23,11 +35,11 @@ use iw_heap::{BlockMeta, Heap, SegId};
 use iw_telemetry::Registry;
 use iw_types::arch::MachineArch;
 use iw_types::desc::PrimKind;
-use iw_types::flat::FlatNode;
-use iw_wire::codec::{WireReader, WireWriter};
+use iw_types::flat::FlatLayout;
+use iw_types::program::{prim_len, steps, swap, Columns, Op, Program};
+use iw_wire::codec::{WireError, WireReader, WireWriter};
 use iw_wire::diff::{BlockDiff, DiffRun, NewBlock, SegmentDiff};
 use iw_wire::mip::{BlockRef, Mip};
-use iw_wire::prim::{no_pointers_in, prim_from_wire};
 
 use crate::diffing::find_byte_runs;
 use crate::error::CoreError;
@@ -66,8 +78,8 @@ pub struct Translator {
     splice: bool,
     /// [`SessionOptions::prediction`].
     prediction: bool,
-    /// [`SessionOptions::iso_fast_path`].
-    iso: bool,
+    /// [`SessionOptions::iso_fast_path`]: run the fused programs.
+    fused: bool,
     metrics: TranslateMetrics,
     pool: BufferPool,
 }
@@ -80,7 +92,7 @@ impl Translator {
         Translator {
             splice: opts.splice,
             prediction: opts.prediction,
-            iso: opts.iso_fast_path,
+            fused: opts.iso_fast_path,
             metrics: TranslateMetrics::new(registry),
             pool: BufferPool::default(),
         }
@@ -222,12 +234,11 @@ impl Translator {
             heap,
             unresolved,
             metrics: &self.metrics,
-            iso: self.iso,
+            fused: self.fused,
         };
-        if ctx.iso
-            && jobs
-                .iter()
-                .any(|j| j.meta.flat.wire_identity().is_iso() && j.meta.prim_count() > 0)
+        if jobs
+            .iter()
+            .any(|j| ctx.single_copy(j.meta) && j.meta.prim_count() > 0)
         {
             self.metrics.iso_collects.inc();
         }
@@ -289,8 +300,8 @@ impl Translator {
 
     /// Applies a wire diff to the cached copy of `seg` in `heap`,
     /// keeping `unresolved` in step. Returns whether every block the
-    /// diff created has an isomorphic layout (the caller's per-segment
-    /// stamp).
+    /// diff created translates by a one-copy program, i.e. has an
+    /// isomorphic layout (the caller's per-segment stamp).
     ///
     /// Application is phased: allocate and predict, decode every wire
     /// run into a scratch image, then install the images and the
@@ -302,7 +313,9 @@ impl Translator {
     ///
     /// # Errors
     ///
-    /// Wire decoding errors; heap errors on inconsistent diffs.
+    /// Wire decoding errors, including a run payload with bytes left
+    /// over ([`WireError::TrailingBytes`]); [`CoreError::Server`] for a
+    /// run outside its block; heap errors on inconsistent diffs.
     pub fn apply(
         &mut self,
         heap: &mut Heap,
@@ -337,7 +350,7 @@ impl Translator {
         let mut new_all_iso = true;
         for nb in &diff.new_blocks {
             let meta = segheap.block_by_serial(nb.serial)?;
-            new_all_iso &= meta.flat.wire_identity().is_iso();
+            new_all_iso &= meta.flat.program().single_copy().is_some();
             let prims = meta.prim_count();
             self.metrics.prims_received.add(prims);
             if prims > 0 {
@@ -386,61 +399,48 @@ impl Translator {
             heap,
             unresolved,
             metrics: &self.metrics,
-            iso: self.iso,
+            fused: self.fused,
         };
-        if ctx.iso && jobs.iter().any(|j| j.meta.flat.wire_identity().is_iso()) {
-            self.metrics.iso_applies.inc();
-        }
         let decoded = jobs
             .iter()
             .map(|job| ctx.decode_run(job, &mut self.pool))
             .collect::<Result<Vec<DecodedRun>, CoreError>>()?;
+        let mut iso_bytes = 0u64;
+        for (job, d) in jobs.iter().zip(&decoded) {
+            if ctx.single_copy(job.meta) {
+                iso_bytes += d.buf.len() as u64;
+            }
+        }
+        if iso_bytes > 0 {
+            self.metrics.iso_applies.inc();
+        }
 
-        // Phase 3: install images and unresolved-map operations in diff
+        // Phase 3: install images and unresolved-map entries in diff
         // order, then stamp block versions.
         let mut reuses = 0u64;
         let mut allocs = 0u64;
-        let mut iso_bytes = 0u64;
         for d in decoded {
-            // Clear stale unresolved entries for every pointer field this
-            // run rewrote, then record the fields that resolved to a MIP
-            // we cannot map locally yet. Skipping the walk when the map is
-            // empty is a pure no-op elision (nothing to remove), and it is
-            // re-evaluated per run, so a run that inserts entries makes
-            // later runs in the same diff walk their ranges.
-            // (Isomorphic runs carry no pointer fields, so both lists are
-            // empty for them.)
+            // Every pointer field in the span was rewritten, and the
+            // unresolved map holds only pointer fields: drop its entries
+            // in the span, then record the fields that resolved to a MIP
+            // we cannot map locally yet. The check is per run, so entries
+            // one run inserts are cleared by a later run that rewrites
+            // them.
+            let span = d.span_va..d.span_va + d.buf.len() as u64;
             if !unresolved.is_empty() {
-                for &(first_va, stride, count) in &d.clear_ranges {
-                    for k in 0..u64::from(count) {
-                        unresolved.remove(&(first_va + k * u64::from(stride)));
-                    }
-                }
+                unresolved.retain(|va, _| !span.contains(va));
             }
-            for (field_va, mip) in d.unresolved_inserts {
-                unresolved.insert(field_va, mip);
+            unresolved.extend(d.unresolved_inserts);
+            if d.reused {
+                reuses += 1;
+            } else {
+                allocs += 1;
             }
-            match d.image {
-                RunImage::Scratch { buf, reused } => {
-                    if reused {
-                        reuses += 1;
-                    } else {
-                        allocs += 1;
-                    }
-                    if !buf.is_empty() {
-                        heap.bytes_mut_unprotected(d.span_va, buf.len())?
-                            .copy_from_slice(&buf);
-                    }
-                    self.pool.put(buf);
-                }
-                RunImage::Wire(bytes) => {
-                    iso_bytes += bytes.len() as u64;
-                    if !bytes.is_empty() {
-                        heap.bytes_mut_unprotected(d.span_va, bytes.len())?
-                            .copy_from_slice(&bytes);
-                    }
-                }
+            if !d.buf.is_empty() {
+                heap.bytes_mut_unprotected(d.span_va, d.buf.len())?
+                    .copy_from_slice(&d.buf);
             }
+            self.pool.put(d.buf);
         }
         self.metrics.iso_memcpy_bytes.add(iso_bytes);
         self.metrics.pool_reuses.add(reuses);
@@ -588,9 +588,9 @@ struct XlateCtx<'a> {
     heap: &'a Heap,
     unresolved: &'a HashMap<u64, Mip>,
     metrics: &'a TranslateMetrics,
-    /// Whether the isomorphic fast path may engage
-    /// ([`SessionOptions::iso_fast_path`]).
-    iso: bool,
+    /// Whether to run the fused programs ([`SessionOptions::iso_fast_path`];
+    /// off runs the unfused ones).
+    fused: bool,
 }
 
 /// One block's translation work for a collect.
@@ -618,45 +618,39 @@ struct DecodeJob<'a> {
 }
 
 /// A decoded run: a scratch image of the run's byte span plus the
-/// unresolved-pointer map operations to replay at install time.
-///
-/// Pointer clears are recorded as compact `(first_va, stride, count)`
-/// ranges — one per wire run, not one per pointer — and only walked when
-/// the unresolved map is non-empty at install, so the (common) empty-map
-/// path allocates nothing per pointer.
+/// unresolved-pointer entries to record at install time.
 struct DecodedRun {
     span_va: u64,
-    image: RunImage,
+    buf: Vec<u8>,
+    /// Whether the buffer came from the pool (for the reuse metrics).
+    reused: bool,
     /// Fields whose MIPs could not be resolved locally, to insert.
     unresolved_inserts: Vec<(u64, Mip)>,
-    /// Pointer-field ranges decoded by this run, to clear from the map
-    /// (insertions above win — each field appears in at most one op).
-    clear_ranges: Vec<(u64, u32, u32)>,
-}
-
-/// The bytes a [`DecodedRun`] installs into the mapped segment.
-enum RunImage {
-    /// Decoded by the general descriptor walk into a pooled scratch
-    /// buffer.
-    Scratch {
-        buf: Vec<u8>,
-        /// Whether the buffer came from the pool (for the reuse metrics).
-        reused: bool,
-    },
-    /// Isomorphic fast path: the wire payload *is* the local image, so
-    /// install is one direct memcpy into the mapped segment — no
-    /// descriptor traversal, no scratch buffer round trip.
-    Wire(Bytes),
 }
 
 impl XlateCtx<'_> {
+    /// The program translation runs for `meta`.
+    fn program<'m>(&self, meta: &'m BlockMeta) -> &'m Program {
+        if self.fused {
+            meta.flat.program()
+        } else {
+            meta.flat.unfused_program()
+        }
+    }
+
+    /// Whether `meta` translates by the one-copy program, for the
+    /// `client.translate.iso_*` counters (never under the unfused switch).
+    fn single_copy(&self, meta: &BlockMeta) -> bool {
+        self.fused && meta.flat.program().single_copy().is_some()
+    }
+
     /// Translates a whole block (a new block, or a pre-existing one in a
     /// no-diff mode) into a fresh wire payload.
     fn translate_whole(&self, meta: &BlockMeta) -> Result<Bytes, CoreError> {
         let mut w = WireWriter::with_capacity(self.wire_capacity_for(meta, meta.size() as usize));
         self.translate_range_into(meta, meta.va, meta.end(), &mut 0, &mut w, &mut None)?;
         let data = w.finish();
-        if self.iso && meta.flat.wire_identity().is_iso() {
+        if self.single_copy(meta) {
             self.metrics.iso_memcpy_bytes.add(data.len() as u64);
         }
         Ok(data)
@@ -701,7 +695,7 @@ impl XlateCtx<'_> {
             }
         }
         let payload = w.finish();
-        if self.iso && meta.flat.wire_identity().is_iso() {
+        if self.single_copy(meta) {
             self.metrics.iso_memcpy_bytes.add(payload.len() as u64);
         }
         let runs = emitted
@@ -725,23 +719,20 @@ impl XlateCtx<'_> {
             return span + 16;
         }
         let local = u64::from(meta.size().max(1));
-        let wire = wire_upper(meta.flat.nodes(), self.heap.arch());
+        let wire = wire_upper(meta.flat.program().ops());
         let est = (span as u64).saturating_mul(wire) / local;
         est as usize + 64
     }
 
     /// Translates the local bytes of `[lo_va, hi_va)` within one block to
-    /// wire format, appending to `w`. Primitives inside a contiguous byte
+    /// wire format, appending to `w`: every primitive whose extent meets
+    /// the range, from `floor` on. Primitives inside a contiguous byte
     /// range have consecutive primitive offsets, so each call contributes
     /// at most one run: returns `Some((first primitive offset, primitive
     /// count))` when anything was emitted. `floor` suppresses primitives
     /// already emitted by an earlier overlapping range (a primitive
     /// spanning two dirty pages) and advances past everything emitted
     /// here.
-    ///
-    /// Translation proceeds run by run (the payoff of isomorphic type
-    /// descriptors, §3.3): fixed-size runs use tight per-kind loops,
-    /// strings and pointers go element by element.
     fn translate_range_into(
         &self,
         meta: &BlockMeta,
@@ -751,144 +742,32 @@ impl XlateCtx<'_> {
         w: &mut WireWriter,
         swz_cache: &mut Option<SwizzleCache>,
     ) -> Result<Option<(u64, u64)>, CoreError> {
-        if self.iso && meta.flat.wire_identity().is_iso() {
-            return self.translate_range_iso(meta, lo_va, hi_va, floor, w);
-        }
-        let arch = self.heap.arch().clone();
-        let little = arch.endian.is_little();
-        let slice = self.heap.read_bytes(meta.va, meta.size() as usize)?;
-        let rel_lo = (lo_va - meta.va) as u32;
-        let rel_hi = (hi_va - meta.va) as u32;
-        let mut start: Option<u64> = None;
-        let mut total: u64 = 0;
-        for mut run in meta.flat.seek_byte_runs(rel_lo) {
-            if run.local_off >= rel_hi {
-                break;
-            }
-            // Skip elements already emitted by an earlier range.
-            if run.prim_off < *floor {
-                let skip = (*floor - run.prim_off).min(u64::from(run.count)) as u32;
-                run.prim_off += u64::from(skip);
-                run.local_off += skip * run.stride;
-                run.count -= skip;
-                if run.count == 0 || run.local_off >= rel_hi {
-                    continue;
-                }
-            }
-            // Clip to elements starting before rel_hi.
-            let span = rel_hi - run.local_off;
-            let max_elems = span.div_ceil(run.stride.max(1)).max(1);
-            run.count = run.count.min(max_elems);
-            match run.kind {
-                PrimKind::Ptr => {
-                    let size = arch.pointer_size as usize;
-                    let mut scratch = String::with_capacity(48);
-                    for k in 0..run.count {
-                        let off = (run.local_off + k * run.stride) as usize;
-                        let window = &slice[off..off + size];
-                        let field_va = meta.va + off as u64;
-                        self.swizzle_window_into(field_va, window, swz_cache, &mut scratch)?;
-                        w.put_str(&scratch);
-                    }
-                }
-                PrimKind::Str { cap } => {
-                    for k in 0..run.count {
-                        let off = (run.local_off + k * run.stride) as usize;
-                        let window = &slice[off..off + cap as usize];
-                        w.put_len_bytes(iw_wire::prim::local_str_bytes(window));
-                    }
-                }
-                kind => {
-                    let size = kind.local_size(&arch) as usize;
-                    encode_fixed_run(
-                        w,
-                        &slice[run.local_off as usize..],
-                        size,
-                        run.stride as usize,
-                        run.count as usize,
-                        little,
-                    );
-                }
-            }
-            if start.is_none() {
-                start = Some(run.prim_off);
-            }
-            total += u64::from(run.count);
-            *floor = run.prim_off + u64::from(run.count);
-        }
+        let window = Window {
+            flat: &meta.flat,
+            lo: (lo_va - meta.va) as usize,
+            hi: (hi_va - meta.va) as usize,
+            floor: *floor,
+        };
+        let mut enc = Encoder {
+            ctx: self,
+            local: self.heap.read_bytes(meta.va, meta.size() as usize)?,
+            block_va: meta.va,
+            w,
+            swz: swz_cache,
+            mip: String::new(),
+        };
+        let mut got = Emitted::default();
+        walk(&mut enc, &window, self.program(meta).ops(), 0, 0, &mut got)?;
         if let Some(c) = swz_cache {
             if c.hits > 0 {
                 self.metrics.swizzle_cache_hits.add(c.hits);
                 c.hits = 0;
             }
         }
-        Ok(start.map(|s| (s, total)))
-    }
-
-    /// Isomorphic fast path for [`Self::translate_range_into`]: the
-    /// block's local image *is* its wire encoding, so the whole range
-    /// collapses to one `memcpy` — no descriptor traversal, no per-run
-    /// dispatch. Only the run boundary needs computing: the emitted
-    /// primitives are exactly those whose byte extent intersects
-    /// `[lo_va, hi_va)` (minus the `floor` suppression), the same set the
-    /// descriptor walk emits, and since local bytes equal wire bytes the
-    /// payload is byte-identical to the walk's.
-    fn translate_range_iso(
-        &self,
-        meta: &BlockMeta,
-        lo_va: u64,
-        hi_va: u64,
-        floor: &mut u64,
-        w: &mut WireWriter,
-    ) -> Result<Option<(u64, u64)>, CoreError> {
-        if hi_va <= lo_va || meta.prim_count() == 0 {
-            return Ok(None);
-        }
-        let rel_lo = (lo_va - meta.va) as u32;
-        let rel_hi = (hi_va - meta.va) as u32;
-        // First and last primitives whose byte extent intersects the
-        // range: pure arithmetic for homogeneous layouts, two O(depth)
-        // tree descents otherwise. A packed layout has no padding, so
-        // every in-bounds byte belongs to a primitive.
-        let (mut first_prim, mut first_byte, last_prim, end_byte) = match meta.flat.single_run() {
-            Some(r) => {
-                let s = r.stride.max(1);
-                let fp = rel_lo / s;
-                let lp = (rel_hi - 1) / s;
-                (u64::from(fp), fp * s, u64::from(lp), (lp + 1) * s)
-            }
-            None => {
-                let arch = self.heap.arch();
-                let Some(p1) = meta.flat.seek_byte(rel_lo).next() else {
-                    return Ok(None);
-                };
-                let Some(p2) = meta.flat.seek_byte(rel_hi - 1).next() else {
-                    return Ok(None);
-                };
-                (
-                    p1.prim_off,
-                    p1.local_off,
-                    p2.prim_off,
-                    p2.local_off + p2.local_size(arch),
-                )
-            }
-        };
-        // Skip primitives an earlier overlapping range already emitted.
-        if last_prim < *floor {
-            return Ok(None);
-        }
-        if first_prim < *floor {
-            let Some(p) = meta.flat.prim_at(*floor) else {
-                return Ok(None);
-            };
-            first_prim = p.prim_off;
-            first_byte = p.local_off;
-        }
-        let len = (end_byte - first_byte) as usize;
-        let slice = self.heap.read_bytes(meta.va + u64::from(first_byte), len)?;
-        w.put_bytes(slice);
-        *floor = last_prim + 1;
-        Ok(Some((first_prim, last_prim - first_prim + 1)))
+        Ok(got.first.map(|first| {
+            *floor = first + got.count;
+            (first, got.count)
+        }))
     }
 
     /// Swizzles one local pointer window into its MIP string, with a
@@ -934,9 +813,9 @@ impl XlateCtx<'_> {
         }
         // Slow path: full metadata search, then refresh the cache.
         if let Some(c) = cache {
-            if c.hits > 0 {
-                self.metrics.swizzle_cache_hits.add(c.hits);
-            }
+            self.metrics
+                .swizzle_cache_hits
+                .add(std::mem::take(&mut c.hits));
         }
         self.metrics.swizzle_cache_misses.inc();
         let (seg, meta) = self.heap.block_at(va)?;
@@ -962,188 +841,430 @@ impl XlateCtx<'_> {
 
     /// Decodes one wire run (`count` primitives starting at `start`) into
     /// a pooled scratch image of the run's byte span, without touching
-    /// heap memory. Pointer fields yield ordered unresolved-map
-    /// operations that the caller replays at install time. Callers never
-    /// build zero-`count` jobs.
+    /// heap memory. Pointer fields that resolve to no cached block yield
+    /// unresolved-map entries the caller records at install time. Callers
+    /// never build zero-`count` jobs.
     fn decode_run(
         &self,
         job: &DecodeJob<'_>,
         pool: &mut BufferPool,
     ) -> Result<DecodedRun, CoreError> {
         let meta = job.meta;
-        let (start, count) = (job.start, job.count);
-        let mut r = WireReader::new(job.data.clone());
-        let mut unswz_cache: Option<UnswizzleCache> = None;
-        let arch = self.heap.arch().clone();
-        let first = meta.flat.prim_at(start).ok_or_else(|| {
-            CoreError::Server(format!("run start {start} outside block {}", meta.serial))
-        })?;
-        let last = meta.flat.prim_at(start + count - 1).ok_or_else(|| {
+        let first = meta.flat.prim_at(job.start).ok_or_else(|| {
             CoreError::Server(format!(
-                "run end {} outside block {}",
-                start + count - 1,
-                meta.serial
+                "run start {} outside block {}",
+                job.start, meta.serial
             ))
         })?;
-        let span_lo = first.local_off as usize;
-        let span_hi = last.local_off as usize + last.local_size(&arch) as usize;
-        let span = span_hi - span_lo;
-        // Isomorphic layouts: the wire payload is already the local image
-        // of the span — install it directly, bypassing the descriptor
-        // walk and the scratch buffer entirely. A short payload is the
-        // same wire error the general walk's first starved read raises.
-        if self.iso && meta.flat.wire_identity().is_iso() {
-            if job.data.len() < span {
-                return Err(CoreError::Wire(iw_wire::codec::WireError::UnexpectedEof {
-                    wanted: span,
-                    available: job.data.len(),
-                }));
-            }
-            return Ok(DecodedRun {
-                span_va: meta.va + span_lo as u64,
-                image: RunImage::Wire(job.data.slice(0..span)),
-                unresolved_inserts: Vec::new(),
-                clear_ranges: Vec::new(),
-            });
-        }
-        // Packed layouts (primitives tile the block, every window fully
-        // rewritten by decode) skip the heap pre-fill: decode overwrites
-        // every byte of the span, so any initialized buffer works —
-        // reused pool buffers cost nothing.
-        let (mut scratch, reused) = if meta.flat.is_packed() {
-            pool.get_filled(span)
-        } else {
-            let (mut s, r) = pool.get(span);
-            s.extend_from_slice(self.heap.read_bytes(meta.va + span_lo as u64, span)?);
-            (s, r)
+        let last = job
+            .start
+            .checked_add(job.count - 1)
+            .and_then(|p| meta.flat.prim_at(p))
+            .ok_or_else(|| {
+                CoreError::Server(format!(
+                    "run of {} from {} overruns block {}",
+                    job.count, job.start, meta.serial
+                ))
+            })?;
+        let arch = self.heap.arch();
+        let (lo, hi) = (
+            first.local_off as usize,
+            (last.local_off + last.local_size(arch)) as usize,
+        );
+        // The program writes every byte of the span (padding from the
+        // current image), so the scratch buffer needs no pre-fill.
+        let (out, reused) = pool.get_filled(hi - lo);
+        let window = Window {
+            flat: &meta.flat,
+            lo,
+            hi,
+            floor: job.start,
         };
-        let mut unresolved_inserts: Vec<(u64, Mip)> = Vec::new();
-        let mut clear_ranges: Vec<(u64, u32, u32)> = Vec::new();
-        let little = arch.endian.is_little();
-        let mut remaining = count;
-        for mut run in meta.flat.seek_prim_runs(start) {
-            if remaining == 0 {
-                break;
+        let mut dec = Decoder {
+            ctx: self,
+            arch,
+            old: self.heap.read_bytes(meta.va, meta.size() as usize)?,
+            block_va: meta.va,
+            r: WireReader::new(job.data.clone()),
+            out,
+            base: lo,
+            unswz: None,
+            unresolved_inserts: Vec::new(),
+        };
+        walk(
+            &mut dec,
+            &window,
+            self.program(meta).ops(),
+            0,
+            0,
+            &mut Emitted::default(),
+        )?;
+        if !dec.r.is_empty() {
+            return Err(WireError::TrailingBytes {
+                len: dec.r.remaining(),
             }
-            run.count = run
-                .count
-                .min(remaining as u32)
-                .min(remaining.min(u64::from(u32::MAX)) as u32);
-            remaining -= u64::from(run.count);
-            match run.kind {
-                PrimKind::Ptr => {
-                    let size = arch.pointer_size as usize;
-                    clear_ranges.push((meta.va + u64::from(run.local_off), run.stride, run.count));
-                    for k in 0..run.count {
-                        let loff = run.local_off + k * run.stride;
-                        let off = loff as usize - span_lo;
-                        let mip_bytes = r.get_len_bytes().map_err(CoreError::Wire)?;
-                        let mip_str = std::str::from_utf8(&mip_bytes)
-                            .map_err(|_| CoreError::Wire(iw_wire::codec::WireError::InvalidUtf8))?;
-                        let window = &mut scratch[off..off + size];
-                        match self.resolve_mip_cached(mip_str, &mut unswz_cache)? {
-                            ResolvedPtr::Null => {
-                                write_va(window, &arch, 0);
-                            }
-                            ResolvedPtr::Local(va) => {
-                                write_va(window, &arch, va);
-                            }
-                            ResolvedPtr::Unresolved(mip) => {
-                                write_va(window, &arch, 0);
-                                unresolved_inserts.push((meta.va + u64::from(loff), mip));
-                            }
-                        }
-                    }
-                }
-                PrimKind::Str { cap } => {
-                    for k in 0..run.count {
-                        let off = (run.local_off + k * run.stride) as usize - span_lo;
-                        let window = &mut scratch[off..off + cap as usize];
-                        prim_from_wire(&mut r, run.kind, window, &arch, &mut no_pointers_in)
-                            .map_err(CoreError::Wire)?;
-                    }
-                }
-                kind => {
-                    let size = kind.local_size(&arch) as usize;
-                    let base = run.local_off as usize - span_lo;
-                    decode_fixed_run(
-                        &mut r,
-                        &mut scratch[base..],
-                        size,
-                        run.stride as usize,
-                        run.count as usize,
-                        little,
-                    )
-                    .map_err(CoreError::Wire)?;
-                }
-            }
+            .into());
         }
-        if let Some(c) = &mut unswz_cache {
+        if let Some(c) = &dec.unswz {
             if c.hits > 0 {
                 self.metrics.unswizzle_cache_hits.add(c.hits);
-                c.hits = 0;
             }
         }
         Ok(DecodedRun {
-            span_va: meta.va + span_lo as u64,
-            image: RunImage::Scratch {
-                buf: scratch,
-                reused,
-            },
-            unresolved_inserts,
-            clear_ranges,
+            span_va: meta.va + lo as u64,
+            buf: dec.out,
+            reused,
+            unresolved_inserts: dec.unresolved_inserts,
         })
     }
 
-    /// As [`resolve_mip`], with a one-entry prefix cache for
-    /// pointer-dense diff application.
-    fn resolve_mip_cached(
+    /// Resolves a wire MIP the one-entry cache did not ([`UnswizzleCache::
+    /// resolve`]): parses it, looks its block up, and caches the block's
+    /// `segment#block` prefix for the MIPs that follow.
+    fn resolve_mip_miss(
         &self,
-        mip_str: &str,
+        mip: &[u8],
         cache: &mut Option<UnswizzleCache>,
     ) -> Result<ResolvedPtr, CoreError> {
-        if mip_str.is_empty() {
-            return Ok(ResolvedPtr::Null);
-        }
-        let (prefix, offset) = split_mip_offset(mip_str);
         if let Some(c) = cache {
-            if c.prefix == prefix {
-                c.hits += 1;
-                if let Some(run) = &c.run {
-                    if offset >= run.prim_off && offset < run.prim_off + u64::from(run.count) {
-                        let k = (offset - run.prim_off) as u32;
-                        return Ok(ResolvedPtr::Local(
-                            c.block_va + u64::from(run.local_off + k * run.stride),
-                        ));
-                    }
-                }
-                return Ok(match c.flat.prim_at(offset) {
-                    Some(p) => ResolvedPtr::Local(c.block_va + u64::from(p.local_off)),
-                    None => ResolvedPtr::Unresolved(mip_str.parse().map_err(CoreError::Wire)?),
-                });
-            }
-        }
-        if let Some(c) = cache {
-            if c.hits > 0 {
-                self.metrics.unswizzle_cache_hits.add(c.hits);
-            }
+            self.metrics
+                .unswizzle_cache_hits
+                .add(std::mem::take(&mut c.hits));
         }
         self.metrics.unswizzle_cache_misses.inc();
-        let mip: Mip = mip_str.parse().map_err(CoreError::Wire)?;
-        let Some(meta) = mip_block(self.heap, &mip) else {
-            return Ok(ResolvedPtr::Unresolved(mip));
+        let parsed: Mip = std::str::from_utf8(mip)
+            .map_err(|_| WireError::InvalidUtf8)?
+            .parse()?;
+        let Some(meta) = mip_block(self.heap, &parsed) else {
+            return Ok(ResolvedPtr::Unresolved(parsed));
+        };
+        // The prefix is the MIP without its `#offset` part, if any.
+        let prefix_len = if mip.iter().filter(|&&b| b == b'#').count() == 2 {
+            mip.iter()
+                .rposition(|&b| b == b'#')
+                .expect("two separators")
+        } else {
+            mip.len()
         };
         *cache = Some(UnswizzleCache {
-            prefix: prefix.to_string(),
+            prefix: mip[..prefix_len].to_vec(),
             block_va: meta.va,
             flat: meta.flat.clone(),
             run: meta.flat.single_run(),
             hits: 0,
         });
-        match meta.flat.prim_at(mip.offset) {
+        match meta.flat.prim_at(parsed.offset) {
             Some(p) => Ok(ResolvedPtr::Local(meta.va + u64::from(p.local_off))),
-            None => Ok(ResolvedPtr::Unresolved(mip)),
+            None => Ok(ResolvedPtr::Unresolved(parsed)),
         }
+    }
+}
+
+/// One direction of translation: what each op does to its bytes. [`walk`]
+/// decides which ops and iterations a window reaches.
+trait Pass {
+    /// Translates the local bytes `[s, e)` of one element op: a whole
+    /// number of its elements.
+    fn op(&mut self, op: Op, s: usize, e: usize) -> Result<(), CoreError>;
+
+    /// Translates `n` whole iterations, from local offset `at`, of a
+    /// fixed-size repeat body.
+    fn columns(&mut self, cols: &Columns, at: usize, n: usize) -> Result<(), CoreError>;
+}
+
+/// Where a walk translates: the primitives whose local extent meets the
+/// byte window `[lo, hi)` of a block, from primitive `floor` on.
+struct Window<'f> {
+    /// The block's layout: the primitive boundaries inside a copy of
+    /// mixed fields.
+    flat: &'f FlatLayout,
+    lo: usize,
+    hi: usize,
+    floor: u64,
+}
+
+/// The primitives a walk translated: the first one's offset, and how
+/// many (they are consecutive).
+#[derive(Default)]
+struct Emitted {
+    first: Option<u64>,
+    count: u64,
+}
+
+impl Emitted {
+    fn add(&mut self, prim: u64, n: u64) {
+        if n > 0 {
+            self.first.get_or_insert(prim);
+            self.count += n;
+        }
+    }
+}
+
+/// Runs `pass` over the primitives of `ops`, laid out from local offset
+/// `at` and primitive offset `prim`, that `win` selects, and records them
+/// in `got`. The walk enters mid-element and stops at the byte bound by
+/// arithmetic on the ops; only a copy of mixed fields that the window
+/// cuts asks the layout where its primitives start.
+fn walk(
+    pass: &mut impl Pass,
+    win: &Window<'_>,
+    ops: &[Op],
+    mut at: usize,
+    mut prim: u64,
+    got: &mut Emitted,
+) -> Result<(), CoreError> {
+    for (op, body) in steps(ops) {
+        if at >= win.hi {
+            break;
+        }
+        let end = at + op.local_len() as usize;
+        let (size, n) = match op {
+            Op::Copy { width, prims, .. } => (usize::from(width), u64::from(prims)),
+            Op::Swap { width, count } | Op::Ptr { width, count } => {
+                (usize::from(width), u64::from(count))
+            }
+            Op::Str { cap, count } => (cap as usize, u64::from(count)),
+            Op::Skip { .. } => (0, 0),
+            Op::Repeat { count, .. } => (0, u64::from(count) * prim_len(body)),
+        };
+        // Padding (ops with no primitives) is in any window it meets.
+        if end > win.lo && (n == 0 || prim + n > win.floor) {
+            match op {
+                Op::Repeat { count, stride, .. } => {
+                    let it = (count as usize, stride as usize);
+                    repeat(pass, win, body, (at, prim), it, got)?;
+                }
+                Op::Skip { .. } => pass.op(op, at.max(win.lo), end.min(win.hi))?,
+                _ if at >= win.lo && end <= win.hi && prim >= win.floor => {
+                    pass.op(op, at, end)?;
+                    got.add(prim, n);
+                }
+                Op::Copy { width: 0, .. } => mixed_copy(pass, win, op, at, end, got)?,
+                op => {
+                    // Elements ending after `lo`, from the floor on, that
+                    // start before `hi`.
+                    let from_lo = (win.lo.saturating_sub(at) / size) as u64;
+                    let k0 = from_lo.max(win.floor.saturating_sub(prim));
+                    let k1 = n.min((win.hi - at).div_ceil(size) as u64);
+                    if k0 < k1 {
+                        pass.op(op, at + k0 as usize * size, at + k1 as usize * size)?;
+                        got.add(prim + k0, k1 - k0);
+                    }
+                }
+            }
+        }
+        at = end;
+        prim += n;
+    }
+    Ok(())
+}
+
+/// [`walk`] over the `(count, stride)` iterations of a repeat at local
+/// and primitive offsets `(at, prim)`: runs of whole iterations (inside
+/// the window, past the floor) in bulk, cut ones by a nested walk.
+fn repeat(
+    pass: &mut impl Pass,
+    win: &Window<'_>,
+    body: &[Op],
+    (at, prim): (usize, u64),
+    (count, stride): (usize, usize),
+    got: &mut Emitted,
+) -> Result<(), CoreError> {
+    let per = prim_len(body);
+    let below = win.floor.saturating_sub(prim);
+    // The first iteration holding a primitive at or past the floor, and
+    // the first holding none below it.
+    let (first, whole_from) = match per {
+        0 => (0, 0),
+        per => ((below / per) as usize, below.div_ceil(per) as usize),
+    };
+    let mut i = (win.lo.saturating_sub(at) / stride).max(first);
+    let end = count.min((win.hi - at).div_ceil(stride));
+    let mut cols = None;
+    while i < end {
+        let (b, p) = (at + i * stride, prim + i as u64 * per);
+        let n = if i >= whole_from && b >= win.lo && b + stride <= win.hi {
+            ((win.hi - b) / stride).min(end - i)
+        } else {
+            0
+        };
+        if n == 0 {
+            walk(pass, win, body, b, p, got)?;
+        } else {
+            if let Some(c) = cols.get_or_insert_with(|| Columns::of(body)) {
+                pass.columns(c, b, n)?;
+            } else {
+                let all = Window {
+                    lo: 0,
+                    hi: usize::MAX,
+                    floor: 0,
+                    ..*win
+                };
+                for k in 0..n {
+                    walk(pass, &all, body, b + k * stride, 0, &mut Emitted::default())?;
+                }
+            }
+            got.add(p, n as u64 * per);
+        }
+        i += n.max(1);
+    }
+    Ok(())
+}
+
+/// [`walk`] over a copy of mixed fields at `[at, end)` that the window
+/// cuts: its layout says where the primitives at the cuts start and end.
+fn mixed_copy(
+    pass: &mut impl Pass,
+    win: &Window<'_>,
+    op: Op,
+    at: usize,
+    end: usize,
+    got: &mut Emitted,
+) -> Result<(), CoreError> {
+    let flat = win.flat;
+    let hi = win.hi.min(end);
+    let first = match flat.prim_ending_after(at.max(win.lo) as u32) {
+        Some(p) if p.prim_off < win.floor => flat.prim_at(win.floor),
+        p => p,
+    };
+    let Some(first) = first.filter(|p| (p.local_off as usize) < hi) else {
+        return Ok(());
+    };
+    let last = flat
+        .prim_ending_after((hi - 1) as u32)
+        .expect("a copy has no padding");
+    let e = (last.local_off + last.local_size(flat.arch())) as usize;
+    pass.op(op, first.local_off as usize, e)?;
+    got.add(first.prim_off, last.prim_off - first.prim_off + 1);
+    Ok(())
+}
+
+/// Runs a program in the collect direction over one block's local image,
+/// appending wire bytes.
+struct Encoder<'a, 'w> {
+    ctx: &'a XlateCtx<'a>,
+    local: &'a [u8],
+    block_va: u64,
+    w: &'w mut WireWriter,
+    swz: &'w mut Option<SwizzleCache>,
+    /// Reused MIP buffer.
+    mip: String,
+}
+
+impl Pass for Encoder<'_, '_> {
+    fn op(&mut self, op: Op, s: usize, e: usize) -> Result<(), CoreError> {
+        let local = &self.local[s..e];
+        match op {
+            Op::Copy { .. } => self.w.put_bytes(local),
+            // A struct field goes through the stack, not a bulk slot.
+            Op::Swap { width, .. } if local.len() <= 8 => {
+                let mut b = [0u8; 8];
+                swap(width.into(), local, &mut b[..local.len()]);
+                self.w.put_bytes(&b[..local.len()]);
+            }
+            Op::Swap { width, .. } => swap(width.into(), local, self.w.put_zeroed(e - s)),
+            Op::Ptr { width, .. } => {
+                for (k, window) in local.chunks_exact(width.into()).enumerate() {
+                    let field_va = self.block_va + (s + k * usize::from(width)) as u64;
+                    self.ctx
+                        .swizzle_window_into(field_va, window, self.swz, &mut self.mip)?;
+                    self.w.put_str(&self.mip);
+                }
+            }
+            Op::Str { cap, .. } => {
+                for window in local.chunks_exact(cap as usize) {
+                    self.w.put_len_bytes(iw_wire::prim::local_str_bytes(window));
+                }
+            }
+            Op::Skip { .. } | Op::Repeat { .. } => {}
+        }
+        Ok(())
+    }
+
+    fn columns(&mut self, cols: &Columns, at: usize, n: usize) -> Result<(), CoreError> {
+        let local = &self.local[at..at + n * cols.stride()];
+        cols.encode(local, self.w.put_zeroed(n * cols.wire_len()));
+        Ok(())
+    }
+}
+
+/// Runs a program in the apply direction: wire bytes into a scratch
+/// image of one run's span.
+struct Decoder<'a> {
+    ctx: &'a XlateCtx<'a>,
+    arch: &'a MachineArch,
+    /// The block's current local image (padding is kept from it).
+    old: &'a [u8],
+    block_va: u64,
+    r: WireReader,
+    /// The scratch image; `out[i]` is local byte `base + i`.
+    out: Vec<u8>,
+    base: usize,
+    unswz: Option<UnswizzleCache>,
+    unresolved_inserts: Vec<(u64, Mip)>,
+}
+
+impl Pass for Decoder<'_> {
+    fn op(&mut self, op: Op, s: usize, e: usize) -> Result<(), CoreError> {
+        let out = &mut self.out[s - self.base..e - self.base];
+        match op {
+            Op::Copy { .. } => self.r.copy_into(out)?,
+            Op::Swap { width, .. } => self.r.with_bytes(e - s, |w| swap(width.into(), w, out))?,
+            Op::Skip { .. } => out.copy_from_slice(&self.old[s..e]),
+            Op::Ptr { width, .. } => {
+                for (k, window) in out.chunks_exact_mut(width.into()).enumerate() {
+                    // A null or cached-prefix MIP resolves in place, with
+                    // nothing allocated; any other is copied out for the
+                    // full parse.
+                    let cache = &mut self.unswz;
+                    let hit = self.r.with_len_bytes(|mip| match mip {
+                        [] => Ok(0),
+                        _ => cache
+                            .as_mut()
+                            .and_then(|c| c.resolve(mip))
+                            .ok_or_else(|| mip.to_vec()),
+                    })?;
+                    let va = match hit {
+                        Ok(va) => va,
+                        Err(mip) => match self.ctx.resolve_mip_miss(&mip, &mut self.unswz)? {
+                            ResolvedPtr::Local(va) => va,
+                            ResolvedPtr::Null => 0,
+                            ResolvedPtr::Unresolved(mip) => {
+                                let field_va = self.block_va + (s + k * usize::from(width)) as u64;
+                                self.unresolved_inserts.push((field_va, mip));
+                                0
+                            }
+                        },
+                    };
+                    write_va(window, self.arch, va);
+                }
+            }
+            Op::Str { cap, .. } => {
+                for window in out.chunks_exact_mut(cap as usize) {
+                    self.r.with_len_bytes(|b| {
+                        if b.len() >= window.len() {
+                            return Err(WireError::LengthOverflow {
+                                len: b.len() as u64,
+                            });
+                        }
+                        window[..b.len()].copy_from_slice(b);
+                        window[b.len()..].fill(0);
+                        Ok(())
+                    })??;
+                }
+            }
+            Op::Repeat { .. } => {}
+        }
+        Ok(())
+    }
+
+    fn columns(&mut self, cols: &Columns, at: usize, n: usize) -> Result<(), CoreError> {
+        let local = at..at + n * cols.stride();
+        let out = &mut self.out[local.start - self.base..local.end - self.base];
+        let old = &self.old[local];
+        self.r
+            .with_bytes(n * cols.wire_len(), |wire| cols.decode(wire, out, old))?;
+        Ok(())
     }
 }
 
@@ -1166,27 +1287,41 @@ struct SwizzleCache {
 /// One-entry unswizzle cache: repeated MIP prefixes resolve to the same
 /// block without re-searching the metadata trees.
 struct UnswizzleCache {
-    prefix: String,
+    /// `segment#block`, as it appeared on the wire.
+    prefix: Vec<u8>,
     block_va: u64,
     flat: std::sync::Arc<iw_types::flat::FlatLayout>,
     run: Option<iw_types::flat::RunRef>,
     /// Hits batched here and flushed to the metrics counter per applied
-    /// diff, keeping atomics off the per-pointer path.
+    /// run, keeping atomics off the per-pointer path.
     hits: u64,
 }
 
-/// Splits a MIP string into its `segment#block` prefix and numeric offset
-/// (0 when omitted).
-fn split_mip_offset(s: &str) -> (&str, u64) {
-    if let Some(pos) = s.rfind('#') {
-        let tail = &s[pos + 1..];
-        if !tail.is_empty() && tail.bytes().all(|b| b.is_ascii_digit()) && s[..pos].contains('#') {
-            if let Ok(off) = tail.parse::<u64>() {
-                return (&s[..pos], off);
+impl UnswizzleCache {
+    /// The local address `mip` names when it is the cached prefix alone
+    /// (offset 0) or the prefix, `#` and decimal digits, and the offset
+    /// is a primitive of the cached block.
+    fn resolve(&mut self, mip: &[u8]) -> Option<u64> {
+        let offset = match mip.strip_prefix(&self.prefix[..])? {
+            [] => 0,
+            [b'#', digits @ ..] if !digits.is_empty() => {
+                digits.iter().try_fold(0u64, |acc, &b| {
+                    let d = b.wrapping_sub(b'0');
+                    (d < 10).then_some(())?;
+                    acc.checked_mul(10)?.checked_add(u64::from(d))
+                })?
             }
-        }
+            _ => return None,
+        };
+        let local = match &self.run {
+            Some(run) if offset >= run.prim_off && offset < run.prim_off + u64::from(run.count) => {
+                run.local_off + (offset - run.prim_off) as u32 * run.stride
+            }
+            _ => self.flat.prim_at(offset)?.local_off,
+        };
+        self.hits += 1;
+        Some(self.block_va + u64::from(local))
     }
-    (s, 0)
 }
 
 fn push_u64(s: &mut String, mut v: u64) {
@@ -1203,144 +1338,21 @@ fn push_u64(s: &mut String, mut v: u64) {
     s.push_str(std::str::from_utf8(&buf[i..]).expect("digits are ASCII"));
 }
 
-/// Estimated wire bytes for one whole value of the layout, walked on the
-/// compact node tree (O(tree), not O(primitives)). Pointers swizzle into
-/// length-prefixed MIP strings — segment and block names are short, so
-/// 48 bytes covers typical swizzled pointers; strings gain a length
-/// prefix over their local capacity.
-fn wire_upper(nodes: &[FlatNode], arch: &MachineArch) -> u64 {
-    nodes
-        .iter()
-        .map(|n| match n {
-            FlatNode::Run { kind, count, .. } => {
-                let per = match kind {
-                    PrimKind::Ptr => 48,
-                    PrimKind::Str { cap } => u64::from(*cap) + 4,
-                    kind => u64::from(kind.local_size(arch)),
-                };
-                u64::from(*count) * per
-            }
-            FlatNode::Repeat { count, body, .. } => u64::from(*count) * wire_upper(body, arch),
+/// Estimated wire bytes for one run of `ops`, walked on the program
+/// (O(ops), not O(primitives)). Pointers swizzle into length-prefixed
+/// MIP strings — segment and block names are short, so 48 bytes covers
+/// typical swizzled pointers; strings gain a length prefix over their
+/// local capacity.
+fn wire_upper(ops: &[Op]) -> u64 {
+    steps(ops)
+        .map(|(op, body)| match op {
+            Op::Ptr { count, .. } => 48 * u64::from(count),
+            Op::Str { cap, count } => (u64::from(cap) + 4) * u64::from(count),
+            Op::Skip { .. } => 0,
+            Op::Repeat { count, .. } => u64::from(count) * wire_upper(body),
+            op => u64::from(op.local_len()),
         })
         .sum()
-}
-
-/// Bulk-encodes `count` fixed-size primitives (each `size` bytes, spaced
-/// `stride` apart in `src`) to big-endian wire format. Packed big-endian
-/// runs are a single memcpy; everything else is a tight loop.
-fn encode_fixed_run(
-    w: &mut WireWriter,
-    src: &[u8],
-    size: usize,
-    stride: usize,
-    count: usize,
-    little: bool,
-) {
-    if count == 0 {
-        return;
-    }
-    if stride == size && (!little || size == 1) {
-        w.put_bytes(&src[..count * size]);
-        return;
-    }
-    if !little {
-        for k in 0..count {
-            w.put_bytes(&src[k * stride..k * stride + size]);
-        }
-        return;
-    }
-    // Little-endian packed runs: size-specialized bswap loops.
-    if stride == size {
-        let data = &src[..count * size];
-        match size {
-            2 => {
-                for c in data.chunks_exact(2) {
-                    let v = u16::from_le_bytes(c.try_into().expect("2B"));
-                    w.put_u16(v);
-                }
-                return;
-            }
-            4 => {
-                for c in data.chunks_exact(4) {
-                    let v = u32::from_le_bytes(c.try_into().expect("4B"));
-                    w.put_u32(v);
-                }
-                return;
-            }
-            8 => {
-                for c in data.chunks_exact(8) {
-                    let v = u64::from_le_bytes(c.try_into().expect("8B"));
-                    w.put_u64(v);
-                }
-                return;
-            }
-            _ => {}
-        }
-    }
-    // Strided or odd-sized: reverse each element through a stack buffer.
-    let mut buf = [0u8; 8];
-    for k in 0..count {
-        let e = &src[k * stride..k * stride + size];
-        for i in 0..size {
-            buf[i] = e[size - 1 - i];
-        }
-        w.put_bytes(&buf[..size]);
-    }
-}
-
-/// Bulk-decodes `count` fixed-size primitives from big-endian wire format
-/// into `dst` (the inverse of [`encode_fixed_run`]).
-fn decode_fixed_run(
-    r: &mut WireReader,
-    dst: &mut [u8],
-    size: usize,
-    stride: usize,
-    count: usize,
-    little: bool,
-) -> Result<(), iw_wire::codec::WireError> {
-    if count == 0 {
-        return Ok(());
-    }
-    if stride == size && (!little || size == 1) {
-        return r.copy_into(&mut dst[..count * size]);
-    }
-    if little && stride == size && matches!(size, 2 | 4 | 8) {
-        let d = &mut dst[..count * size];
-        r.copy_into(d)?;
-        match size {
-            2 => {
-                for c in d.chunks_exact_mut(2) {
-                    c.swap(0, 1);
-                }
-            }
-            4 => {
-                for c in d.chunks_exact_mut(4) {
-                    let v = u32::from_be_bytes((&*c).try_into().expect("4B"));
-                    c.copy_from_slice(&v.to_le_bytes());
-                }
-            }
-            _ => {
-                for c in d.chunks_exact_mut(8) {
-                    let v = u64::from_be_bytes((&*c).try_into().expect("8B"));
-                    c.copy_from_slice(&v.to_le_bytes());
-                }
-            }
-        }
-        return Ok(());
-    }
-    let mut buf = [0u8; 8];
-    for k in 0..count {
-        r.copy_into(&mut buf[..size])?;
-        let d = &mut dst[k * stride..k * stride + size];
-        if little && size > 1 {
-            for i in 0..size {
-                d[i] = buf[size - 1 - i];
-            }
-        } else {
-            d.copy_from_slice(&buf[..size]);
-        }
-    }
-    Ok(())
 }
 
 /// Reads a local-format pointer word (a simulated VA).
@@ -1407,21 +1419,6 @@ struct BufferPool {
 }
 
 impl BufferPool {
-    /// Takes a cleared buffer with at least `cap` capacity, preferring a
-    /// pooled one. Returns the buffer and whether it was reused.
-    fn get(&mut self, cap: usize) -> (Vec<u8>, bool) {
-        // Last-in first-out keeps the hottest buffer (and its pages) in
-        // use; any pooled buffer is acceptable — `Vec` grows on demand.
-        match self.bufs.pop() {
-            Some(mut b) => {
-                b.clear();
-                b.reserve(cap);
-                (b, true)
-            }
-            None => (Vec::with_capacity(cap), false),
-        }
-    }
-
     /// Takes a buffer with exactly `len` initialized bytes of unspecified
     /// content, for callers that overwrite every byte before reading any.
     /// A reused pooled buffer keeps its old contents where it can, paying
@@ -1439,8 +1436,8 @@ impl BufferPool {
     }
 
     /// Returns a buffer to the pool (dropped when the pool is full or the
-    /// buffer is oversized). Contents are left in place — [`Self::get`]
-    /// clears on the way out and [`Self::get_filled`] overwrites.
+    /// buffer is oversized). Contents are left in place:
+    /// [`Self::get_filled`] callers overwrite them.
     fn put(&mut self, buf: Vec<u8>) {
         if buf.capacity() == 0 || buf.capacity() > POOL_MAX_CAP {
             return;
@@ -1457,19 +1454,22 @@ impl BufferPool {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn buffer_pool_reuses() {
         let mut pool = BufferPool::default();
-        let (b, reused) = pool.get(100);
+        let (b, reused) = pool.get_filled(100);
         assert!(!reused);
         pool.put(b);
         assert_eq!(pool.held(), 1);
-        let (b, reused) = pool.get(10);
+        let (b, reused) = pool.get_filled(10);
         assert!(reused);
-        assert!(b.is_empty());
+        assert_eq!(b.len(), 10);
         assert_eq!(pool.held(), 0);
     }
 

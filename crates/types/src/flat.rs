@@ -14,15 +14,18 @@
 //! benchmark can measure its benefit.
 //!
 //! A [`PrimIter`] enumerates `(primitive offset, local byte offset, kind)`
-//! triples, and supports seeking by primitive offset (used when applying
-//! wire diffs) or by local byte offset (used when collecting diffs from
-//! twin comparisons and when swizzling local pointers).
+//! triples, and supports seeking by primitive offset or by local byte
+//! offset; [`FlatLayout::prim_at`] and [`FlatLayout::prim_ending_after`]
+//! find one primitive without allocating (apply's run bounds, pointer
+//! swizzling). Diff translation itself runs the layout's compiled copy
+//! program ([`FlatLayout::program`], see [`crate::program`]).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::arch::MachineArch;
 use crate::desc::{PrimKind, TypeDesc, TypeKind};
 use crate::layout::{layout_of, Layout};
+use crate::program::Program;
 
 /// One node of a flattened layout. Offsets are relative to the enclosing
 /// scope (the whole type for top-level nodes, the iteration start inside a
@@ -158,6 +161,9 @@ pub struct FlatLayout {
     /// Whether the local image equals the wire encoding byte for byte
     /// (see [`FlatLayout::wire_identity`]).
     identity: WireIdentity,
+    /// The translation compiled with fusion, and (on first use) without.
+    program: Program,
+    unfused: OnceLock<Program>,
 }
 
 /// Why a [`FlatLayout`] is *not* byte-identical to its wire encoding.
@@ -236,6 +242,8 @@ impl FlatLayout {
         let packed = nodes_packed(&nodes, arch, layout.size);
         let identity = wire_identity_of(&nodes, arch, packed);
         FlatLayout {
+            program: Program::compile(&nodes, arch, layout.size, true),
+            unfused: OnceLock::new(),
             nodes: nodes.into(),
             arch: arch.clone(),
             local_size: layout.size,
@@ -244,6 +252,21 @@ impl FlatLayout {
             packed,
             identity,
         }
+    }
+
+    /// The layout's translation as a copy program (see
+    /// [`crate::program`]), compiled with fusion: what diff collection and
+    /// application run.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// The same translation compiled without fusion: one op per flattened
+    /// run. It produces the same bytes as [`FlatLayout::program`] and is
+    /// the differential reference for it, so it is compiled on first use.
+    pub fn unfused_program(&self) -> &Program {
+        self.unfused
+            .get_or_init(|| Program::compile(&self.nodes, &self.arch, self.local_size, false))
     }
 
     /// The flattened top-level nodes.
@@ -346,14 +369,23 @@ impl FlatLayout {
     }
 
     /// The primitive at machine-independent offset `prim_off`, if in range.
+    /// Equals `seek_prim(prim_off).next()`, found by one descent that
+    /// allocates nothing.
     pub fn prim_at(&self, prim_off: u64) -> Option<PrimRef> {
-        self.seek_prim(prim_off).next()
+        (prim_off < self.prim_count).then(|| find_prim(&self.nodes, 0, 0, prim_off))
+    }
+
+    /// The first primitive whose local extent ends after `byte_off`: the
+    /// one containing it, or the next one when it lands in padding. Equals
+    /// `seek_byte(byte_off).next()`, found without allocating.
+    pub fn prim_ending_after(&self, byte_off: u32) -> Option<PrimRef> {
+        find_byte(&self.nodes, &self.arch, 0, 0, byte_off)
     }
 
     /// The primitive whose local extent contains `byte_off`, if any.
     /// Offsets in padding or past the end yield `None`.
     pub fn prim_containing_byte(&self, byte_off: u32) -> Option<PrimRef> {
-        let p = self.seek_byte(byte_off).next()?;
+        let p = self.prim_ending_after(byte_off)?;
         (p.local_off <= byte_off).then_some(p)
     }
 
@@ -486,6 +518,99 @@ impl Iterator for RunIter<'_> {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The primitive at offset `target` (< the subtree's end) of the subtree
+/// `nodes` based at `(base_local, base_prim)`.
+fn find_prim(nodes: &[FlatNode], base_local: u32, base_prim: u64, target: u64) -> PrimRef {
+    let rel = target - base_prim;
+    let idx = nodes.partition_point(|n| n.prim_off() + n.prim_len() <= rel);
+    match &nodes[idx] {
+        FlatNode::Run {
+            kind,
+            local_off,
+            stride,
+            prim_off,
+            ..
+        } => PrimRef {
+            prim_off: target,
+            local_off: base_local + local_off + (rel - prim_off) as u32 * stride,
+            kind: *kind,
+        },
+        FlatNode::Repeat {
+            local_off,
+            stride,
+            prims_per_iter,
+            prim_off,
+            body,
+            ..
+        } => {
+            let i = (rel - prim_off) / prims_per_iter;
+            find_prim(
+                body,
+                base_local + local_off + i as u32 * stride,
+                base_prim + prim_off + i * prims_per_iter,
+                target,
+            )
+        }
+    }
+}
+
+/// The first primitive of the subtree `nodes` based at `(base_local,
+/// base_prim)` whose local extent ends after `byte`.
+fn find_byte(
+    nodes: &[FlatNode],
+    arch: &MachineArch,
+    base_local: u32,
+    base_prim: u64,
+    byte: u32,
+) -> Option<PrimRef> {
+    let idx = nodes.partition_point(|n| base_local + n.local_end(arch) <= byte);
+    match nodes.get(idx)? {
+        FlatNode::Run {
+            kind,
+            local_off,
+            stride,
+            prim_off,
+            ..
+        } => {
+            let start = base_local + local_off;
+            let step = (*stride).max(1);
+            // Element k may already end at or before `byte`.
+            let k = match byte.checked_sub(start) {
+                Some(d) if start + d / step * step + kind.local_size(arch) <= byte => d / step + 1,
+                Some(d) => d / step,
+                None => 0,
+            };
+            Some(PrimRef {
+                prim_off: base_prim + prim_off + u64::from(k),
+                local_off: start + k * stride,
+                kind: *kind,
+            })
+        }
+        FlatNode::Repeat {
+            count,
+            local_off,
+            stride,
+            prims_per_iter,
+            prim_off,
+            body,
+        } => {
+            let start = base_local + local_off;
+            let i = byte.saturating_sub(start) / stride.max(&1);
+            // The chosen iteration may end in padding before `byte`; the
+            // next one then starts after it.
+            (i.min(count - 1)..*count).find_map(|i| {
+                find_byte(
+                    body,
+                    arch,
+                    start + i * stride,
+                    base_prim + prim_off + u64::from(i) * prims_per_iter,
+                    byte,
+                )
+            })
         }
     }
 }
@@ -1190,6 +1315,10 @@ mod tests {
                     .copied();
                 let got = fl.seek_byte(byte).next();
                 assert_eq!(got, expect, "arch {} byte {}", arch.name, byte);
+                assert_eq!(fl.prim_ending_after(byte), expect);
+            }
+            for (i, p) in all.iter().enumerate() {
+                assert_eq!(fl.prim_at(i as u64), Some(*p));
             }
         }
     }

@@ -15,6 +15,8 @@
 //! - [`flat`] — flattened translation layouts with the paper's
 //!   *isomorphic type descriptor* optimization, used by diff collection,
 //!   diff application, and pointer swizzling;
+//! - [`program`] — each flattened layout compiled to a flat copy
+//!   program, the op list diff translation interprets;
 //! - [`idl`] — the IDL compiler that turns interface declarations into
 //!   descriptors.
 //!
@@ -48,6 +50,7 @@ pub mod desc;
 pub mod flat;
 pub mod idl;
 pub mod layout;
+pub mod program;
 #[cfg(feature = "testgen")]
 pub mod testgen;
 
@@ -58,3 +61,4 @@ pub use flat::{
 };
 pub use idl::{compile, IdlError, IdlModule};
 pub use layout::{field_offsets, field_prim_offsets, layout_of, Layout};
+pub use program::{Op, Program};

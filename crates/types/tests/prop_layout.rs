@@ -8,6 +8,7 @@
 use iw_types::arch::MachineArch;
 use iw_types::flat::{FlatLayout, IsoBlocker, WireIdentity};
 use iw_types::layout::{field_offsets, layout_of};
+use iw_types::program::{steps, Op};
 use iw_types::testgen::arb_type;
 use proptest::prelude::*;
 
@@ -119,6 +120,33 @@ proptest! {
     }
 
     #[test]
+    fn program_invariants(ty in arb_type(), n in 1u32..4) {
+        let array = iw_types::desc::TypeDesc::array(ty.clone(), n);
+        for arch in MachineArch::all() {
+            for fl in [
+                FlatLayout::new(&ty, &arch),
+                FlatLayout::new_unoptimized(&ty, &arch),
+                FlatLayout::new(&array, &arch),
+            ] {
+                for program in [fl.program(), fl.unfused_program()] {
+                    prop_assert_eq!(program.prim_count(), fl.prim_count());
+                    prop_assert_eq!(program.fixed_wire_size(), fl.fixed_wire_size());
+                    prop_assert_eq!(tiled_len(program.ops(), &arch), fl.local_size());
+                }
+                // The isomorphic case is exactly the one-copy program.
+                prop_assert_eq!(
+                    fl.program().single_copy().is_some(),
+                    fl.wire_identity().is_iso(),
+                    "{} on {}: {:?}", arch.name, ty, fl.program()
+                );
+                if let Some(len) = fl.program().single_copy() {
+                    prop_assert_eq!(len, fl.local_size());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn seek_prim_matches_iteration(ty in arb_type(), frac in 0.0f64..1.0) {
         let arch = MachineArch::x86();
         let fl = FlatLayout::new(&ty, &arch);
@@ -143,4 +171,20 @@ proptest! {
             prop_assert_eq!(got, want);
         }
     }
+}
+
+/// The local bytes `ops` cover, checking that every op has the width its
+/// kind implies and that each repeat body tiles its stride exactly.
+fn tiled_len(ops: &[Op], arch: &MachineArch) -> u32 {
+    steps(ops)
+        .map(|(op, body)| {
+            match op {
+                Op::Swap { width, .. } => assert!(matches!(width, 2 | 4 | 8)),
+                Op::Ptr { width, .. } => assert_eq!(u32::from(width), arch.pointer_size),
+                Op::Repeat { stride, .. } => assert_eq!(tiled_len(body, arch), stride),
+                _ => {}
+            }
+            op.local_len()
+        })
+        .sum()
 }

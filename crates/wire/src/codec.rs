@@ -36,6 +36,11 @@ pub enum WireError {
     },
     /// A MIP string failed to parse.
     BadMip(String),
+    /// A self-delimiting item was followed by bytes nothing consumes.
+    TrailingBytes {
+        /// How many bytes were left over.
+        len: usize,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -53,6 +58,9 @@ impl fmt::Display for WireError {
                 write!(f, "declared length {len} exceeds sanity bound")
             }
             WireError::BadMip(s) => write!(f, "malformed MIP `{s}`"),
+            WireError::TrailingBytes { len } => {
+                write!(f, "{len} trailing bytes after the last datum")
+            }
         }
     }
 }
@@ -144,6 +152,15 @@ impl WireWriter {
     /// Appends raw bytes with no length prefix.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.buf.put_slice(v);
+    }
+
+    /// Appends `n` zero bytes and returns them for the caller to fill in
+    /// place, so a bulk encoder writes each byte once with no per-item
+    /// capacity checks.
+    pub fn put_zeroed(&mut self, n: usize) -> &mut [u8] {
+        let at = self.buf.len();
+        self.buf.resize(at + n, 0);
+        &mut self.buf[at..]
     }
 
     /// Appends `u32` length-prefixed raw bytes.
@@ -300,6 +317,21 @@ impl WireReader {
         Ok(())
     }
 
+    /// Lends the next `n` bytes to `f` and then advances past them: the
+    /// borrowing counterpart of [`WireReader::get_bytes`] for decoders
+    /// that consume bytes in place.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::UnexpectedEof`] when fewer than `n` bytes remain
+    /// (`f` is not called).
+    pub fn with_bytes<R>(&mut self, n: usize, f: impl FnOnce(&[u8]) -> R) -> Result<R, WireError> {
+        self.need(n)?;
+        let out = f(&self.buf[..n]);
+        self.buf.advance(n);
+        Ok(out)
+    }
+
     /// Reads `u32` length-prefixed raw bytes.
     ///
     /// # Errors
@@ -313,6 +345,35 @@ impl WireReader {
             return Err(WireError::LengthOverflow { len: u64::from(n) });
         }
         self.get_bytes(n as usize)
+    }
+
+    /// Lends `u32` length-prefixed raw bytes to `f` without taking a
+    /// reference to the buffer: [`WireReader::get_len_bytes`] for
+    /// decoders that only inspect the item.
+    ///
+    /// # Errors
+    ///
+    /// As [`WireReader::get_len_bytes`].
+    pub fn with_len_bytes<R>(&mut self, f: impl FnOnce(&[u8]) -> R) -> Result<R, WireError> {
+        let Some((len, item)) = self.buf.split_first_chunk::<4>() else {
+            return Err(WireError::UnexpectedEof {
+                wanted: 4,
+                available: self.buf.len(),
+            });
+        };
+        let n = u32::from_be_bytes(*len);
+        if u64::from(n) > MAX_ITEM_LEN {
+            return Err(WireError::LengthOverflow { len: u64::from(n) });
+        }
+        let Some(item) = item.get(..n as usize) else {
+            return Err(WireError::UnexpectedEof {
+                wanted: n as usize,
+                available: item.len(),
+            });
+        };
+        let out = f(item);
+        self.buf.advance(4 + item.len());
+        Ok(out)
     }
 
     /// Reads a `u32` length-prefixed UTF-8 string.
@@ -458,6 +519,52 @@ mod tests {
             r.get_len_bytes().unwrap_err(),
             WireError::LengthOverflow { .. }
         ));
+    }
+
+    #[test]
+    fn borrowed_reads_match_owned_reads() {
+        let mut w = WireWriter::new();
+        w.put_len_bytes(b"mip#1");
+        w.put_bytes(&[7, 8]);
+        w.put_len_bytes(b"");
+        let bytes = w.finish();
+        let (mut a, mut b) = (WireReader::new(bytes.clone()), WireReader::new(bytes));
+        assert_eq!(
+            b.with_len_bytes(<[u8]>::to_vec).unwrap(),
+            &a.get_len_bytes().unwrap()[..]
+        );
+        assert_eq!(
+            b.with_bytes(2, <[u8]>::to_vec).unwrap(),
+            &a.get_bytes(2).unwrap()[..]
+        );
+        assert_eq!(b.with_len_bytes(<[u8]>::len).unwrap(), 0);
+        assert!(b.is_empty());
+        // Every truncation and a hostile length fail as the owned read does.
+        let mut w = WireWriter::new();
+        w.put_len_bytes(b"abc");
+        let bytes = w.finish();
+        for cut in 0..bytes.len() {
+            let mut a = WireReader::new(bytes.slice(..cut));
+            let mut b = WireReader::new(bytes.slice(..cut));
+            assert_eq!(
+                b.with_len_bytes(|_| ()).unwrap_err(),
+                a.get_len_bytes().unwrap_err()
+            );
+        }
+        let mut r = WireReader::new(Bytes::from(u32::MAX.to_be_bytes().to_vec()));
+        assert!(matches!(
+            r.with_len_bytes(|_| ()).unwrap_err(),
+            WireError::LengthOverflow { .. }
+        ));
+        assert!(WireReader::new(Bytes::new()).with_bytes(1, |_| ()).is_err());
+    }
+
+    #[test]
+    fn put_zeroed_appends_a_fillable_tail() {
+        let mut w = WireWriter::new();
+        w.put_u8(1);
+        w.put_zeroed(3).copy_from_slice(&[2, 3, 4]);
+        assert_eq!(&w.finish()[..], &[1, 2, 3, 4]);
     }
 
     #[test]

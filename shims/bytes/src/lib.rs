@@ -10,7 +10,7 @@
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::{Bound, Deref, RangeBounds};
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable, contiguous, immutable slice of memory.
@@ -248,6 +248,11 @@ impl BytesMut {
         self.buf.extend_from_slice(s);
     }
 
+    /// Resizes to `new_len` bytes, filling any new tail with `value`.
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        self.buf.resize(new_len, value);
+    }
+
     /// Converts the accumulated bytes into an immutable [`Bytes`].
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
@@ -262,6 +267,12 @@ impl Deref for BytesMut {
     }
 }
 
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.buf
+    }
+}
+
 /// Read cursor over a byte source; all multi-byte reads are big-endian.
 ///
 /// Every accessor advances the cursor and panics when fewer bytes remain
@@ -272,6 +283,9 @@ pub trait Buf {
 
     /// Copies `dst.len()` bytes out, advancing the cursor.
     fn copy_to_slice(&mut self, dst: &mut [u8]);
+
+    /// Skips `cnt` bytes.
+    fn advance(&mut self, cnt: usize);
 
     /// Reads one byte.
     fn get_u8(&mut self) -> u8 {
@@ -323,6 +337,11 @@ impl Buf for Bytes {
         assert!(dst.len() <= self.len(), "buffer underflow");
         dst.copy_from_slice(&self.as_slice()[..dst.len()]);
         self.start += dst.len();
+    }
+
+    fn advance(&mut self, cnt: usize) {
+        assert!(cnt <= self.len(), "buffer underflow");
+        self.start += cnt;
     }
 }
 
