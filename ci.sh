@@ -6,11 +6,11 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "== one diff wire format on every link"
-# DiffWire::V1 is the reference encoding: the wire crate and the bench
-# harness compare against it, and no link may select it again.
-if grep -rn "DiffWire::V1" crates | grep -v "^crates/wire/\|^crates/bench/"; then
-  echo "DiffWire::V1 named outside crates/wire and crates/bench"
+echo "== one format epoch"
+# The product reads and writes one diff format and one log format: no
+# v1 diff codec and no checkpoint-marker record may come back.
+if grep -rnE 'DiffWire::V1|decode_v1|encode_v1|KIND_CHECKPOINT|LogRecord::Checkpoint' crates/*/src; then
+  echo "a reader or writer of a retired format is back under crates/*/src"
   exit 1
 fi
 

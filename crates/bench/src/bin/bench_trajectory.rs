@@ -14,9 +14,10 @@
 //!   a raw `memcpy` bandwidth reference over the same image size.
 //!
 //! A third dimension measures the wire itself: every mix's full-dirty
-//! diff encoded as v1, v2 (varint/delta), and v2 with adaptive LZ
-//! compression — bytes on the wire plus encode/decode wall time — and
-//! emits `BENCH_10.json`. Bytes are deterministic (same diff → same
+//! diff encoded as v2 (varint/delta) and v2 with adaptive LZ
+//! compression — bytes on the wire plus encode/decode wall time — next
+//! to its fixed-width size (`encoded_len_hint`, the `v1_bytes` column),
+//! and emits `BENCH_10.json`. Bytes are deterministic (same diff → same
 //! encoding), so the byte gate is far tighter than any timing gate.
 //!
 //! The JSON doubles as a CI regression gate. Pass `--baseline <path>` to
@@ -155,17 +156,16 @@ struct IsoRow {
     memcpy_cold_secs: f64,
 }
 
-/// Per-mix wire measurements: encoded bytes and best-of encode/decode
-/// seconds for each diff wire revision (v1, v2, v2+lz, in that order).
+/// Per-mix wire measurements: bytes (fixed-width, v2, v2+lz, in that
+/// order) and best-of encode/decode seconds for v2 and v2+lz.
 struct WireRow {
     name: &'static str,
     bytes: [usize; 3],
-    enc_secs: [f64; 3],
-    dec_secs: [f64; 3],
+    enc_secs: [f64; 2],
+    dec_secs: [f64; 2],
 }
 
-const WIRE_FORMATS: [DiffWire; 3] = [
-    DiffWire::V1,
+const WIRE_FORMATS: [DiffWire; 2] = [
     DiffWire::V2 { compress: false },
     DiffWire::V2 { compress: true },
 ];
@@ -190,7 +190,7 @@ fn measure_wire(w: &Workload) -> WireRow {
 }
 
 /// The steady-state traffic shape the full-dirty mixes can't show: many
-/// tiny runs, where v1's fixed 20-byte run header dominates the 4-byte
+/// tiny runs, where a fixed-width 20-byte run header would dominate the 4-byte
 /// payloads and the v2 delta-varint header is the whole win.
 fn measure_wire_sparse(scale: f64) -> WireRow {
     let runs = ((1024.0 * scale) as u64).max(16);
@@ -217,13 +217,13 @@ fn measure_wire_sparse(scale: f64) -> WireRow {
 fn measure_formats(name: &'static str, diff: &SegmentDiff) -> WireRow {
     let mut row = WireRow {
         name,
-        bytes: [0; 3],
-        enc_secs: [f64::MAX; 3],
-        dec_secs: [f64::MAX; 3],
+        bytes: [diff.encoded_len_hint(), 0, 0],
+        enc_secs: [f64::MAX; 2],
+        dec_secs: [f64::MAX; 2],
     };
     for (slot, fmt) in WIRE_FORMATS.iter().enumerate() {
         let mut encoded = diff.encode_as(*fmt);
-        row.bytes[slot] = encoded.len();
+        row.bytes[slot + 1] = encoded.len();
         for _ in 0..ITERS {
             let (enc, d_enc) = time(|| std::hint::black_box(diff.encode_as(*fmt)));
             encoded = enc;
@@ -393,13 +393,13 @@ fn main() {
         total_walk / total_iso.max(1e-9)
     );
 
-    // Wire dimension: per-mix encoded bytes and encode/decode time for
-    // each diff wire revision.
+    // Wire dimension: per-mix fixed-width and encoded bytes, and
+    // encode/decode time for each codec choice.
     println!("\n# wire revisions (full-dirty diff per mix)");
     println!(
         "{:<14} {:>9} {:>9} {:>9} {:>7} {:>7} {:>9} {:>9} {:>9} {:>9}",
         "workload",
-        "v1_B",
+        "fixed_B",
         "v2_B",
         "v2lz_B",
         "v2_sav",
@@ -420,10 +420,10 @@ fn main() {
             r.bytes[2],
             100.0 * (1.0 - r.bytes[1] as f64 / r.bytes[0].max(1) as f64),
             100.0 * (1.0 - r.bytes[2] as f64 / r.bytes[0].max(1) as f64),
+            r.enc_secs[0] * 1e6,
             r.enc_secs[1] * 1e6,
-            r.enc_secs[2] * 1e6,
+            r.dec_secs[0] * 1e6,
             r.dec_secs[1] * 1e6,
-            r.dec_secs[2] * 1e6,
         );
         wire_rows.push(r);
     }
@@ -437,17 +437,17 @@ fn main() {
             r.bytes[2],
             100.0 * (1.0 - r.bytes[1] as f64 / r.bytes[0].max(1) as f64),
             100.0 * (1.0 - r.bytes[2] as f64 / r.bytes[0].max(1) as f64),
+            r.enc_secs[0] * 1e6,
             r.enc_secs[1] * 1e6,
-            r.enc_secs[2] * 1e6,
+            r.dec_secs[0] * 1e6,
             r.dec_secs[1] * 1e6,
-            r.dec_secs[2] * 1e6,
         );
         wire_rows.push(r);
     }
     let wire_total = |slot: usize| wire_rows.iter().map(|r| r.bytes[slot]).sum::<usize>();
     let (total_v1_b, total_v2_b, total_v2lz_b) = (wire_total(0), wire_total(1), wire_total(2));
     println!(
-        "# wire totals: v1 {} B, v2 {} B (-{:.1}%), v2+lz {} B (-{:.1}%)",
+        "# wire totals: fixed-width {} B, v2 {} B (-{:.1}%), v2+lz {} B (-{:.1}%)",
         total_v1_b,
         total_v2_b,
         100.0 * (1.0 - total_v2_b as f64 / total_v1_b.max(1) as f64),
@@ -520,17 +520,15 @@ fn main() {
     ));
     for (k, r) in wire_rows.iter().enumerate() {
         jw.push_str(&format!(
-            "    {{\"name\": \"{}\", \"v1_bytes\": {}, \"v2_bytes\": {}, \"v2lz_bytes\": {}, \"enc_v1_us\": {:.1}, \"enc_v2_us\": {:.1}, \"enc_v2lz_us\": {:.1}, \"dec_v1_us\": {:.1}, \"dec_v2_us\": {:.1}, \"dec_v2lz_us\": {:.1}}}{}\n",
+            "    {{\"name\": \"{}\", \"v1_bytes\": {}, \"v2_bytes\": {}, \"v2lz_bytes\": {}, \"enc_v2_us\": {:.1}, \"enc_v2lz_us\": {:.1}, \"dec_v2_us\": {:.1}, \"dec_v2lz_us\": {:.1}}}{}\n",
             r.name,
             r.bytes[0],
             r.bytes[1],
             r.bytes[2],
             r.enc_secs[0] * 1e6,
             r.enc_secs[1] * 1e6,
-            r.enc_secs[2] * 1e6,
             r.dec_secs[0] * 1e6,
             r.dec_secs[1] * 1e6,
-            r.dec_secs[2] * 1e6,
             if k + 1 < wire_rows.len() { "," } else { "" }
         ));
     }

@@ -20,7 +20,10 @@
 //! restart with the same `--data-dir` recovers everything — including a
 //! `kill -9` mid-commit (torn tail truncated). `--checkpoint-every`
 //! sets the checkpoint interval in versions (default 8). Without
-//! `--data-dir` nothing is persisted.
+//! `--data-dir` nothing is persisted. A data directory written in
+//! another on-disk format epoch is refused: `iwsrv` prints one line
+//! naming the directory and both formats, exits non-zero, and leaves
+//! the directory untouched.
 //!
 //! `--port-file PATH` writes the actual bound address (useful with
 //! `--listen 127.0.0.1:0`) to PATH once serving — the handshake the
@@ -50,6 +53,7 @@
 //! through them; `faults.injected_total` counters land in the registry
 //! `iwstat` scrapes.
 
+use std::error::Error as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -74,7 +78,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             checkpoint_interval: every.max(1),
             ..DurableOptions::default()
         };
-        let (s, recovery) = Server::with_durability(PathBuf::from(dir), opts)?;
+        let (s, recovery) = Server::with_durability(PathBuf::from(dir), opts).unwrap_or_else(|e| {
+            // The cause alone (a foreign format epoch names the
+            // directory and both formats), on one line.
+            eprintln!("iwsrv: {}", e.source().unwrap_or(&e));
+            std::process::exit(1)
+        });
         for w in &recovery.warnings {
             eprintln!("iwsrv: recovery warning: {w}");
         }

@@ -1,6 +1,7 @@
-//! End-to-end CLI test: spawn `iwsrv`, populate a segment through the
+//! End-to-end CLI tests: spawn `iwsrv`, populate a segment through the
 //! client library over TCP, inspect it with `iwdump`, then restart the
-//! server on the same `--data-dir` and check the data survived.
+//! server on the same `--data-dir` and check the data survived; and
+//! check that a data directory of an older format epoch is refused.
 
 mod common;
 
@@ -64,5 +65,38 @@ fn serve_populate_dump_recover() {
     let dump = iwdump(srv.addr, "cli/demo");
     assert!(dump.contains("2 blocks"), "post-recovery: {dump}");
     assert!(dump.contains("\"hello\""), "post-recovery: {dump}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A data directory of the previous format epoch (a format-1 log) makes
+/// `iwsrv` exit non-zero with one stderr line naming the directory and
+/// both formats, and leaves the directory byte-identical.
+#[test]
+fn older_epoch_data_dir_is_refused() {
+    let dir = std::env::temp_dir().join(format!("iwsrv-epoch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("wal-0000000000000001.iwlog");
+    let mut header = b"IWAL".to_vec();
+    header.extend_from_slice(&1u32.to_be_bytes());
+    header.extend_from_slice(&1u64.to_be_bytes());
+    std::fs::write(&log, &header).unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_iwsrv"))
+        .args(["--listen", "127.0.0.1:0", "--data-dir"])
+        .arg(&dir)
+        .stdout(Stdio::null())
+        .output()
+        .expect("run iwsrv");
+    let stderr = String::from_utf8(out.stderr).expect("utf8");
+    assert!(!out.status.success(), "iwsrv must refuse: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    let dir_s = dir.display().to_string();
+    for want in [dir_s.as_str(), "format 1", "format 2"] {
+        assert!(stderr.contains(want), "`{want}` missing: {stderr}");
+    }
+    let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+    assert_eq!(entries.len(), 1, "nothing may be created beside the log");
+    assert_eq!(std::fs::read(&log).unwrap(), header);
     let _ = std::fs::remove_dir_all(&dir);
 }

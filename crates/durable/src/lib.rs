@@ -30,7 +30,9 @@
 //! - **Recovery.** On restart the store loads the newest CRC-valid
 //!   checkpoint per segment and replays the log tail in append order. A
 //!   torn tail (crash mid-append) is truncated, not fatal; a CRC
-//!   mismatch stops the scan at the last good record, loudly.
+//!   mismatch stops the scan at the last good record, loudly. A log of
+//!   another format epoch ([`LOG_FORMAT`]) refuses the whole directory
+//!   ([`ForeignEpoch`]) before anything in it changes.
 //!
 //! The store is deliberately ignorant of server internals: checkpoint
 //! images and diff payloads are opaque bytes plus the version metadata
@@ -48,8 +50,7 @@ use std::sync::Arc;
 
 use iw_telemetry::{Counter, Gauge, Histogram, Registry};
 
-pub use records::{LogRecord, KIND_CHECKPOINT, KIND_DIFF};
-pub use store::{DiffStore, Recovery, SegmentRecovery};
+pub use store::{DiffStore, ForeignEpoch, Recovery, SegmentRecovery, LOG_FORMAT};
 
 /// Whether the server persists at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -1,15 +1,11 @@
-//! Typed log records and the checkpoint-file envelope.
+//! Log records and the checkpoint-file envelope.
 //!
 //! The framing layer ([`iw_wire::wal`]) moves opaque `(kind, body)` pairs;
-//! this module gives the kinds meaning:
-//!
-//! - **Diff** (`kind = 1`): a committed [`SegmentDiff`] for one segment —
-//!   the only record the store writes, one per acknowledged release
-//!   ([`encode_diff_frame`]).
-//! - **Checkpoint** (`kind = 2`): a marker that segment X's image at
-//!   version V was written to the `ck/` directory. Read-only: recovery
-//!   trusts the image files themselves, so the store never writes one;
-//!   older logs that carry it still decode and replay.
+//! this module gives them meaning. There is one kind, **Diff**
+//! (`kind = 1`): a committed [`SegmentDiff`] for one segment, one per
+//! acknowledged release ([`encode_diff_frame`] / [`decode_diff_frame`]).
+//! Recovery trusts the checkpoint image files themselves, so no record
+//! marks an image.
 //!
 //! Checkpoint **files** carry their own envelope (`IWDC` magic, version,
 //! CRC) around the server's opaque segment image, so recovery can order
@@ -22,38 +18,14 @@ use iw_wire::SegmentDiff;
 
 /// Record kind: one committed segment diff.
 pub const KIND_DIFF: u8 = 1;
-/// Record kind: checkpoint-written marker (read-only: decoded from
-/// older logs, never written).
-pub const KIND_CHECKPOINT: u8 = 2;
 
 /// Magic prefixing every durable checkpoint file.
 const CK_MAGIC: &[u8; 4] = b"IWDC";
 /// Checkpoint-file envelope format version.
 const CK_FORMAT: u32 = 1;
 
-/// A decoded write-ahead-log record.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LogRecord {
-    /// A committed diff for `segment`.
-    Diff {
-        /// Segment name.
-        segment: String,
-        /// The committed wire diff.
-        diff: SegmentDiff,
-    },
-    /// Segment `segment`'s image at `version` was checkpointed (decoded
-    /// from older logs; the store never writes it).
-    Checkpoint {
-        /// Segment name.
-        segment: String,
-        /// Version the image captures.
-        version: u64,
-    },
-}
-
 /// Frames one committed diff of `segment` (header + CRC + kind + body)
-/// ready to append. The body is the link format; old logs (v1 bodies)
-/// keep replaying through the same auto-detecting decode.
+/// ready to append. The body is the link format.
 pub fn encode_diff_frame(segment: &str, diff: &SegmentDiff) -> Vec<u8> {
     let encoded = diff.encode();
     let mut w = WireWriter::with_capacity(4 + segment.len() + encoded.len());
@@ -62,33 +34,24 @@ pub fn encode_diff_frame(segment: &str, diff: &SegmentDiff) -> Vec<u8> {
     encode_frame(KIND_DIFF, &w.finish())
 }
 
-impl LogRecord {
-    /// Decodes a record from a frame's kind byte and body.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on an unknown kind or a malformed body. With CRC
-    /// framing underneath, either indicates an encoder bug or a
-    /// corrupted-but-CRC-colliding record — callers treat both as a stop.
-    pub fn decode(kind: u8, body: &[u8]) -> Result<LogRecord, WireError> {
-        let mut r = WireReader::new(Bytes::copy_from_slice(body));
-        match kind {
-            KIND_DIFF => {
-                let segment = r.get_str()?;
-                let diff = SegmentDiff::decode(&mut r)?;
-                Ok(LogRecord::Diff { segment, diff })
-            }
-            KIND_CHECKPOINT => {
-                let segment = r.get_str()?;
-                let version = r.get_u64()?;
-                Ok(LogRecord::Checkpoint { segment, version })
-            }
-            tag => Err(WireError::BadTag {
-                what: "durable log record",
-                tag,
-            }),
-        }
+/// Decodes a frame's kind byte and body into `(segment, diff)`, the
+/// inverse of [`encode_diff_frame`].
+///
+/// # Errors
+///
+/// [`WireError`] on an unknown kind or a malformed body. With CRC
+/// framing underneath, either indicates an encoder bug or a
+/// corrupted-but-CRC-colliding record — callers treat both as a stop.
+pub fn decode_diff_frame(kind: u8, body: &[u8]) -> Result<(String, SegmentDiff), WireError> {
+    if kind != KIND_DIFF {
+        return Err(WireError::BadTag {
+            what: "durable log record",
+            tag: kind,
+        });
     }
+    let mut r = WireReader::new(Bytes::copy_from_slice(body));
+    let segment = r.get_str()?;
+    Ok((segment, SegmentDiff::decode(&mut r)?))
 }
 
 /// Wraps an opaque segment image in the checkpoint-file envelope: magic,
@@ -178,40 +141,23 @@ mod tests {
         let frame = encode_diff_frame("org/seg", &sample_diff(4, 5));
         let mut r = FrameReader::new(&frame);
         let f = r.next().unwrap();
-        let rec = LogRecord::Diff {
-            segment: "org/seg".into(),
-            diff: sample_diff(4, 5),
-        };
-        assert_eq!(LogRecord::decode(f.kind, f.body).unwrap(), rec);
+        assert_eq!(
+            decode_diff_frame(f.kind, f.body).unwrap(),
+            ("org/seg".to_string(), sample_diff(4, 5))
+        );
         assert_eq!(r.defect(), None);
-    }
-
-    /// Markers are no longer written, but a log that holds one (written
-    /// before that) still decodes.
-    #[test]
-    fn checkpoint_record_roundtrips() {
-        let rec = LogRecord::Checkpoint {
-            segment: "a/b".into(),
-            version: 77,
-        };
-        let mut w = WireWriter::new();
-        w.put_str("a/b");
-        w.put_u64(77);
-        let frame = encode_frame(KIND_CHECKPOINT, &w.finish());
-        let mut r = FrameReader::new(&frame);
-        let f = r.next().unwrap();
-        assert_eq!(LogRecord::decode(f.kind, f.body).unwrap(), rec);
     }
 
     /// The WAL's switch to the compressed v2 diff body must halve the
     /// log for representative commits: a typical small-run update
     /// (structural headers dominate) and a payload-heavy commit of
     /// structured data (the compressor dominates). Frame sizes are
-    /// compared against the same records with v1 diff bodies.
+    /// compared against the same records with fixed-width diff bodies
+    /// (the v1 layout of the previous format epoch).
     #[test]
     fn diff_records_halve_versus_v1_bodies() {
         // Frame header, the segment string (u32 length + bytes), then a
-        // v1 body, whose size `encoded_len_hint` gives exactly.
+        // fixed-width body, whose size `encoded_len_hint` gives exactly.
         let v1_frame = |segment: &str, diff: &SegmentDiff| {
             encode_frame(KIND_DIFF, &[]).len() + 4 + segment.len() + diff.encoded_len_hint()
         };
@@ -260,18 +206,17 @@ mod tests {
             // And it still replays.
             let mut r = FrameReader::new(&frame);
             let f = r.next().unwrap();
-            let rec = LogRecord::Diff {
-                segment: "org/seg".into(),
-                diff: diff.clone(),
-            };
-            assert_eq!(LogRecord::decode(f.kind, f.body).unwrap(), rec);
+            assert_eq!(
+                decode_diff_frame(f.kind, f.body).unwrap(),
+                ("org/seg".to_string(), diff.clone())
+            );
         }
     }
 
     #[test]
     fn unknown_kind_is_rejected() {
         assert!(matches!(
-            LogRecord::decode(0x7F, b""),
+            decode_diff_frame(0x7F, b""),
             Err(WireError::BadTag { tag: 0x7F, .. })
         ));
     }

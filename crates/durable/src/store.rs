@@ -9,8 +9,11 @@
 //!                             then CRC-framed records
 //! <dir>/ck/<segment>.iwck.0  the segment's two checkpoint-image slots
 //! <dir>/ck/<segment>.iwck.1   (records.rs envelope, overwritten in place)
-//! <dir>/ck/<segment>.iwck    legacy single image: read, never written
 //! ```
+//!
+//! **Format epoch.** The log header's format field is the directory's
+//! epoch. A build reads and writes one ([`LOG_FORMAT`]); a directory with
+//! a log of any other format is refused ([`ForeignEpoch`]) untouched.
 //!
 //! Exactly one log file is *active*; the rest exist only between a
 //! compaction's rotate step and its delete step (or, after a restart,
@@ -32,6 +35,7 @@
 //! restart does not overwrite the newest one either.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -45,14 +49,14 @@ use iw_wire::wal::{FrameDefect, FrameReader};
 use iw_wire::SegmentDiff;
 
 use crate::records::{
-    decode_checkpoint_file, encode_checkpoint_file, encode_diff_frame, LogRecord,
+    decode_checkpoint_file, decode_diff_frame, encode_checkpoint_file, encode_diff_frame,
 };
 use crate::{DurableOptions, Metrics};
 
 /// Magic prefixing every log file.
 const LOG_MAGIC: &[u8; 4] = b"IWAL";
-/// Log-file header format version.
-const LOG_FORMAT: u32 = 1;
+/// Log-file header format: the data directory's format epoch.
+pub const LOG_FORMAT: u32 = 2;
 /// Log-file header length: magic + format + file sequence number.
 const LOG_HEADER_LEN: usize = 16;
 
@@ -63,9 +67,7 @@ fn log_file_name(seq: u64) -> String {
 /// Name of `segment`'s image slot `slot` (0 or 1), with the same
 /// escaping as the server's checkpoint codec. Recovery reads the segment
 /// name from inside the file and uses this only to tell which slot a
-/// file is. The `.iwck.<slot>` suffix never ends in `.iwck`, so a slot
-/// cannot collide with a legacy `<segment>.iwck` image of a segment
-/// named `<other>.0`.
+/// file is.
 fn slot_file_name(segment: &str, slot: usize) -> String {
     let mut out = String::with_capacity(segment.len() + 7);
     for c in segment.chars() {
@@ -89,6 +91,30 @@ fn sync_dir(dir: &Path) {
     }
 }
 
+/// [`DiffStore::open`]'s refusal of a data directory holding a log of
+/// another format epoch than [`LOG_FORMAT`]: the payload of an
+/// [`io::ErrorKind::InvalidData`] error. The directory is left as it was.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ForeignEpoch {
+    /// The refused data directory.
+    pub dir: PathBuf,
+    /// The format its log declares.
+    pub found: u32,
+}
+
+impl fmt::Display for ForeignEpoch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "data directory {} holds log format {}, but this build reads only format {LOG_FORMAT}; refused, nothing changed",
+            self.dir.display(),
+            self.found
+        )
+    }
+}
+
+impl std::error::Error for ForeignEpoch {}
+
 /// State of the recovered store: per-segment images and log tails, plus
 /// what the scan saw along the way.
 #[derive(Debug, Default)]
@@ -102,7 +128,9 @@ pub struct Recovery {
     /// Human-readable anomalies: torn tails truncated, corrupt frames,
     /// undecodable checkpoint files, version gaps. Empty after a clean
     /// shutdown *and* after a plain `kill -9` (a torn tail in the
-    /// *final* log file is normal and reported here, not fatal).
+    /// *final* log file is normal and reported here, not fatal). A log
+    /// of another format epoch is not an anomaly but a refusal
+    /// ([`ForeignEpoch`]).
     pub warnings: Vec<String>,
 }
 
@@ -183,9 +211,12 @@ impl DiffStore {
     ///
     /// # Errors
     ///
-    /// Only on I/O failures that prevent the store from operating
-    /// (cannot create the directories or the active file). Damaged
-    /// *contents* are never fatal — they surface as
+    /// I/O failures that prevent the store from operating (cannot create
+    /// the directories or the active file), and one refusal: a log file
+    /// of another format epoch fails the open with an
+    /// [`io::ErrorKind::InvalidData`] error carrying [`ForeignEpoch`],
+    /// before anything in `dir` is created, truncated or written.
+    /// Otherwise damaged *contents* are never fatal — they surface as
     /// [`Recovery::warnings`].
     pub fn open(
         dir: impl Into<PathBuf>,
@@ -193,19 +224,22 @@ impl DiffStore {
         registry: &Arc<Registry>,
     ) -> io::Result<(DiffStore, Recovery)> {
         let dir = dir.into();
+        let logs = if dir.is_dir() {
+            list_logs(&dir)?
+        } else {
+            Vec::new()
+        };
+        check_epoch(&dir, &logs)?;
         let ck_dir = dir.join("ck");
         fs::create_dir_all(&ck_dir)?;
         let metrics = Metrics::new(registry);
 
         let mut recovery = Recovery::default();
         let checkpoints = read_checkpoints(&ck_dir, &mut recovery.warnings);
-        let logs = list_logs(&dir)?;
         let mut chains: HashMap<String, SegmentRecovery> = HashMap::new();
         let mut newest_slot = HashMap::new();
         for (name, (version, image, slot)) in checkpoints {
-            if let Some(slot) = slot {
-                newest_slot.insert(name.clone(), slot);
-            }
+            newest_slot.insert(name.clone(), slot);
             chains.insert(
                 name.clone(),
                 SegmentRecovery {
@@ -487,14 +521,12 @@ impl DiffStore {
     }
 }
 
-/// The newest CRC-valid image of one segment: `(version, image, slot)`,
-/// where `slot` is `None` for a file that is not one of the segment's
-/// own slots (a legacy `.iwck` image).
-type NewestImage = (u64, Bytes, Option<usize>);
+/// The newest CRC-valid image of one segment: `(version, image, slot)`.
+type NewestImage = (u64, Bytes, usize);
 
-/// Reads every image slot and legacy `.iwck` file, keeping the newest
-/// CRC-valid image per segment (higher version wins; a torn slot fails
-/// its CRC and is reported as a warning).
+/// Reads every image slot, keeping the newest CRC-valid image per
+/// segment (higher version wins; a torn slot fails its CRC and is
+/// reported as a warning).
 fn read_checkpoints(ck_dir: &Path, warnings: &mut Vec<String>) -> HashMap<String, NewestImage> {
     let mut out: HashMap<String, NewestImage> = HashMap::new();
     let entries = match fs::read_dir(ck_dir) {
@@ -507,9 +539,8 @@ fn read_checkpoints(ck_dir: &Path, warnings: &mut Vec<String>) -> HashMap<String
             continue;
         };
         let slot = match name.rsplit_once('.') {
-            Some((base, "0")) if base.ends_with(".iwck") => Some(0),
-            Some((base, "1")) if base.ends_with(".iwck") => Some(1),
-            Some((_, ext)) if ext.eq_ignore_ascii_case("iwck") => None,
+            Some((base, "0")) if base.ends_with(".iwck") => 0,
+            Some((base, "1")) if base.ends_with(".iwck") => 1,
             _ => continue,
         };
         let bytes = match fs::read(&path) {
@@ -520,11 +551,11 @@ fn read_checkpoints(ck_dir: &Path, warnings: &mut Vec<String>) -> HashMap<String
             }
         };
         match decode_checkpoint_file(&bytes) {
+            Ok((segment, _, _)) if name != slot_file_name(&segment, slot) => warnings.push(
+                format!("{}: not a slot of `{segment}`; skipped", path.display()),
+            ),
             Ok((segment, version, image)) => {
-                // A slot file counts as a slot only under its own
-                // segment's name (a manual copy is read like a legacy file).
-                let slot = slot.filter(|&n| name == slot_file_name(&segment, n));
-                let newest = out.entry(segment).or_insert((0, Bytes::new(), None));
+                let newest = out.entry(segment).or_insert((0, Bytes::new(), slot));
                 if version >= newest.0 {
                     *newest = (version, image, slot);
                 }
@@ -556,6 +587,25 @@ fn list_logs(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     }
     out.sort_by_key(|&(seq, _)| seq);
     Ok(out)
+}
+
+/// Refuses `dir` when a log file's header declares a format other than
+/// [`LOG_FORMAT`]. Only reads; a header too short or without the magic
+/// names no epoch, and the scan reports it as damage.
+fn check_epoch(dir: &Path, logs: &[(u64, PathBuf)]) -> io::Result<()> {
+    for (_, path) in logs {
+        let mut head = [0u8; 8];
+        let read = File::open(path).and_then(|mut f| f.read_exact(&mut head));
+        let found = u32::from_be_bytes(head[4..].try_into().expect("4 bytes"));
+        if read.is_ok() && &head[..4] == LOG_MAGIC && found != LOG_FORMAT {
+            let epoch = ForeignEpoch {
+                dir: dir.to_path_buf(),
+                found,
+            };
+            return Err(io::Error::new(io::ErrorKind::InvalidData, epoch));
+        }
+    }
+    Ok(())
 }
 
 /// Scans one log file, folding accepted diff records into `chains`.
@@ -590,11 +640,11 @@ fn scan_log(
             .push(format!("{}: bad log magic, file skipped", path.display()));
         return Ok(bytes.len() as u64);
     }
-    let format = u32::from_be_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    // The format was checked before anything was opened for writing.
     let seq = u64::from_be_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    if format != LOG_FORMAT || seq != expect_seq {
+    if seq != expect_seq {
         recovery.warnings.push(format!(
-            "{}: log header mismatch (format {format}, seq {seq}), file skipped",
+            "{}: log header mismatch (seq {seq}), file skipped",
             path.display()
         ));
         return Ok(bytes.len() as u64);
@@ -603,7 +653,7 @@ fn scan_log(
     let mut reader = FrameReader::new(&bytes[LOG_HEADER_LEN..]);
     while let Some(frame) = reader.next() {
         recovery.scanned_records += 1;
-        let record = match LogRecord::decode(frame.kind, frame.body) {
+        let (segment, diff) = match decode_diff_frame(frame.kind, frame.body) {
             Ok(r) => r,
             Err(e) => {
                 recovery.warnings.push(format!(
@@ -613,9 +663,6 @@ fn scan_log(
                 ));
                 break;
             }
-        };
-        let LogRecord::Diff { segment, diff } = record else {
-            continue; // a checkpoint marker (older logs) has nothing to replay
         };
         let chain = chains
             .entry(segment.clone())
@@ -1088,46 +1135,24 @@ mod tests {
         assert_eq!(slot_version(&dir, "s", 1), 4);
     }
 
-    /// A data dir written before image slots existed — one `<seg>.iwck`
-    /// image plus a `.tmp` the old write path left behind — recovers
-    /// byte-identically. New slot images win over it; it is never
-    /// written, not even by a segment whose slot name would have
-    /// collided with it under a `<seg>.0.iwck` scheme.
+    /// Only a segment's own slot files are images: a slot copied under
+    /// another segment's name is skipped loudly, and a single-file
+    /// `<seg>.iwck` (the previous epoch's layout) is not read at all.
     #[test]
-    fn legacy_image_and_stale_tmp_recover_byte_identically() {
-        let dir = temp_dir("legacy");
+    fn only_own_slots_are_read() {
+        let dir = temp_dir("slots");
         {
             let (store, _) = DiffStore::open(&dir, opts(), &registry()).unwrap();
-            for v in 0..6 {
-                store.append_diff("x", &diff(v, vec![v as u32])).unwrap();
-            }
+            store.write_checkpoint("x", 4, &image(4)).unwrap();
         }
         let ck = dir.join("ck");
-        let legacy = encode_checkpoint_file("x", 4, &image(4));
-        let other = encode_checkpoint_file("x.0", 7, &image(7));
-        fs::write(ck.join("x.iwck"), &legacy).unwrap();
-        fs::write(ck.join("x.iwck.tmp"), &legacy[..17]).unwrap();
-        fs::write(ck.join("x.0.iwck"), &other).unwrap();
-
-        let (store, rec) = DiffStore::open(&dir, opts(), &registry()).unwrap();
-        assert!(rec.warnings.is_empty(), "{:?}", rec.warnings);
-        let x = rec.segments.iter().find(|s| s.name == "x").unwrap();
-        assert_eq!(x.checkpoint, Some((4, Bytes::from(image(4)))));
-        let want: Vec<SegmentDiff> = (4..6).map(|v| diff(v, vec![v as u32])).collect();
-        assert_eq!(x.tail, want);
-        let x0 = rec.segments.iter().find(|s| s.name == "x.0").unwrap();
-        assert_eq!(x0.checkpoint, Some((7, Bytes::from(image(7)))));
-
-        store.write_checkpoint("x", 6, &image(6)).unwrap();
-        store.write_checkpoint("x", 6, &image(6)).unwrap();
-        drop(store);
-        assert_eq!(fs::read(ck.join("x.iwck")).unwrap(), legacy);
-        assert_eq!(fs::read(ck.join("x.0.iwck")).unwrap(), other);
+        fs::copy(slot_path(&dir, "x", 0), ck.join("y.iwck.1")).unwrap();
+        fs::write(ck.join("x.iwck"), encode_checkpoint_file("x", 9, &image(9))).unwrap();
         let (_store, rec) = DiffStore::open(&dir, opts(), &registry()).unwrap();
-        assert!(rec.warnings.is_empty(), "{:?}", rec.warnings);
-        let x = rec.segments.iter().find(|s| s.name == "x").unwrap();
-        assert_eq!(x.checkpoint, Some((6, Bytes::from(image(6)))));
-        assert!(x.tail.is_empty());
+        assert_eq!(rec.segments.len(), 1);
+        assert_eq!(rec.segments[0].checkpoint, Some((4, Bytes::from(image(4)))));
+        assert_eq!(rec.warnings.len(), 1, "{:?}", rec.warnings);
+        assert!(rec.warnings[0].contains("not a slot of `x`"));
     }
 
     /// No marker record follows an image: the log holds diffs only.

@@ -109,7 +109,7 @@ pub struct SoakReport {
     pub primary_image: Option<Vec<u8>>,
     /// Wall time of the fault-injected client phase.
     pub elapsed: std::time::Duration,
-    /// Diff payload the primary accounted at the raw (v1) size.
+    /// Diff payload the primary accounted at its fixed-width size.
     pub diff_bytes_raw: u64,
     /// Diff payload the primary actually put on the wire.
     pub diff_bytes_sent: u64,

@@ -12,9 +12,10 @@
 //! thread can never deadlock behind a queued lock.
 //!
 //! Every embedded diff is encoded in the one link format
-//! ([`SegmentDiff::encode`]) and decoded in either revision, so no
-//! capability is negotiated. Decoders ignore trailing bytes: older
-//! clients still append a capability byte to their `Hello`.
+//! ([`SegmentDiff::encode`]), and a diff in any other format fails the
+//! message's decode, so no capability is negotiated. Decoders ignore
+//! trailing bytes: older clients still append a capability byte to
+//! their `Hello`, and a trace id may ride there later.
 
 use bytes::Bytes;
 

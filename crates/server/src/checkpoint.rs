@@ -137,7 +137,9 @@ pub fn decode_segment(bytes: Bytes) -> Result<ServerSegment, ServerError> {
         if n_subs > 1 << 26 {
             return Err(bad("absurd subblock count"));
         }
-        let mut subs = Vec::with_capacity(n_subs as usize);
+        // Pre-size only to what the input can still hold (8 bytes each),
+        // so a hostile count cannot reserve memory the image lacks.
+        let mut subs = Vec::with_capacity((n_subs as usize).min(r.remaining() / 8));
         for _ in 0..n_subs {
             subs.push(r.get_u64()?);
         }
@@ -155,7 +157,7 @@ pub fn decode_segment(bytes: Bytes) -> Result<ServerSegment, ServerError> {
     }
 
     let n_freed = r.get_u32()?;
-    let mut freed = Vec::with_capacity((n_freed as usize).min(1 << 20));
+    let mut freed = Vec::with_capacity((n_freed as usize).min(r.remaining() / 20));
     for _ in 0..n_freed {
         let v = r.get_u64()?;
         let s = r.get_u32()?;

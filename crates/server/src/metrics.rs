@@ -57,9 +57,10 @@ pub(crate) struct ServerMetrics {
     /// `cluster.failovers_total` — clients that re-registered here after
     /// failing over from another replica.
     pub failovers: Arc<Counter>,
-    /// `wire.diff_bytes_raw_total` — v1-equivalent bytes of every diff
-    /// shipped in a reply (what the wire would have carried before the
-    /// v2/compression overhaul; the baseline of the compaction ratio).
+    /// `wire.diff_bytes_raw_total` — fixed-width size of every diff
+    /// shipped in a reply (`SegmentDiff::encoded_len_hint`: every count
+    /// a `u32`, every run header 20 bytes, no compression; the baseline
+    /// of the compaction ratio).
     pub diff_bytes_raw: Arc<Counter>,
     /// `wire.diff_bytes_sent_total` — bytes diffs actually occupied in
     /// replies, in the link format.

@@ -134,10 +134,12 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// I/O errors creating the store. Damaged store *contents* are not
-    /// errors — they surface as [`Recovery::warnings`], and a segment
-    /// whose checkpoint image no longer decodes is skipped (with a
-    /// warning) rather than taking the server down.
+    /// I/O errors creating the store, and a data directory of another
+    /// format epoch, which is refused untouched
+    /// ([`iw_durable::ForeignEpoch`]). Otherwise damaged store *contents*
+    /// are not errors — they surface as [`Recovery::warnings`], and a
+    /// segment whose checkpoint image no longer decodes is skipped (with
+    /// a warning) rather than taking the server down.
     pub fn with_durability(
         dir: PathBuf,
         opts: DurableOptions,
@@ -857,8 +859,8 @@ impl Server {
     }
 
     /// Encodes `reply` and accounts the diff it carries (if any):
-    /// `wire.diff_bytes_raw_total` grows by the diff's v1-equivalent
-    /// size (`encoded_len_hint`), `wire.diff_bytes_sent_total` by the
+    /// `wire.diff_bytes_raw_total` grows by the diff's fixed-width size
+    /// (`encoded_len_hint`), `wire.diff_bytes_sent_total` by the
     /// bytes actually leaving, and the encode-cache hit/miss counters
     /// record whether the link bytes were already materialized (fan-out
     /// readers served the same window).

@@ -2,11 +2,11 @@
 //! encode-once/serve-many fan-out.
 //!
 //! Every diff on the link is v2 (+LZ) from the first message on, with
-//! no handshake deciding it. Older clients still interoperate because
-//! the decoders accept both revisions and ignore trailing bytes: such a
-//! client's Hello carries a capability byte and its diffs are v1, and
-//! the server takes both. Repeated readers of one update window are
-//! served the same encoded bytes without re-encoding.
+//! no handshake deciding it. Message decoders ignore trailing bytes, so
+//! an older client's Hello (with its capability byte) is still
+//! welcomed; a diff of the older format epoch (v1) is refused with a
+//! typed error and changes nothing. Repeated readers of one update
+//! window are served the same encoded bytes without re-encoding.
 
 use std::sync::{Arc, Mutex};
 
@@ -221,11 +221,12 @@ fn loopback_without_hello_speaks_the_link_format() {
 }
 
 /// A client built when v2 still sat behind a capability handshake: its
-/// Hello carries a trailing capability byte, and with no byte in the
-/// Welcome its diffs stay v1. The server accepts both, and serves what
-/// it committed back in the link format.
+/// Hello carries a trailing capability byte, which the server ignores.
+/// Its v1 diff is of an older format epoch: the release is refused with
+/// a typed error and the segment stays at version 2, while the same
+/// client's v2 release then commits version 3 for every reader.
 #[test]
-fn older_client_commits_v1_and_reads_v2() {
+fn older_client_v1_release_is_refused_typed() {
     let server = seeded_server();
     let mut hello = Request::Hello {
         info: "older client".into(),
@@ -237,7 +238,7 @@ fn older_client_commits_v1_and_reads_v2() {
     let Ok(Reply::Welcome { client, .. }) = Reply::decode(welcome.clone()) else {
         panic!("unexpected hello reply")
     };
-    // No capability byte comes back, so such a client keeps sending v1.
+    // No capability byte comes back.
     assert_eq!(welcome, Reply::welcome(client).encode());
 
     let call = |req: &Request| Reply::decode(server.handle(req.encode())).unwrap();
@@ -265,22 +266,33 @@ fn older_client_commits_v1_and_reads_v2() {
     w.put_str(SEG);
     w.put_u8(1);
     w.put_len_bytes(&v1);
-    let released = Reply::decode(server.handle(w.finish())).unwrap();
-    assert_eq!(released, Reply::Released { version: 3 });
-
+    let refused = Reply::decode(server.handle(w.finish())).unwrap();
+    assert!(matches!(refused, Reply::Error { .. }), "{refused:?}");
     let reader = server.hello("reader");
-    let reply = server.handle(
-        Request::Poll {
-            client: reader,
-            segment: SEG.into(),
-            have_version: 2,
-            coherence: Coherence::Full,
-            floor: 0,
-        }
-        .encode(),
-    );
-    assert_eq!(reply_diff(&reply).expect("an update")[0], V2_MAGIC);
-    assert_eq!(Reply::decode(reply).unwrap(), Reply::Update { diff });
+    let poll = |have_version| {
+        Reply::decode(
+            server.handle(
+                Request::Poll {
+                    client: reader,
+                    segment: SEG.into(),
+                    have_version,
+                    coherence: Coherence::Full,
+                    floor: 0,
+                }
+                .encode(),
+            ),
+        )
+        .unwrap()
+    };
+    assert_eq!(poll(2), Reply::UpToDate, "the segment stays at version 2");
+
+    let released = call(&Request::Release {
+        client,
+        segment: SEG.into(),
+        diff: Some(diff.clone()),
+    });
+    assert_eq!(released, Reply::Released { version: 3 });
+    assert_eq!(poll(2), Reply::Update { diff });
 }
 
 /// 200 readers of the same update window: the first poll pays the

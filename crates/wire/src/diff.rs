@@ -11,32 +11,25 @@
 //! blocks (with their full wire images), per-block run diffs, and freed
 //! blocks.
 //!
-//! # Wire revisions
+//! # Wire format
 //!
-//! Two encodings exist, selected by [`DiffWire`]. Every link and the WAL
-//! emit one of them, [`DiffWire::LINK`] (v2 with adaptive LZ), through
-//! [`SegmentDiff::encode`]; nothing is negotiated.
+//! Every link and the WAL carry one encoding, [`DiffWire::LINK`], through
+//! [`SegmentDiff::encode`]; nothing is negotiated. It is a self-describing
+//! envelope (`0xD2` magic, then a 1-byte codec tag: raw or LZ-compressed)
+//! around a varint body: LEB128 varints for all counts/serials/lengths
+//! and zigzag *delta-encoded* run starts (each start is stored relative
+//! to the previous run's end, so sorted runs cost one or two bytes each).
+//! The codec tag is `1` when the body is LZ-compressed ([`crate::lz`]),
+//! chosen adaptively per diff by a size + entropy heuristic.
 //!
-//! - **v1** — the original fixed-width big-endian layout, kept as the
-//!   reference encoding (differential tests, the BENCH_10 raw column,
-//!   the exactness of [`SegmentDiff::encoded_len_hint`]). Every count
-//!   and serial is a `u32`, every run header is `u64 start + u64 count +
-//!   u32 len` (20 bytes before any payload).
-//! - **v2** — a self-describing envelope (`0xD2` magic, then a 1-byte
-//!   codec tag: raw or LZ-compressed) around a varint body: LEB128
-//!   varints for all counts/serials/lengths and zigzag *delta-encoded*
-//!   run starts (each start is stored relative to the previous run's
-//!   end, so sorted runs cost one or two bytes each). The codec tag is
-//!   `1` when the body is LZ-compressed ([`crate::lz`]), chosen
-//!   adaptively per diff by a size + entropy heuristic.
+//! [`SegmentDiff::decode`] accepts only this envelope: a body that does
+//! not start with the magic is refused with a typed error. The build has
+//! one format epoch, and an older one is refused, never half-read.
 //!
-//! [`SegmentDiff::decode`] accepts both transparently, so pre-v2 WAL
-//! bodies still replay and an older client's v1 diffs still commit. v1
-//! bodies start with the high byte of `from_version`, which is zero for
-//! any version below 2⁵⁶, so the `0xD2` first byte unambiguously marks
-//! a v2 envelope in practice (a v1 diff would need `from_version ≥
-//! 0xD2 << 56 ≈ 1.5 × 10¹⁹` to collide — versions advance by one per
-//! commit).
+//! [`SegmentDiff::encoded_len_hint`] gives a diff's *fixed-width size*:
+//! its bytes with every count and serial a `u32` and every run header
+//! `u64 start + u64 count + u32 len`. It pre-sizes buffers and is the
+//! "raw bytes" term of the server's compression accounting.
 
 use std::sync::{Arc, OnceLock};
 
@@ -47,8 +40,7 @@ use crate::codec::{WireError, WireReader, WireWriter};
 use crate::lz;
 use crate::tdesc::{decode_type, encode_type, encoded_type_len};
 
-/// First byte of every v2-encoded diff. See the module docs for why
-/// this cannot collide with a v1 body.
+/// First byte of every encoded diff.
 pub const V2_MAGIC: u8 = 0xD2;
 
 /// v2 codec tag: the body follows uncompressed.
@@ -61,11 +53,9 @@ const CODEC_LZ: u8 = 1;
 /// matching the WAL frame cap).
 const MAX_V2_BODY: u64 = 1 << 30;
 
-/// Which wire revision to emit for a [`SegmentDiff`].
+/// How to emit a [`SegmentDiff`] in the one wire format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiffWire {
-    /// Fixed-width big-endian reference layout; no link emits it.
-    V1,
     /// Varint/delta envelope; `compress` additionally allows the
     /// adaptive LZ codec when the heuristic predicts a win.
     V2 {
@@ -197,13 +187,11 @@ impl SegmentDiff {
             + self.new_blocks.iter().map(|b| b.data.len()).sum::<usize>()
     }
 
-    /// Exact v1 encoded size in bytes — a structural mirror of the v1
-    /// reference encoder, including the type-descriptor section
-    /// (via [`encoded_type_len`]). Used to pre-size the encode buffer so
-    /// serialization never reallocates, by transports to pre-size
-    /// message frames, and by the server as the "raw bytes" term of its
-    /// compression-ratio accounting (the v1-equivalent cost of a diff
-    /// without ever serializing it).
+    /// Exact fixed-width size in bytes (see the module docs), including
+    /// the type-descriptor section (via [`encoded_type_len`]). It
+    /// pre-sizes the encode buffer and transports' message frames (the
+    /// varint body rarely exceeds it), and the server uses it as the
+    /// "raw bytes" term of its compression-ratio accounting.
     pub fn encoded_len_hint(&self) -> usize {
         let mut n = 8 + 8 + 4 + 4 + 4 + 4; // versions + four section counts
         for (_, ty) in &self.new_types {
@@ -250,9 +238,9 @@ impl SegmentDiff {
         }
     }
 
-    /// Serializes the diff in the given wire revision: the link format
-    /// goes through [`SegmentDiff::encode`] and its cache, any other
-    /// revision is encoded afresh.
+    /// Serializes the diff with the given codec choice: the link format
+    /// goes through [`SegmentDiff::encode`] and its cache, the other is
+    /// encoded afresh.
     pub fn encode_as(&self, fmt: DiffWire) -> Bytes {
         if fmt == DiffWire::LINK {
             self.encode()
@@ -262,25 +250,21 @@ impl SegmentDiff {
     }
 
     fn encode_fresh(&self, fmt: DiffWire) -> Bytes {
-        match fmt {
-            DiffWire::V1 => self.encode_v1(),
-            DiffWire::V2 { compress } => {
-                let body = self.encode_v2_body();
-                let mut w = WireWriter::with_capacity(body.len() + 12);
-                w.put_u8(V2_MAGIC);
-                if compress && lz::likely_compressible(&body) {
-                    if let Some(c) = lz::compress(&body) {
-                        w.put_u8(CODEC_LZ);
-                        w.put_varint(body.len() as u64);
-                        w.put_varint_bytes(&c);
-                        return w.finish();
-                    }
-                }
-                w.put_u8(CODEC_RAW);
-                w.put_bytes(&body);
-                w.finish()
+        let DiffWire::V2 { compress } = fmt;
+        let body = self.encode_v2_body();
+        let mut w = WireWriter::with_capacity(body.len() + 12);
+        w.put_u8(V2_MAGIC);
+        if compress && lz::likely_compressible(&body) {
+            if let Some(c) = lz::compress(&body) {
+                w.put_u8(CODEC_LZ);
+                w.put_varint(body.len() as u64);
+                w.put_varint_bytes(&c);
+                return w.finish();
             }
         }
+        w.put_u8(CODEC_RAW);
+        w.put_bytes(&body);
+        w.finish()
     }
 
     fn encode_v2_body(&self) -> Bytes {
@@ -328,64 +312,22 @@ impl SegmentDiff {
         w.finish()
     }
 
-    fn encode_v1(&self) -> Bytes {
-        let mut w = WireWriter::with_capacity(self.encoded_len_hint());
-        w.put_u64(self.from_version);
-        w.put_u64(self.to_version);
-        w.put_u32(self.new_types.len() as u32);
-        for (serial, ty) in &self.new_types {
-            w.put_u32(*serial);
-            encode_type(&mut w, ty);
-        }
-        w.put_u32(self.new_blocks.len() as u32);
-        for b in &self.new_blocks {
-            w.put_u32(b.serial);
-            match &b.name {
-                Some(n) => {
-                    w.put_u8(1);
-                    w.put_str(n);
-                }
-                None => w.put_u8(0),
-            }
-            w.put_u32(b.type_serial);
-            w.put_u32(b.count);
-            w.put_len_bytes(&b.data);
-        }
-        w.put_u32(self.block_diffs.len() as u32);
-        for d in &self.block_diffs {
-            w.put_u32(d.serial);
-            w.put_u32(d.diff_len() as u32);
-            w.put_u32(d.runs.len() as u32);
-            for run in &d.runs {
-                w.put_u64(run.start);
-                w.put_u64(run.count);
-                w.put_len_bytes(&run.data);
-            }
-        }
-        w.put_u32(self.freed.len() as u32);
-        for s in &self.freed {
-            w.put_u32(*s);
-        }
-        w.finish()
-    }
-
-    /// Decodes a diff in either wire revision, auto-detected by the
-    /// first byte (see the module docs on the `0xD2` magic).
+    /// Decodes a diff from the `0xD2` envelope.
     ///
     /// # Errors
     ///
-    /// Any [`WireError`] arising from truncation, bad tags, hostile
-    /// length fields, or a corrupt compressed body.
+    /// Any [`WireError`] arising from truncation, a missing magic or bad
+    /// codec tag, hostile length fields, or a corrupt compressed body.
     pub fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        if r.peek_u8() == Some(V2_MAGIC) {
-            Self::decode_v2(r)
-        } else {
-            Self::decode_v1(r)
+        match r.get_u8()? {
+            V2_MAGIC => {}
+            tag => {
+                return Err(WireError::BadTag {
+                    what: "diff envelope",
+                    tag,
+                })
+            }
         }
-    }
-
-    fn decode_v2(r: &mut WireReader) -> Result<Self, WireError> {
-        let _magic = r.get_u8()?;
         match r.get_u8()? {
             CODEC_RAW => Self::decode_v2_body(r),
             CODEC_LZ => {
@@ -423,14 +365,14 @@ impl SegmentDiff {
         };
         let from_version = r.get_varint()?;
         let to_version = r.get_varint()?;
-        let n_types = checked_count_v2(r)?;
+        let n_types = checked_count(r)?;
         let mut new_types = Vec::with_capacity(n_types.min(r.remaining()));
         for _ in 0..n_types {
             let serial = get_u32v(r)?;
             let ty = decode_type(r)?;
             new_types.push((serial, ty));
         }
-        let n_new = checked_count_v2(r)?;
+        let n_new = checked_count(r)?;
         let mut new_blocks = Vec::with_capacity(n_new.min(r.remaining()));
         for _ in 0..n_new {
             let serial = get_u32v(r)?;
@@ -458,11 +400,11 @@ impl SegmentDiff {
                 data,
             });
         }
-        let n_diffs = checked_count_v2(r)?;
+        let n_diffs = checked_count(r)?;
         let mut block_diffs = Vec::with_capacity(n_diffs.min(r.remaining()));
         for _ in 0..n_diffs {
             let serial = get_u32v(r)?;
-            let n_runs = checked_count_v2(r)?;
+            let n_runs = checked_count(r)?;
             let mut runs = Vec::with_capacity(n_runs.min(r.remaining()));
             let mut cursor: u64 = 0;
             for _ in 0..n_runs {
@@ -475,7 +417,7 @@ impl SegmentDiff {
             }
             block_diffs.push(BlockDiff { serial, runs });
         }
-        let n_freed = checked_count_v2(r)?;
+        let n_freed = checked_count(r)?;
         let mut freed = Vec::with_capacity(n_freed.min(r.remaining()));
         for _ in 0..n_freed {
             freed.push(get_u32v(r)?);
@@ -490,92 +432,11 @@ impl SegmentDiff {
             enc: EncCache::default(),
         })
     }
-
-    fn decode_v1(r: &mut WireReader) -> Result<Self, WireError> {
-        let from_version = r.get_u64()?;
-        let to_version = r.get_u64()?;
-        let n_types = checked_count(r.get_u32()?)?;
-        let mut new_types = Vec::with_capacity(n_types);
-        for _ in 0..n_types {
-            let serial = r.get_u32()?;
-            let ty = decode_type(r)?;
-            new_types.push((serial, ty));
-        }
-        let n_new = checked_count(r.get_u32()?)?;
-        let mut new_blocks = Vec::with_capacity(n_new);
-        for _ in 0..n_new {
-            let serial = r.get_u32()?;
-            let name = match r.get_u8()? {
-                0 => None,
-                1 => Some(r.get_str()?),
-                tag => {
-                    return Err(WireError::BadTag {
-                        what: "block name flag",
-                        tag,
-                    })
-                }
-            };
-            let type_serial = r.get_u32()?;
-            let count = r.get_u32()?;
-            let data = r.get_len_bytes()?;
-            new_blocks.push(NewBlock {
-                serial,
-                name,
-                type_serial,
-                count,
-                data,
-            });
-        }
-        let n_diffs = checked_count(r.get_u32()?)?;
-        let mut block_diffs = Vec::with_capacity(n_diffs);
-        for _ in 0..n_diffs {
-            let serial = r.get_u32()?;
-            let declared_len = r.get_u32()? as usize;
-            let n_runs = checked_count(r.get_u32()?)?;
-            let mut runs = Vec::with_capacity(n_runs);
-            for _ in 0..n_runs {
-                let start = r.get_u64()?;
-                let count = r.get_u64()?;
-                let data = r.get_len_bytes()?;
-                runs.push(DiffRun { start, count, data });
-            }
-            let d = BlockDiff { serial, runs };
-            if d.diff_len() != declared_len {
-                return Err(WireError::BadMip(format!(
-                    "block {serial} diff length mismatch: declared {declared_len}, actual {}",
-                    d.diff_len()
-                )));
-            }
-            block_diffs.push(d);
-        }
-        let n_freed = checked_count(r.get_u32()?)?;
-        let mut freed = Vec::with_capacity(n_freed);
-        for _ in 0..n_freed {
-            freed.push(r.get_u32()?);
-        }
-        Ok(SegmentDiff {
-            from_version,
-            to_version,
-            new_types,
-            new_blocks,
-            block_diffs,
-            freed,
-            enc: EncCache::default(),
-        })
-    }
 }
 
-/// Bounds element counts read off the wire so `Vec::with_capacity` cannot be
-/// used as an allocation bomb.
-fn checked_count(n: u32) -> Result<usize, WireError> {
-    if n > 1 << 24 {
-        return Err(WireError::LengthOverflow { len: u64::from(n) });
-    }
-    Ok(n as usize)
-}
-
-/// Varint-read counterpart of [`checked_count`] for the v2 body.
-fn checked_count_v2(r: &mut WireReader) -> Result<usize, WireError> {
+/// Reads an element count, bounded so that no count alone can stand
+/// for an allocation bomb (callers also clamp pre-sizing to the input).
+fn checked_count(r: &mut WireReader) -> Result<usize, WireError> {
     let n = r.get_varint()?;
     if n > 1 << 24 {
         return Err(WireError::LengthOverflow { len: n });
@@ -639,20 +500,19 @@ mod tests {
 
     #[test]
     fn len_hint_is_exact() {
-        // The hint mirrors the v1 encoder structurally, descriptors
-        // included, so it is exact — not merely an upper bound.
-        let v1_len = |d: &SegmentDiff| d.encode_as(DiffWire::V1).len();
-        let d = sample();
-        assert_eq!(d.encoded_len_hint(), v1_len(&d));
+        // Fixed-width sizes, section by section: versions and four
+        // counts (32); int32 and string<8> descriptors with their
+        // serials (6 + 10); the named new block (4 + 1 + 8 + 12 + 16);
+        // the block diff (12, then 20 per run header plus 4 + 8 data);
+        // two freed serials (8). Pinned against a reference encoder in
+        // tests/prop_diff_v2.rs.
+        assert_eq!(sample().encoded_len_hint(), 32 + 16 + 41 + 64 + 8);
         let no_types = SegmentDiff {
             new_types: Vec::new(),
             ..sample()
         };
-        assert_eq!(no_types.encoded_len_hint(), v1_len(&no_types));
-        assert_eq!(
-            SegmentDiff::default().encoded_len_hint(),
-            v1_len(&SegmentDiff::default())
-        );
+        assert_eq!(no_types.encoded_len_hint(), 32 + 41 + 64 + 8);
+        assert_eq!(SegmentDiff::default().encoded_len_hint(), 32);
     }
 
     #[test]
@@ -669,8 +529,8 @@ mod tests {
             assert!(r.is_empty());
             assert_eq!(out, d);
             assert!(
-                enc.len() < d.encode_as(DiffWire::V1).len(),
-                "v2 ({fmt:?}) must be smaller than v1 on this sample"
+                enc.len() < d.encoded_len_hint(),
+                "{fmt:?} must be smaller than the fixed-width size on this sample"
             );
         }
     }
@@ -757,6 +617,16 @@ mod tests {
                 ..
             })
         ));
+        // Without the magic (the fixed-width layout of an older format
+        // epoch starts with a zero byte) the envelope is refused first.
+        let mut r = WireReader::new(Bytes::from_static(&[0, 0, 0, 0, 0, 0, 0, 0, 9]));
+        assert!(matches!(
+            SegmentDiff::decode(&mut r),
+            Err(WireError::BadTag {
+                what: "diff envelope",
+                tag: 0
+            })
+        ));
     }
 
     #[test]
@@ -794,39 +664,55 @@ mod tests {
         assert_eq!(SegmentDiff::decode(&mut r).unwrap(), d);
     }
 
+    /// The LZ envelope declares its body's decompressed length; a body
+    /// that decompresses to any other length is refused.
     #[test]
     fn declared_length_mismatch_rejected() {
-        let d = sample();
-        let enc = d.encode();
-        // Corrupt the declared diff length of the first block diff.
-        // Layout: find it by re-encoding with a tweak instead of byte
-        // surgery: craft bytes manually.
-        let mut w = WireWriter::new();
-        w.put_u64(0);
-        w.put_u64(1);
-        w.put_u32(0); // types
-        w.put_u32(0); // new blocks
-        w.put_u32(1); // one diff
-        w.put_u32(5); // serial
-        w.put_u32(999); // wrong declared length
-        w.put_u32(1); // one run
-        w.put_u64(0);
-        w.put_u64(1);
-        w.put_len_bytes(&[1, 2, 3, 4]);
-        w.put_u32(0); // freed
-        let mut r = WireReader::new(w.finish());
-        assert!(SegmentDiff::decode(&mut r).is_err());
+        let d = SegmentDiff {
+            from_version: 1,
+            to_version: 2,
+            block_diffs: vec![BlockDiff {
+                serial: 1,
+                runs: vec![DiffRun {
+                    start: 0,
+                    count: 256,
+                    data: Bytes::from(vec![7u8; 1024]),
+                }],
+            }],
+            ..Default::default()
+        };
+        let enc = d.encode_as(DiffWire::V2 { compress: true });
+        let mut r = WireReader::new(enc.slice(2..));
+        let raw_len = r.get_varint().unwrap();
+        let comp = r.get_varint_bytes().unwrap();
+        for declared in [raw_len - 1, raw_len + 1] {
+            let mut w = WireWriter::new();
+            w.put_u8(V2_MAGIC);
+            w.put_u8(CODEC_LZ);
+            w.put_varint(declared);
+            w.put_varint_bytes(&comp);
+            let mut r = WireReader::new(w.finish());
+            assert!(SegmentDiff::decode(&mut r).is_err(), "declared {declared}");
+        }
         // Sanity: the untampered encoding still decodes.
         let mut r = WireReader::new(enc);
-        assert!(SegmentDiff::decode(&mut r).is_ok());
+        assert_eq!(SegmentDiff::decode(&mut r).unwrap(), d);
+    }
+
+    /// The header of a raw envelope, then `from`/`to` varints.
+    fn raw_envelope() -> WireWriter {
+        let mut w = WireWriter::new();
+        w.put_u8(V2_MAGIC);
+        w.put_u8(CODEC_RAW);
+        w.put_varint(0);
+        w.put_varint(1);
+        w
     }
 
     #[test]
     fn hostile_counts_rejected() {
-        let mut w = WireWriter::new();
-        w.put_u64(0);
-        w.put_u64(1);
-        w.put_u32(u32::MAX); // absurd type count
+        let mut w = raw_envelope();
+        w.put_varint(u64::MAX); // absurd type count
         let mut r = WireReader::new(w.finish());
         assert!(matches!(
             SegmentDiff::decode(&mut r),
@@ -836,12 +722,10 @@ mod tests {
 
     #[test]
     fn bad_name_flag_rejected() {
-        let mut w = WireWriter::new();
-        w.put_u64(0);
-        w.put_u64(1);
-        w.put_u32(0);
-        w.put_u32(1); // one new block
-        w.put_u32(7); // serial
+        let mut w = raw_envelope();
+        w.put_varint(0);
+        w.put_varint(1); // one new block
+        w.put_varint(7); // serial
         w.put_u8(9); // invalid name flag
         let mut r = WireReader::new(w.finish());
         assert!(matches!(

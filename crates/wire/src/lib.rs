@@ -13,8 +13,7 @@
 //! - [`tdesc`] — wire encoding of type descriptors (how servers learn
 //!   types from clients);
 //! - [`diff`] — the run-length-encoded wire diff ([`SegmentDiff`]), in
-//!   one link format (varint/delta v2 with adaptive LZ) plus the
-//!   fixed-width v1 reference encoding, both decoded;
+//!   one format (the `0xD2` varint/delta envelope with adaptive LZ);
 //! - [`lz`] — the dependency-free LZ compressor the v2 envelope uses
 //!   when its entropy heuristic predicts a win;
 //! - [`wal`] — CRC-protected log-record framing for the durable diff

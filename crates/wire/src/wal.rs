@@ -21,8 +21,7 @@
 //! unknowable.
 //!
 //! The framing knows nothing about what the records mean; `iw-durable`
-//! layers segment-diff records on top (and still reads the checkpoint
-//! markers older logs carry).
+//! layers segment-diff records on top.
 
 /// Upper bound on one frame's `len` field. Nothing legitimate comes close
 /// (the largest payload is one segment diff); anything larger is treated

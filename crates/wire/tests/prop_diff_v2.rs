@@ -1,9 +1,11 @@
-//! Differential proof battery for the v2 diff wire revision.
+//! Differential proof battery for the diff wire format.
 //!
 //! The contract under test: for arbitrary diffs (random type
-//! descriptors, block shapes, dirty-run patterns), every wire revision
-//! — v1, v2, and v2 with adaptive compression — decodes back to a
-//! structurally identical `SegmentDiff`. Structural identity is what
+//! descriptors, block shapes, dirty-run patterns), both codec choices
+//! of the envelope — raw, and with adaptive compression — decode back
+//! to a structurally identical `SegmentDiff`, and
+//! `encoded_len_hint` equals the size of a fixed-width reference
+//! encoding. Structural identity is what
 //! `apply` consumes, so identical decodes imply byte-identical applied
 //! images whether or not compression was on the wire. Hostile-input
 //! lemmas ride along: truncation at every byte offset fails cleanly,
@@ -12,8 +14,9 @@
 
 use bytes::Bytes;
 use iw_types::desc::TypeDesc;
-use iw_wire::codec::WireReader;
+use iw_wire::codec::{WireReader, WireWriter};
 use iw_wire::diff::{BlockDiff, DiffRun, DiffWire, NewBlock, SegmentDiff};
+use iw_wire::tdesc::encode_type;
 use proptest::prelude::*;
 
 fn arb_type() -> impl Strategy<Value = TypeDesc> {
@@ -109,8 +112,52 @@ fn arb_diff() -> impl Strategy<Value = SegmentDiff> {
         })
 }
 
-const FORMATS: [DiffWire; 3] = [
-    DiffWire::V1,
+/// The fixed-width layout `encoded_len_hint` sizes: every count and
+/// serial a big-endian `u32`, versions and run positions `u64`, byte
+/// strings `u32`-length-prefixed, and a declared payload length per
+/// block diff. Nothing emits it; it pins the hint.
+fn fixed_width(d: &SegmentDiff) -> Bytes {
+    let mut w = WireWriter::new();
+    w.put_u64(d.from_version);
+    w.put_u64(d.to_version);
+    w.put_u32(d.new_types.len() as u32);
+    for (serial, ty) in &d.new_types {
+        w.put_u32(*serial);
+        encode_type(&mut w, ty);
+    }
+    w.put_u32(d.new_blocks.len() as u32);
+    for b in &d.new_blocks {
+        w.put_u32(b.serial);
+        match &b.name {
+            Some(n) => {
+                w.put_u8(1);
+                w.put_str(n);
+            }
+            None => w.put_u8(0),
+        }
+        w.put_u32(b.type_serial);
+        w.put_u32(b.count);
+        w.put_len_bytes(&b.data);
+    }
+    w.put_u32(d.block_diffs.len() as u32);
+    for b in &d.block_diffs {
+        w.put_u32(b.serial);
+        w.put_u32(b.diff_len() as u32);
+        w.put_u32(b.runs.len() as u32);
+        for run in &b.runs {
+            w.put_u64(run.start);
+            w.put_u64(run.count);
+            w.put_len_bytes(&run.data);
+        }
+    }
+    w.put_u32(d.freed.len() as u32);
+    for s in &d.freed {
+        w.put_u32(*s);
+    }
+    w.finish()
+}
+
+const FORMATS: [DiffWire; 2] = [
     DiffWire::V2 { compress: false },
     DiffWire::V2 { compress: true },
 ];
@@ -123,32 +170,30 @@ fn decode_all(b: Bytes) -> SegmentDiff {
 }
 
 proptest! {
-    /// The differential proof: all three wire revisions of the same
-    /// diff decode to structurally identical values, and the varint/
-    /// delta revision never loses to v1 on size by more than the
-    /// 2-byte envelope.
+    /// The differential proof: both codec choices of the same diff
+    /// decode to structurally identical values, and the size hint is
+    /// the exact fixed-width size.
     #[test]
     fn all_revisions_decode_identically(d in arb_diff()) {
-        let v1 = d.encode_as(DiffWire::V1);
-        prop_assert_eq!(v1.len(), d.encoded_len_hint(), "hint must be exact");
+        prop_assert_eq!(fixed_width(&d).len(), d.encoded_len_hint(), "hint must be exact");
         for fmt in FORMATS {
             let enc = d.encode_as(fmt);
             let back = decode_all(enc);
             prop_assert_eq!(&back, &d, "{:?} must decode to the original", fmt);
-            // Round-trip again through the opposite revision: a decoded
-            // diff re-encodes to working bytes in every other format.
+            // Round-trip again through the other codec choice: a decoded
+            // diff re-encodes to working bytes either way.
             for fmt2 in FORMATS {
                 prop_assert_eq!(&decode_all(back.encode_as(fmt2)), &d);
             }
         }
     }
 
-    /// v1 → v2 is a real compaction on realistic shapes: the v2
-    /// envelope never exceeds v1 by more than its 2-byte header plus
-    /// one worst-case varint per integer field.
+    /// The varint envelope never exceeds the fixed-width size by more
+    /// than its 2-byte header plus one worst-case varint per integer
+    /// field.
     #[test]
     fn v2_never_bloats_materially(d in arb_diff()) {
-        let v1 = d.encode_as(DiffWire::V1).len();
+        let fixed = d.encoded_len_hint();
         let v2 = d.encode_as(DiffWire::V2 { compress: false }).len();
         // Integer fields whose varint form can exceed the fixed width
         // by at most 2 bytes each (u64) or 1 byte (u32).
@@ -157,7 +202,7 @@ proptest! {
             + d.new_blocks.len() * 4
             + d.block_diffs.iter().map(|b| 2 + 3 * b.runs.len()).sum::<usize>()
             + d.freed.len();
-        prop_assert!(v2 <= v1 + 2 + 2 * ints, "v2 {} vs v1 {}", v2, v1);
+        prop_assert!(v2 <= fixed + 2 + 2 * ints, "v2 {} vs fixed-width {}", v2, fixed);
     }
 
     /// Single-bit flips anywhere in the v2 envelope — magic, codec tag,
@@ -186,7 +231,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Truncating any encoding at any byte offset fails cleanly: every
-    /// byte of every revision is load-bearing, so no proper prefix may
+    /// byte of either codec choice is load-bearing, so no proper prefix may
     /// parse as a valid diff (and none may panic).
     #[test]
     fn truncation_at_every_offset_rejected(d in arb_diff()) {
