@@ -24,14 +24,14 @@
 //! hold every mix's collect and apply ratio (to the hot `memcpy` of its
 //! image, both from this run, so the host's speed cancels) under the
 //! `<mix>.<phase>_limit` the committed `BENCH_9.json` carries; pass
-//! `--wire-baseline <path>` to gate the v2/v2+lz byte totals against a
-//! committed `BENCH_10.json` within `--tolerance` percent.
+//! `--wire-baseline <path>` to require the v2/v2+lz byte totals to equal
+//! a committed `BENCH_10.json` exactly.
 //!
 //! Usage:
 //! ```console
 //! cargo run --release -p iw-bench --bin bench_trajectory -- \
 //!   [scale] [--out BENCH_9.json] [--wire-out BENCH_10.json] \
-//!   [--baseline path] [--wire-baseline path] [--tolerance 25]
+//!   [--baseline path] [--wire-baseline path]
 //! ```
 
 use std::io::Write as _;
@@ -257,7 +257,6 @@ fn main() {
     let mut wire_out_path = String::from("BENCH_10.json");
     let mut baseline: Option<String> = None;
     let mut wire_baseline: Option<String> = None;
-    let mut tolerance = 25.0f64;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -275,10 +274,6 @@ fn main() {
             }
             "--wire-baseline" => {
                 wire_baseline = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--tolerance" => {
-                tolerance = args[i + 1].parse().expect("tolerance percent");
                 i += 2;
             }
             s => {
@@ -568,8 +563,9 @@ fn main() {
     }
 
     // Byte gate against a committed BENCH_10: encodings are
-    // deterministic, so growth beyond tolerance means the wire format
-    // (or the diff collector) regressed, not the machine.
+    // deterministic, so any change at all means the wire format (or the
+    // diff collector) changed, not the machine. A deliberate change
+    // re-commits BENCH_10.json.
     if let Some(path) = wire_baseline {
         let doc = std::fs::read_to_string(&path).expect("read wire baseline");
         let mut failed = false;
@@ -578,12 +574,11 @@ fn main() {
                 println!("# wire baseline lacks {key}; skipping that gate");
                 return;
             };
-            let limit = base * (1.0 + tolerance / 100.0);
-            println!("# wire baseline {key} {base:.0} B, current {current} B, limit {limit:.0} B (+{tolerance}%)");
-            if current as f64 > limit {
+            println!("# wire baseline {key} {base:.0} B, current {current} B");
+            if current != base as usize {
                 eprintln!(
-                    "BENCH REGRESSION: {key} {current} B exceeds {limit:.0} B \
-                     ({tolerance}% over the committed baseline {base:.0} B)"
+                    "BENCH CHANGE: {key} {current} B differs from the committed baseline \
+                     {base:.0} B (re-commit BENCH_10.json if the change is intended)"
                 );
                 failed = true;
             }
@@ -593,6 +588,6 @@ fn main() {
         if failed {
             std::process::exit(1);
         }
-        println!("# wire gate: within tolerance");
+        println!("# wire gate: totals equal the baseline");
     }
 }

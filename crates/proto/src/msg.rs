@@ -303,29 +303,31 @@ pub enum Reply {
 impl Request {
     /// Serializes the request into framed wire bytes.
     pub fn encode(&self) -> Bytes {
-        // Pre-size the writer for the payload-bearing variants so
-        // serializing a large diff or image never regrows the buffer;
-        // control messages stay on the default small allocation.
+        // Encode the carried diffs first (a received diff hands back the
+        // bytes it arrived in) and pre-size the writer from their exact
+        // lengths, so serializing a large diff or image never regrows
+        // the buffer; control messages stay on the default small
+        // allocation.
+        let diffs: Vec<Bytes> = match self {
+            Request::Release { diff: Some(d), .. } => vec![d.encode()],
+            Request::Commit { entries, .. } => entries
+                .iter()
+                .filter_map(|(_, d)| d.as_ref().map(SegmentDiff::encode))
+                .collect(),
+            Request::Replicate { diff, .. } => vec![diff.encode()],
+            _ => Vec::new(),
+        };
         let cap = match self {
-            Request::Release {
-                segment,
-                diff: Some(d),
-                ..
-            } => 64 + segment.len() + d.encoded_len_hint(),
-            Request::Commit { entries, .. } => {
-                64 + entries
-                    .iter()
-                    .map(|(s, d)| {
-                        16 + s.len() + d.as_ref().map_or(0, SegmentDiff::encoded_len_hint)
-                    })
-                    .sum::<usize>()
+            Request::Release { segment, .. } | Request::Replicate { segment, .. } => {
+                64 + segment.len()
             }
-            Request::Replicate { segment, diff, .. } => {
-                64 + segment.len() + diff.encoded_len_hint()
+            Request::Commit { entries, .. } => {
+                64 + entries.iter().map(|(s, _)| 16 + s.len()).sum::<usize>()
             }
             Request::SyncFull { segment, image } => 64 + segment.len() + image.len(),
             _ => 0,
-        };
+        } + diffs.iter().map(Bytes::len).sum::<usize>();
+        let mut diffs = diffs.into_iter();
         let mut w = if cap > 0 {
             WireWriter::with_capacity(cap)
         } else {
@@ -368,9 +370,9 @@ impl Request {
                 w.put_str(segment);
                 match diff {
                     None => w.put_u8(0),
-                    Some(d) => {
+                    Some(_) => {
                         w.put_u8(1);
-                        w.put_len_bytes(&d.encode());
+                        w.put_len_bytes(&diffs.next().expect("encoded above"));
                     }
                 }
             }
@@ -382,9 +384,9 @@ impl Request {
                     w.put_str(segment);
                     match diff {
                         None => w.put_u8(0),
-                        Some(d) => {
+                        Some(_) => {
                             w.put_u8(1);
-                            w.put_len_bytes(&d.encode());
+                            w.put_len_bytes(&diffs.next().expect("encoded above"));
                         }
                     }
                 }
@@ -410,12 +412,12 @@ impl Request {
             Request::Replicate {
                 segment,
                 from_version,
-                diff,
+                ..
             } => {
                 w.put_u8(7);
                 w.put_str(segment);
                 w.put_u64(*from_version);
-                w.put_len_bytes(&diff.encode());
+                w.put_len_bytes(&diffs.next().expect("encoded above"));
             }
             Request::SyncFull { segment, image } => {
                 w.put_u8(8);
@@ -620,18 +622,17 @@ impl Reply {
 
     /// Serializes the reply into framed wire bytes.
     pub fn encode(&self) -> Bytes {
-        // As with requests: pre-size for the diff-bearing replies.
-        let cap = match self {
+        // As with requests: encode the diff first and pre-size from it.
+        let body = match self {
             Reply::Granted {
                 update: Some(d), ..
-            } => 64 + d.encoded_len_hint(),
-            Reply::Update { diff } => 64 + diff.encoded_len_hint(),
-            _ => 0,
+            } => Some(d.encode()),
+            Reply::Update { diff } => Some(diff.encode()),
+            _ => None,
         };
-        let mut w = if cap > 0 {
-            WireWriter::with_capacity(cap)
-        } else {
-            WireWriter::new()
+        let mut w = match &body {
+            Some(d) => WireWriter::with_capacity(64 + d.len()),
+            None => WireWriter::new(),
         };
         match self {
             Reply::Welcome { client, replicas } => {
@@ -656,9 +657,9 @@ impl Reply {
                 w.put_u64(*version);
                 match update {
                     None => w.put_u8(0),
-                    Some(d) => {
+                    Some(_) => {
                         w.put_u8(1);
-                        w.put_len_bytes(&d.encode());
+                        w.put_len_bytes(body.as_ref().expect("encoded above"));
                     }
                 }
                 w.put_u32(*next_serial);
@@ -677,9 +678,9 @@ impl Reply {
                     w.put_u64(*v);
                 }
             }
-            Reply::Update { diff } => {
+            Reply::Update { .. } => {
                 w.put_u8(6);
-                w.put_len_bytes(&diff.encode());
+                w.put_len_bytes(body.as_ref().expect("encoded above"));
             }
             Reply::Error { message } => {
                 w.put_u8(7);

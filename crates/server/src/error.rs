@@ -17,6 +17,16 @@ pub enum ServerError {
         /// The segment's actual current version.
         current: u64,
     },
+    /// A client or replicated diff did not advance exactly one version
+    /// (`to_version != from_version + 1`). The server caches and
+    /// forwards a received diff under its own header, so a false
+    /// `to_version` would label a partial update as current.
+    VersionStep {
+        /// The version the diff claims to start from.
+        from: u64,
+        /// The version the diff claims to produce.
+        to: u64,
+    },
     /// A diff referenced a block the server does not have.
     UnknownBlock(u32),
     /// A diff referenced an unregistered type descriptor.
@@ -47,6 +57,10 @@ impl fmt::Display for ServerError {
             ServerError::VersionMismatch { diff_from, current } => write!(
                 f,
                 "diff base version {diff_from} does not match current version {current}"
+            ),
+            ServerError::VersionStep { from, to } => write!(
+                f,
+                "diff claims versions {from}..{to}; a diff must advance exactly one version"
             ),
             ServerError::UnknownBlock(s) => write!(f, "unknown block serial {s}"),
             ServerError::UnknownType(s) => write!(f, "unknown type serial {s}"),

@@ -66,7 +66,9 @@ pub(crate) struct ServerMetrics {
     /// replies, in the link format.
     pub diff_bytes_sent: Arc<Counter>,
     /// `server.enc_cache.hits_total` — reply diffs served straight from
-    /// an already-materialized encoding (encode-once/serve-many).
+    /// an already-materialized encoding (encode-once/serve-many): the
+    /// bytes received from the writer, which a decoded diff keeps, or
+    /// an encoding made for an earlier reader of the same window.
     pub enc_cache_hits: Arc<Counter>,
     /// `server.enc_cache.misses_total` — reply diffs that had to be
     /// encoded on this request.

@@ -224,11 +224,14 @@ impl ServerSegment {
     ///
     /// # Errors
     ///
-    /// [`ServerError::VersionMismatch`] unless `diff.from_version` equals
-    /// the current version (the writer lock is exclusive, so a correct
-    /// client can never be behind); plus structural errors for unknown
-    /// blocks/types, duplicate serials/names, and out-of-range runs.
+    /// [`ServerError::VersionStep`] unless the diff advances exactly one
+    /// version; [`ServerError::VersionMismatch`]
+    /// unless `diff.from_version` equals the current version (the writer
+    /// lock is exclusive, so a correct client can never be behind); plus
+    /// structural errors for unknown blocks/types, duplicate
+    /// serials/names, and out-of-range runs.
     pub fn apply_diff(&mut self, diff: &SegmentDiff) -> Result<u64, ServerError> {
+        check_step(diff)?;
         if diff.from_version != self.version {
             return Err(ServerError::VersionMismatch {
                 diff_from: diff.from_version,
@@ -264,7 +267,7 @@ impl ServerSegment {
             let layout = self.layout(nb.type_serial, nb.count)?;
             let prims = layout.prim_count();
             let mut store = WireStore::new(&layout);
-            let mut r = WireReader::new(Bytes::from(nb.data.to_vec()));
+            let mut r = WireReader::new(nb.data.clone());
             store.apply(&layout, 0, prims, &mut r)?;
             let subblocks = prims.div_ceil(SUBBLOCK_PRIMS).max(1) as usize;
             let key = (new_version, self.next_seq());
@@ -326,7 +329,7 @@ impl ServerSegment {
                         count: run.count,
                     });
                 }
-                let mut r = WireReader::new(Bytes::from(run.data.to_vec()));
+                let mut r = WireReader::new(run.data.clone());
                 block.store.apply(&layout, run.start, run.count, &mut r)?;
                 let first = run.start / SUBBLOCK_PRIMS;
                 let last = (run.start + run.count - 1) / SUBBLOCK_PRIMS;
@@ -710,6 +713,24 @@ impl ServerSegment {
     }
 }
 
+/// Refuses a diff that does not advance exactly one version. Every diff
+/// a writer or a primary sends is one release, and the server caches
+/// and forwards it under its own `(from, to)` header, so this check is
+/// what keeps a cached window honest.
+///
+/// # Errors
+///
+/// [`ServerError::VersionStep`] when `to_version != from_version + 1`.
+pub(crate) fn check_step(diff: &SegmentDiff) -> Result<(), ServerError> {
+    if diff.from_version.checked_add(1) != Some(diff.to_version) {
+        return Err(ServerError::VersionStep {
+            from: diff.from_version,
+            to: diff.to_version,
+        });
+    }
+    Ok(())
+}
+
 /// Splices a chain of version-adjacent diffs into one. Runs that update
 /// the exact same primitive range in multiple steps are deduplicated to
 /// the most recent data; everything else is concatenated in version
@@ -960,6 +981,53 @@ mod tests {
         assert_eq!(b.version, 1);
         assert_eq!(b.created_version, 1);
         assert_eq!(s.block_subblock_versions(0), &[1, 1, 1, 1]);
+    }
+
+    /// A release that claims to advance several versions is refused
+    /// before anything changes: otherwise the segment would advance one
+    /// version while the cache kept the diff under the claimed window,
+    /// and a reader at the old version would later be served it, partial
+    /// but labelled current.
+    #[test]
+    fn false_to_version_refused_before_any_mutation() {
+        let mut s = seg_with_int_block(64);
+        let liar = SegmentDiff {
+            from_version: 1,
+            to_version: 4,
+            block_diffs: vec![int_block_diff(0, &[(0, 7)])],
+            ..Default::default()
+        };
+        assert!(matches!(
+            s.apply_diff(&liar),
+            Err(ServerError::VersionStep { from: 1, to: 4 })
+        ));
+        assert_eq!(s.version(), 1);
+        assert_eq!(s.block(0).unwrap().version, 1);
+        // A diff that advances no version at all is refused too.
+        let stay = SegmentDiff {
+            from_version: 1,
+            to_version: 1,
+            ..Default::default()
+        };
+        assert!(matches!(
+            s.apply_diff(&stay),
+            Err(ServerError::VersionStep { from: 1, to: 1 })
+        ));
+        // Three honest releases bring the segment to v4; a reader at v1
+        // then gets every write of v2..v4.
+        for (v, prim) in [(1u64, 0u64), (2, 20), (3, 40)] {
+            let d = SegmentDiff {
+                from_version: v,
+                to_version: v + 1,
+                block_diffs: vec![int_block_diff(0, &[(prim, v as i32 + 10)])],
+                ..Default::default()
+            };
+            s.apply_diff(&d).unwrap();
+        }
+        let upd = s.collect_update(9, 1).unwrap();
+        assert_eq!((upd.from_version, upd.to_version), (1, 4));
+        let starts: Vec<u64> = upd.block_diffs[0].runs.iter().map(|r| r.start).collect();
+        assert_eq!(starts, [0, 20, 40]);
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::checkpoint;
 use crate::error::ServerError;
 use crate::locks::LockTable;
 use crate::metrics::ServerMetrics;
-use crate::segment::ServerSegment;
+use crate::segment::{check_step, ServerSegment};
 
 /// One shard of the segment table.
 type SharedSegment = Arc<RwLock<ServerSegment>>;
@@ -599,6 +599,11 @@ impl Server {
                 };
             }
             if let Some(d) = diff {
+                if let Err(e) = check_step(d) {
+                    return Reply::Error {
+                        message: format!("commit to `{segment}`: {e}"),
+                    };
+                }
                 if d.from_version != guard.version() {
                     return Reply::Error {
                         message: format!(
@@ -691,6 +696,11 @@ impl Server {
     /// segment already has (retransmitted after a primary restart or a
     /// duplicated ship) is acked without being re-applied.
     fn replicate(&self, segment: &str, from_version: u64, diff: &SegmentDiff) -> Reply {
+        if let Err(e) = check_step(diff) {
+            return Reply::Error {
+                message: format!("replicate to `{segment}`: {e}"),
+            };
+        }
         let seg = self.segment_or_insert(segment);
         let mut guard = self.write_seg(&seg);
         if diff.to_version <= guard.version() {
@@ -862,8 +872,9 @@ impl Server {
     /// `wire.diff_bytes_raw_total` grows by the diff's fixed-width size
     /// (`encoded_len_hint`), `wire.diff_bytes_sent_total` by the
     /// bytes actually leaving, and the encode-cache hit/miss counters
-    /// record whether the link bytes were already materialized (fan-out
-    /// readers served the same window).
+    /// record whether the link bytes were already materialized: received
+    /// from the writer (a decoded diff keeps its bytes), or encoded for
+    /// an earlier reader of the same window.
     ///
     /// Shared by this server's own [`Handler`](iw_proto::Handler) front
     /// end and the cluster wrappers, so every front end accounts
@@ -996,6 +1007,118 @@ mod tests {
             diff: None,
         });
         assert!(matches!(s.handle_request(&acq(b)), Reply::Granted { .. }));
+    }
+
+    /// A writer's `Release` whose diff claims `1 → 4` arrives as raw
+    /// request bytes through the handler: it is refused, the segment
+    /// stays at v1, and a reader at v1 later gets a current update
+    /// instead of the liar's cached window.
+    #[test]
+    fn release_with_false_to_version_refused() {
+        use iw_proto::Handler as _;
+        let s = Server::new();
+        let w = s.hello("w");
+        let rd = s.hello("r");
+        s.open("h/s");
+        let acquire = |client, mode, have_version| Request::Acquire {
+            client,
+            segment: "h/s".into(),
+            mode,
+            have_version,
+            coherence: Coherence::Full,
+        };
+        let release = |diff: SegmentDiff| {
+            let bytes = Request::Release {
+                client: w,
+                segment: "h/s".into(),
+                diff: Some(diff),
+            }
+            .encode();
+            Reply::decode(s.handle(bytes)).unwrap()
+        };
+        let write = |from: u64, to: u64, prim: u64| SegmentDiff {
+            from_version: from,
+            to_version: to,
+            block_diffs: vec![iw_wire::diff::BlockDiff {
+                serial: 0,
+                runs: vec![iw_wire::diff::DiffRun {
+                    start: prim,
+                    count: 1,
+                    data: Bytes::from((prim as u32 + 100).to_be_bytes().to_vec()),
+                }],
+            }],
+            ..Default::default()
+        };
+        s.handle_request(&acquire(w, LockMode::Write, 0));
+        assert_eq!(release(seed_diff(0)), Reply::Released { version: 1 });
+
+        s.handle_request(&acquire(w, LockMode::Write, 1));
+        let r = release(write(1, 4, 0));
+        assert!(
+            matches!(&r, Reply::Error { message } if message.contains("1..4")),
+            "{r:?}"
+        );
+        assert_eq!(s.segment_version("h/s"), Some(1));
+        // The refused release kept its lock; honest releases follow.
+        assert_eq!(release(write(1, 2, 0)), Reply::Released { version: 2 });
+        for (from, prim) in [(2, 1), (3, 2)] {
+            s.handle_request(&acquire(w, LockMode::Write, from));
+            assert_eq!(
+                release(write(from, from + 1, prim)),
+                Reply::Released { version: from + 1 }
+            );
+        }
+        let Reply::Granted {
+            version: 4,
+            update: Some(d),
+            ..
+        } = s.handle_request(&acquire(rd, LockMode::Read, 1))
+        else {
+            panic!("reader at v1 must get an update to v4");
+        };
+        assert_eq!((d.from_version, d.to_version), (1, 4));
+        let starts: Vec<u64> = d.block_diffs[0].runs.iter().map(|r| r.start).collect();
+        assert_eq!(starts, [0, 1, 2]);
+    }
+
+    /// `commit` and `replicate` refuse a multi-version diff too, before
+    /// applying anything.
+    #[test]
+    fn commit_and_replicate_refuse_false_to_version() {
+        let s = Server::new();
+        let w = s.hello("w");
+        s.open("h/s");
+        s.open("h/t");
+        for seg in ["h/s", "h/t"] {
+            s.handle_request(&Request::Acquire {
+                client: w,
+                segment: seg.into(),
+                mode: LockMode::Write,
+                have_version: 0,
+                coherence: Coherence::Full,
+            });
+        }
+        let liar = SegmentDiff {
+            to_version: 3,
+            ..seed_diff(0)
+        };
+        let r = s.handle_request(&Request::Commit {
+            client: w,
+            entries: vec![
+                ("h/s".into(), Some(seed_diff(0))),
+                ("h/t".into(), Some(liar.clone())),
+            ],
+        });
+        assert!(matches!(r, Reply::Error { .. }), "{r:?}");
+        assert_eq!(s.segment_version("h/s"), Some(0), "no entry applied");
+        let backup = Server::new();
+        let r = backup.handle_request(&Request::Replicate {
+            segment: "h/s".into(),
+            from_version: 0,
+            diff: liar,
+        });
+        assert!(matches!(r, Reply::Error { .. }), "{r:?}");
+        assert_eq!(backup.segment_version("h/s"), None);
     }
 
     #[test]

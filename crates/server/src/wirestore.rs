@@ -208,7 +208,8 @@ impl WireStore {
 
     /// Decodes primitives `[start, start+count)` from wire format in `r`,
     /// installing them — the server side of diff application. Fixed runs
-    /// are single copies into the packed image.
+    /// are single copies into the packed image; each string or MIP
+    /// overwrites its slot in place, reusing the slot's allocation.
     ///
     /// # Errors
     ///
@@ -243,10 +244,14 @@ impl WireStore {
                 cursor += len;
             } else {
                 for k in 0..krun.count as usize {
-                    let off = s0 + k * 4;
-                    let s = r.get_str()?;
-                    let slot = self.slot_at(off)?;
-                    self.vars[slot] = s;
+                    let i = self.slot_at(s0 + k * 4)?;
+                    let slot = &mut self.vars[i];
+                    r.with_len_bytes(|item| {
+                        let s = std::str::from_utf8(item).map_err(|_| WireError::InvalidUtf8)?;
+                        slot.clear();
+                        slot.push_str(s);
+                        Ok(())
+                    })??;
                 }
                 cursor += 4 * krun.count as usize;
             }

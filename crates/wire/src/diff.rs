@@ -121,15 +121,19 @@ pub struct NewBlock {
     pub data: Bytes,
 }
 
-/// Lazy encode-once/serve-many cache riding a [`SegmentDiff`].
+/// Encode-once/serve-many cache riding a [`SegmentDiff`].
 ///
-/// Disarmed (the default) it is a single `None` pointer and
-/// [`SegmentDiff::encode`] serializes afresh — client-built diffs pay
-/// nothing. The server *arms* it before parking a diff in its serve
-/// cache; every clone then shares the same slot, so the first link
-/// encoding is kept and every later reply for the same version window
-/// is a cheap `Bytes` clone. Excluded from equality: two diffs are
-/// equal when their structure is, cached bytes or not.
+/// A diff built in memory (a client's collect, a test) starts disarmed:
+/// a single `None` pointer, and [`SegmentDiff::encode`] serializes
+/// afresh. A diff from [`SegmentDiff::decode`] arrives *filled* with the
+/// exact envelope bytes it was decoded from, so re-sending a received
+/// diff (to a reader, the WAL, a backup) forwards those bytes without
+/// serializing. The server *arms* the diffs it builds itself before
+/// parking them in its serve cache; in every case clones share the same
+/// slot, so the first link encoding is kept and every later send of the
+/// same version window is a cheap `Bytes` clone. Excluded from
+/// equality: two diffs are equal when their structure is, cached bytes
+/// or not.
 #[derive(Debug, Clone, Default)]
 pub struct EncCache(Option<Arc<OnceLock<Bytes>>>);
 
@@ -228,28 +232,21 @@ impl SegmentDiff {
     }
 
     /// Serializes the diff in the link format ([`DiffWire::LINK`]).
-    /// With an armed cache ([`SegmentDiff::arm_enc_cache`]) the first
-    /// call encodes and every later call (from any clone sharing the
-    /// cache) returns the same `Bytes` for free.
+    /// A decoded diff returns the bytes it was decoded from, whichever
+    /// codec they use. With an armed cache
+    /// ([`SegmentDiff::arm_enc_cache`]) the first call encodes and every
+    /// later call (from any clone sharing the cache) returns the same
+    /// `Bytes` for free.
     pub fn encode(&self) -> Bytes {
         match &self.enc.0 {
-            Some(s) => s.get_or_init(|| self.encode_fresh(DiffWire::LINK)).clone(),
-            None => self.encode_fresh(DiffWire::LINK),
+            Some(s) => s.get_or_init(|| self.encode_as(DiffWire::LINK)).clone(),
+            None => self.encode_as(DiffWire::LINK),
         }
     }
 
-    /// Serializes the diff with the given codec choice: the link format
-    /// goes through [`SegmentDiff::encode`] and its cache, the other is
-    /// encoded afresh.
+    /// Serializes the diff afresh with the given codec choice, never
+    /// through the cache: what benchmarks and format tests time and pin.
     pub fn encode_as(&self, fmt: DiffWire) -> Bytes {
-        if fmt == DiffWire::LINK {
-            self.encode()
-        } else {
-            self.encode_fresh(fmt)
-        }
-    }
-
-    fn encode_fresh(&self, fmt: DiffWire) -> Bytes {
         let DiffWire::V2 { compress } = fmt;
         let body = self.encode_v2_body();
         let mut w = WireWriter::with_capacity(body.len() + 12);
@@ -312,13 +309,25 @@ impl SegmentDiff {
         w.finish()
     }
 
-    /// Decodes a diff from the `0xD2` envelope.
+    /// Decodes a diff from the `0xD2` envelope. The diff's encode cache
+    /// comes back filled with a zero-copy slice of exactly the envelope
+    /// bytes consumed, so [`SegmentDiff::encode`] forwards them as
+    /// received.
     ///
     /// # Errors
     ///
     /// Any [`WireError`] arising from truncation, a missing magic or bad
     /// codec tag, hostile length fields, or a corrupt compressed body.
     pub fn decode(r: &mut WireReader) -> Result<Self, WireError> {
+        let mut envelope = r.clone();
+        let mut d = Self::decode_envelope(r)?;
+        let consumed = envelope.remaining() - r.remaining();
+        let bytes = envelope.get_bytes(consumed)?;
+        d.enc = EncCache(Some(Arc::new(OnceLock::from(bytes))));
+        Ok(d)
+    }
+
+    fn decode_envelope(r: &mut WireReader) -> Result<Self, WireError> {
         match r.get_u8()? {
             V2_MAGIC => {}
             tag => {

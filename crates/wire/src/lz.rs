@@ -27,11 +27,42 @@ const MIN_MATCH: usize = 4;
 /// the 64 KiB offset window on diff-sized payloads.
 const HASH_BITS: u32 = 12;
 
-/// Hashes the 4 bytes at `src[i..i+4]` into a table index.
+/// The 4 bytes at `src[i..i+4]` as one little-endian load.
 #[inline]
-fn hash4(src: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes([src[i], src[i + 1], src[i + 2], src[i + 3]]);
+fn load32(src: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(src[i..i + 4].try_into().expect("4 bytes"))
+}
+
+/// The 8 bytes at `src[i..i+8]` as one little-endian load.
+#[inline]
+fn load64(src: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(src[i..i + 8].try_into().expect("8 bytes"))
+}
+
+/// Hashes a 4-byte load into a table index.
+#[inline]
+fn hash4(v: u32) -> usize {
     (v.wrapping_mul(2_654_435_761) >> (32 - HASH_BITS)) as usize
+}
+
+/// Length of the match at `i` against the earlier `cand`, whose first
+/// [`MIN_MATCH`] bytes are known equal, extended to the end of `src`.
+/// Compares 8 bytes per step: the first differing byte of a
+/// little-endian load is the lowest nonzero byte of the XOR.
+#[inline]
+fn match_len(src: &[u8], cand: usize, i: usize) -> usize {
+    let mut n = MIN_MATCH;
+    while i + n + 8 <= src.len() {
+        let x = load64(src, cand + n) ^ load64(src, i + n);
+        if x != 0 {
+            return n + (x.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    while i + n < src.len() && src[cand + n] == src[i + n] {
+        n += 1;
+    }
+    n
 }
 
 /// Appends an LZ length (token nibble already holds `min(n, 15)`) as
@@ -71,27 +102,26 @@ pub fn compress(src: &[u8]) -> Option<Vec<u8>> {
         return None;
     }
     let mut out = Vec::with_capacity(src.len());
-    let mut table = vec![u32::MAX; 1 << HASH_BITS];
+    // A fixed-size array, so the hashed index needs no bounds check.
+    let mut table = [u32::MAX; 1 << HASH_BITS];
     let mut anchor = 0usize; // start of pending literals
     let mut i = 0usize;
     // Leave room so hash4/match extension never read past the end.
     let end = src.len() - MIN_MATCH;
     while i <= end {
-        let h = hash4(src, i);
+        let v = load32(src, i);
+        let h = hash4(v);
         let cand = table[h] as usize;
         table[h] = i as u32;
-        let found = cand != u32::MAX as usize
-            && i - cand <= u16::MAX as usize
-            && i != cand
-            && src[cand..cand + MIN_MATCH] == src[i..i + MIN_MATCH];
+        // A candidate is an earlier position 1..=65535 bytes back; the
+        // empty-slot marker wraps to a huge distance.
+        let dist = i.wrapping_sub(cand);
+        let found = dist.wrapping_sub(1) < u16::MAX as usize && load32(src, cand) == v;
         if !found {
             i += 1;
             continue;
         }
-        let mut mlen = MIN_MATCH;
-        while i + mlen < src.len() && src[cand + mlen] == src[i + mlen] {
-            mlen += 1;
-        }
+        let mlen = match_len(src, cand, i);
         put_sequence(&mut out, &src[anchor..i], Some((mlen, i - cand)));
         if out.len() >= src.len() {
             return None;
@@ -126,6 +156,9 @@ fn get_ext_len(src: &[u8], pos: &mut usize) -> Result<usize, WireError> {
     }
 }
 
+/// Bytes a short literal or match copy moves at once in [`decompress`].
+const WILD: usize = 16;
+
 /// Hard ceiling on a single decompressed payload (1 GiB) — backstop
 /// against corrupt extension-length runs before the `expected_len`
 /// check can engage.
@@ -145,7 +178,7 @@ pub fn decompress(src: &[u8], expected_len: usize) -> Result<Vec<u8>, WireError>
             len: expected_len as u64,
         });
     }
-    let mut out = Vec::with_capacity(expected_len.min(src.len().saturating_mul(256)));
+    let mut out = Vec::with_capacity(expected_len.min(src.len().saturating_mul(256)) + WILD);
     let mut pos = 0usize;
     let eof = |wanted: usize| WireError::UnexpectedEof {
         wanted,
@@ -161,13 +194,21 @@ pub fn decompress(src: &[u8], expected_len: usize) -> Result<Vec<u8>, WireError>
         if pos + lit > src.len() {
             return Err(eof(pos + lit));
         }
-        out.extend_from_slice(&src[pos..pos + lit]);
-        pos += lit;
-        if out.len() > expected_len {
+        let op = out.len();
+        if op + lit > expected_len {
             return Err(WireError::LengthOverflow {
-                len: out.len() as u64,
+                len: (op + lit) as u64,
             });
         }
+        // Short copies move a fixed `WILD` bytes and cut the excess off
+        // again: one inline copy instead of a length-dependent one.
+        if lit <= WILD && pos + WILD <= src.len() {
+            out.extend_from_slice(&src[pos..pos + WILD]);
+            out.truncate(op + lit);
+        } else {
+            out.extend_from_slice(&src[pos..pos + lit]);
+        }
+        pos += lit;
         if pos == src.len() {
             break; // final, literals-only sequence
         }
@@ -180,22 +221,33 @@ pub fn decompress(src: &[u8], expected_len: usize) -> Result<Vec<u8>, WireError>
         if mlen - MIN_MATCH == 15 {
             mlen += get_ext_len(src, &mut pos)?;
         }
-        if offset == 0 || offset > out.len() {
+        let op = out.len();
+        if offset == 0 || offset > op {
             return Err(WireError::BadTag {
                 what: "lz back-reference offset",
                 tag: (offset & 0xFF) as u8,
             });
         }
-        if out.len() + mlen > expected_len {
+        if op + mlen > expected_len {
             return Err(WireError::LengthOverflow {
-                len: (out.len() + mlen) as u64,
+                len: (op + mlen) as u64,
             });
         }
-        // Byte-by-byte: matches may overlap their own output (RLE-style).
-        let start = out.len() - offset;
-        for k in 0..mlen {
-            let b = out[start + k];
-            out.push(b);
+        let start = op - offset;
+        if mlen <= WILD && offset >= WILD {
+            out.extend_from_within(start..start + WILD);
+            out.truncate(op + mlen);
+            continue;
+        }
+        // A match may overlap its own output (RLE-style): the bytes from
+        // `start` on repeat with period `offset`, so each step copies all
+        // of them written so far (one copy when the match does not
+        // overlap), doubling the span until the match is done.
+        let mut left = mlen;
+        while left > 0 {
+            let n = left.min(out.len() - start);
+            out.extend_from_within(start..start + n);
+            left -= n;
         }
     }
     if out.len() != expected_len {

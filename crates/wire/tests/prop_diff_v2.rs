@@ -10,7 +10,8 @@
 //! images whether or not compression was on the wire. Hostile-input
 //! lemmas ride along: truncation at every byte offset fails cleanly,
 //! and bit-flips anywhere in the envelope (codec tag and varint bytes
-//! included) never panic the decoder.
+//! included) never panic the decoder. A decoded diff re-sends the exact
+//! bytes it was decoded from.
 
 use bytes::Bytes;
 use iw_types::desc::TypeDesc;
@@ -185,6 +186,25 @@ proptest! {
             for fmt2 in FORMATS {
                 prop_assert_eq!(&decode_all(back.encode_as(fmt2)), &d);
             }
+        }
+    }
+
+    /// A decoded diff forwards the bytes it was decoded from: `encode`
+    /// hands back the very buffer it consumed (same memory, nothing
+    /// re-serialized), and for encoder-made bytes that buffer equals a
+    /// fresh encode of the decoded structure.
+    #[test]
+    fn decoded_diff_forwards_its_bytes(d in arb_diff()) {
+        for fmt in FORMATS {
+            let enc = d.encode_as(fmt);
+            let back = decode_all(enc.clone());
+            prop_assert!(back.enc_cached(), "decode must fill the encode cache");
+            let fwd = back.encode();
+            prop_assert_eq!(fwd.as_ptr(), enc.as_ptr(), "{:?}: not the received buffer", fmt);
+            prop_assert_eq!(&fwd, &enc);
+            prop_assert_eq!(&back.encode_as(fmt), &enc, "{:?}: fresh encode differs", fmt);
+            // Clones share the cache, so every later send is the same buffer.
+            prop_assert_eq!(back.clone().encode().as_ptr(), enc.as_ptr());
         }
     }
 
