@@ -14,6 +14,14 @@ if grep -rnE 'DiffWire::V1|decode_v1|encode_v1|KIND_CHECKPOINT|LogRecord::Checkp
   exit 1
 fi
 
+echo "== the server never drops a durable-store result"
+# An append that failed must refuse the commit it logs, so no result of
+# the durable store may be thrown away under crates/server/src.
+if grep -rnE 'let _ = store([.]|$)|let _ = .*append_diff' crates/server/src; then
+  echo "a durable-store result is discarded under crates/server/src"
+  exit 1
+fi
+
 echo "== one file holds the client's connections"
 # crates/core/src/links.rs is the only client code that calls a
 # transport, says Hello or Goodbye, or sleeps between retries.

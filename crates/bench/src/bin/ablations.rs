@@ -233,10 +233,16 @@ fn diff_caching() {
     let (warm, hits, cold) = server
         .with_segment_mut("ab/cache", |seg| {
             // Warm: the client's own diff is in the cache.
-            let (_, warm) = time(|| seg.collect_update(1001, 1).expect("upd"));
+            let (_, warm) = time(|| {
+                seg.collect_update(1001, 1, iw_proto::Coherence::Full)
+                    .expect("upd")
+            });
             let hits = seg.diff_cache_hits;
             seg.clear_diff_cache();
-            let (_, cold) = time(|| seg.collect_update(1002, 1).expect("upd"));
+            let (_, cold) = time(|| {
+                seg.collect_update(1002, 1, iw_proto::Coherence::Full)
+                    .expect("upd")
+            });
             (warm, hits, cold)
         })
         .expect("segment");

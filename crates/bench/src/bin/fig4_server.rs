@@ -74,7 +74,10 @@ fn main() {
             .with_segment_mut("bench/data", |seg| {
                 let (_, d_apply) = time(|| seg.apply_diff(&diff).expect("apply"));
                 seg.clear_diff_cache();
-                let (_, d_collect) = time(|| seg.collect_update(901, 1).expect("update"));
+                let (_, d_collect) = time(|| {
+                    seg.collect_update(901, 1, iw_proto::Coherence::Full)
+                        .expect("update")
+                });
                 (d_apply, d_collect)
             })
             .expect("segment");

@@ -75,8 +75,9 @@ pub enum Request {
     },
     /// Atomically commits write-lock releases for several segments
     /// (transaction support — the paper's §6 future work). The server
-    /// validates every entry (writer lock held, base version current)
-    /// before applying any of them.
+    /// checks every entry in full (writer lock held, segment named once,
+    /// every diff well formed against its current version) before it
+    /// logs or applies any of them.
     Commit {
         /// Requesting client.
         client: u64,

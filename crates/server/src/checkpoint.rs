@@ -115,7 +115,7 @@ pub fn decode_segment(bytes: Bytes) -> Result<ServerSegment, ServerError> {
     for _ in 0..n_types {
         let ty = decode_type(&mut r)?;
         let intro = r.get_u64()?;
-        seg.restore_type(ty, intro);
+        seg.register_type(ty, intro);
     }
 
     let n_blocks = r.get_u32()?;
@@ -243,8 +243,12 @@ mod tests {
         // one built from the original (bypassing the original's diff
         // cache, which the checkpoint intentionally does not persist).
         seg.clear_diff_cache();
-        let a = seg.collect_update(99, 1).unwrap();
-        let b = back.collect_update(99, 1).unwrap();
+        let a = seg
+            .collect_update(99, 1, iw_proto::Coherence::Full)
+            .unwrap();
+        let b = back
+            .collect_update(99, 1, iw_proto::Coherence::Full)
+            .unwrap();
         assert_eq!(a, b);
     }
 

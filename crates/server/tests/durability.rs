@@ -281,3 +281,43 @@ fn undecodable_checkpoint_image_skips_that_segment_only() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A CRC-valid log record that does not apply stops replay and changes
+/// nothing: its new block and its valid run stay out of the recovered
+/// segment, which matches the image taken before the record was written.
+#[test]
+fn refused_replay_record_leaves_the_segment_whole() {
+    let dir = temp_dir("refused-record");
+    let before = {
+        let (s, _) = Server::with_durability(dir.clone(), opts()).unwrap();
+        let c = s.hello("w");
+        s.open("h/s");
+        for v in 0..2 {
+            write_cycle(&s, c, "h/s", v);
+        }
+        image_of(&s, "h/s")
+    };
+    {
+        let registry = std::sync::Arc::new(iw_telemetry::Registry::new());
+        let (store, _) = iw_durable::DiffStore::open(dir.clone(), opts(), &registry).unwrap();
+        let mut bad = chain_diff(2);
+        bad.block_diffs[0].runs.push(DiffRun {
+            start: 4,
+            count: 1,
+            data: Bytes::from_static(&[0, 0, 0, 1]),
+        });
+        store.append_diff("h/s", &bad).unwrap();
+    }
+    let (s, rec) = Server::with_durability(dir.clone(), opts()).unwrap();
+    assert_eq!(s.segment_version("h/s"), Some(2));
+    assert_eq!(image_of(&s, "h/s"), before);
+    assert!(
+        rec.warnings
+            .iter()
+            .any(|w| w.contains("`h/s`") && w.contains("2..3")),
+        "{:?}",
+        rec.warnings
+    );
+    drop(s);
+    let _ = std::fs::remove_dir_all(&dir);
+}
