@@ -7,6 +7,10 @@
 //! Grants are non-blocking: an incompatible request is answered `false`
 //! and the client library retries, so a transport thread is never parked
 //! holding server state.
+//!
+//! The table also records *claims*: a segment is claimed while a commit
+//! holds a checked, not yet installed plan for it, and no other diff may
+//! land on it until the claim ends.
 
 use std::collections::{HashMap, HashSet};
 
@@ -17,6 +21,7 @@ use iw_proto::LockMode;
 struct LockState {
     readers: HashSet<u64>,
     writer: Option<u64>,
+    claimed: bool,
 }
 
 /// Reader/writer locks for all segments on a server.
@@ -76,6 +81,26 @@ impl LockTable {
         self.locks
             .get(segment)
             .is_some_and(|st| st.writer == Some(client))
+    }
+
+    /// Claims `segment` for one commit, from its check to its install.
+    /// Returns `false` if it is already claimed: another commit, or an
+    /// earlier entry of the same one, has a plan for it in flight.
+    pub fn claim(&mut self, segment: &str) -> bool {
+        let st = self.locks.entry(segment.to_string()).or_default();
+        !std::mem::replace(&mut st.claimed, true)
+    }
+
+    /// Ends a claim taken by [`LockTable::claim`].
+    pub fn unclaim(&mut self, segment: &str) {
+        if let Some(st) = self.locks.get_mut(segment) {
+            st.claimed = false;
+        }
+    }
+
+    /// `true` while a commit has `segment` claimed.
+    pub fn is_claimed(&self, segment: &str) -> bool {
+        self.locks.get(segment).is_some_and(|st| st.claimed)
     }
 
     /// Releases everything `client` holds (client disconnect).
@@ -175,6 +200,19 @@ mod tests {
         t.release_all(1);
         assert!(t.acquire("a", 2, LockMode::Write));
         assert_eq!(t.reader_count("b"), 0);
+    }
+
+    #[test]
+    fn claims_are_exclusive_and_outlive_lock_releases() {
+        let mut t = LockTable::new();
+        t.acquire("s", 1, LockMode::Write);
+        assert!(t.claim("s"));
+        assert!(!t.claim("s"), "a second claim is refused");
+        t.release_all(1);
+        assert!(t.is_claimed("s"), "dropping the writer lock keeps it");
+        t.unclaim("s");
+        assert!(!t.is_claimed("s"));
+        assert!(t.claim("other"), "an unlocked segment can be claimed");
     }
 
     #[test]
