@@ -469,7 +469,7 @@ fn sync_one(
     server: &Server,
     metrics: &ShipMetrics,
 ) -> bool {
-    let image = match server.with_segment_mut(segment, checkpoint::encode_segment) {
+    let image = match server.with_segment(segment, checkpoint::encode_segment) {
         Some(Ok(image)) => image,
         // Vanished or unencodable: skip, don't kill the link.
         Some(Err(_)) | None => return true,
@@ -746,12 +746,12 @@ mod tests {
         assert_eq!(backup.segment_version("h/s"), Some(2));
         // Attach-time sync made the backup bit-identical.
         let image = backup
-            .with_segment_mut("h/s", |seg| checkpoint::encode_segment(seg).unwrap())
+            .with_segment("h/s", |seg| checkpoint::encode_segment(seg).unwrap())
             .unwrap();
         assert_eq!(
             primary
                 .server()
-                .with_segment_mut("h/s", |seg| checkpoint::encode_segment(seg).unwrap())
+                .with_segment("h/s", |seg| checkpoint::encode_segment(seg).unwrap())
                 .unwrap(),
             image
         );
@@ -935,7 +935,7 @@ mod tests {
         primary.drain();
         assert_eq!(backup.segment_version("h/s"), Some(3));
         let image = |s: &Arc<Server>| {
-            s.with_segment_mut("h/s", |seg| checkpoint::encode_segment(seg).unwrap())
+            s.with_segment("h/s", |seg| checkpoint::encode_segment(seg).unwrap())
                 .unwrap()
         };
         assert_eq!(image(primary.server()), image(&backup));

@@ -648,7 +648,7 @@ impl XlateCtx<'_> {
     /// no-diff mode) into a fresh wire payload.
     fn translate_whole(&self, meta: &BlockMeta) -> Result<Bytes, CoreError> {
         let mut w = WireWriter::with_capacity(self.wire_capacity_for(meta, meta.size() as usize));
-        self.translate_range_into(meta, meta.va, meta.end(), &mut 0, &mut w, &mut None)?;
+        Encoder::new(self, meta, &mut w, &mut None)?.range(meta, meta.va, meta.end(), &mut 0)?;
         let data = w.finish();
         if self.single_copy(meta) {
             self.metrics.iso_memcpy_bytes.add(data.len() as u64);
@@ -678,13 +678,12 @@ impl XlateCtx<'_> {
         // coalesce.
         let mut emitted: Vec<(u64, u64, usize, usize)> = Vec::new();
         let mut changed: u64 = 0;
+        let mut enc = Encoder::new(self, meta, &mut w, &mut swz_cache)?;
         for &(lo, hi) in ranges {
-            let b0 = w.len();
-            if let Some((start, count)) =
-                self.translate_range_into(meta, lo, hi, &mut floor, &mut w, &mut swz_cache)?
-            {
+            let b0 = enc.w.len();
+            if let Some((start, count)) = enc.range(meta, lo, hi, &mut floor)? {
                 changed += count;
-                let b1 = w.len();
+                let b1 = enc.w.len();
                 match emitted.last_mut() {
                     Some(last) if last.0 + last.1 == start && last.3 == b0 => {
                         last.1 += count;
@@ -694,6 +693,7 @@ impl XlateCtx<'_> {
                 }
             }
         }
+        drop(enc);
         let payload = w.finish();
         if self.single_copy(meta) {
             self.metrics.iso_memcpy_bytes.add(payload.len() as u64);
@@ -724,56 +724,10 @@ impl XlateCtx<'_> {
         est as usize + 64
     }
 
-    /// Translates the local bytes of `[lo_va, hi_va)` within one block to
-    /// wire format, appending to `w`: every primitive whose extent meets
-    /// the range, from `floor` on. Primitives inside a contiguous byte
-    /// range have consecutive primitive offsets, so each call contributes
-    /// at most one run: returns `Some((first primitive offset, primitive
-    /// count))` when anything was emitted. `floor` suppresses primitives
-    /// already emitted by an earlier overlapping range (a primitive
-    /// spanning two dirty pages) and advances past everything emitted
-    /// here.
-    fn translate_range_into(
-        &self,
-        meta: &BlockMeta,
-        lo_va: u64,
-        hi_va: u64,
-        floor: &mut u64,
-        w: &mut WireWriter,
-        swz_cache: &mut Option<SwizzleCache>,
-    ) -> Result<Option<(u64, u64)>, CoreError> {
-        let window = Window {
-            flat: &meta.flat,
-            lo: (lo_va - meta.va) as usize,
-            hi: (hi_va - meta.va) as usize,
-            floor: *floor,
-        };
-        let mut enc = Encoder {
-            ctx: self,
-            local: self.heap.read_bytes(meta.va, meta.size() as usize)?,
-            block_va: meta.va,
-            w,
-            swz: swz_cache,
-            mip: String::new(),
-        };
-        let mut got = Emitted::default();
-        walk(&mut enc, &window, self.program(meta).ops(), 0, 0, &mut got)?;
-        if let Some(c) = swz_cache {
-            if c.hits > 0 {
-                self.metrics.swizzle_cache_hits.add(c.hits);
-                c.hits = 0;
-            }
-        }
-        Ok(got.first.map(|first| {
-            *floor = first + got.count;
-            (first, got.count)
-        }))
-    }
-
-    /// Swizzles one local pointer window into its MIP string, with a
-    /// one-entry block cache for pointer-dense translation loops. Appends
-    /// the MIP into `out` (cleared first) to avoid per-pointer
-    /// allocations.
+    /// Swizzles one local pointer window that the one-entry block cache
+    /// did not resolve ([`SwizzleCache::prim_at`]) into its MIP string,
+    /// and refreshes the cache for the pointers that follow. Appends the
+    /// MIP into `out` (cleared first) to avoid per-pointer allocations.
     fn swizzle_window_into(
         &self,
         field_va: u64,
@@ -790,28 +744,7 @@ impl XlateCtx<'_> {
             }
             return Ok(());
         }
-        if let Some(c) = cache {
-            if va >= c.block_lo && va < c.block_hi {
-                if let Some(run) = &c.run {
-                    let rel = (va - c.block_lo) as u32;
-                    let stride = run.stride.max(1);
-                    if rel >= run.local_off && (rel - run.local_off).is_multiple_of(stride) {
-                        let k = (rel - run.local_off) / stride;
-                        if k < run.count {
-                            c.hits += 1;
-                            let prim_off = run.prim_off + u64::from(k);
-                            out.push_str(&c.prefix);
-                            if prim_off != 0 {
-                                out.push('#');
-                                push_u64(out, prim_off);
-                            }
-                            return Ok(());
-                        }
-                    }
-                }
-            }
-        }
-        // Slow path: full metadata search, then refresh the cache.
+        // Full metadata search, then refresh the cache.
         if let Some(c) = cache {
             self.metrics
                 .swizzle_cache_hits
@@ -826,13 +759,11 @@ impl XlateCtx<'_> {
             Some(n) => prefix.push_str(n),
             None => push_u64(&mut prefix, u64::from(meta.serial)),
         }
-        *cache = Some(SwizzleCache {
-            block_lo: meta.va,
-            block_hi: meta.end(),
-            prefix,
-            run: meta.flat.single_run(),
-            hits: 0,
-        });
+        *cache = Some(SwizzleCache::new(
+            meta.va..meta.end(),
+            prefix.as_bytes(),
+            meta.flat.single_run(),
+        ));
         let mip = mip_for_va(self.heap, va)?;
         use std::fmt::Write;
         let _ = write!(out, "{mip}");
@@ -1149,6 +1080,70 @@ struct Encoder<'a, 'w> {
     swz: &'w mut Option<SwizzleCache>,
     /// Reused MIP buffer.
     mip: String,
+    /// Wire MIPs of cache hits on their way into the frame.
+    mips: Vec<u8>,
+}
+
+impl<'a, 'w> Encoder<'a, 'w> {
+    /// An encoder over `meta`'s local image, appending to `w`.
+    fn new(
+        ctx: &'a XlateCtx<'a>,
+        meta: &BlockMeta,
+        w: &'w mut WireWriter,
+        swz: &'w mut Option<SwizzleCache>,
+    ) -> Result<Self, CoreError> {
+        Ok(Encoder {
+            ctx,
+            local: ctx.heap.read_bytes(meta.va, meta.size() as usize)?,
+            block_va: meta.va,
+            w,
+            swz,
+            mip: String::new(),
+            mips: Vec::new(),
+        })
+    }
+
+    /// Translates the local bytes of `[lo_va, hi_va)` within the block:
+    /// every primitive whose extent meets the range, from `floor` on.
+    /// Primitives inside a contiguous byte range have consecutive
+    /// primitive offsets, so each call contributes at most one run:
+    /// returns `Some((first primitive offset, primitive count))` when
+    /// anything was emitted. `floor` suppresses primitives already
+    /// emitted by an earlier overlapping range (a primitive spanning two
+    /// dirty pages) and advances past everything emitted here.
+    fn range(
+        &mut self,
+        meta: &BlockMeta,
+        lo_va: u64,
+        hi_va: u64,
+        floor: &mut u64,
+    ) -> Result<Option<(u64, u64)>, CoreError> {
+        let window = Window {
+            flat: &meta.flat,
+            lo: (lo_va - meta.va) as usize,
+            hi: (hi_va - meta.va) as usize,
+            floor: *floor,
+        };
+        let mut got = Emitted::default();
+        let ops = self.ctx.program(meta).ops();
+        walk(self, &window, ops, 0, 0, &mut got)?;
+        Ok(got.first.map(|first| {
+            *floor = first + got.count;
+            (first, got.count)
+        }))
+    }
+}
+
+/// Flushes the swizzle-cache hits batched over the encoder's ranges.
+impl Drop for Encoder<'_, '_> {
+    fn drop(&mut self) {
+        if let Some(c) = self.swz {
+            if c.hits > 0 {
+                let hits = std::mem::take(&mut c.hits);
+                self.ctx.metrics.swizzle_cache_hits.add(hits);
+            }
+        }
+    }
 }
 
 impl Pass for Encoder<'_, '_> {
@@ -1164,12 +1159,31 @@ impl Pass for Encoder<'_, '_> {
             }
             Op::Swap { width, .. } => swap(width.into(), local, self.w.put_zeroed(e - s)),
             Op::Ptr { width, .. } => {
+                // MIPs of pointers into the cached block gather in
+                // `mips` and go into the frame in one copy; a null,
+                // unresolved or missed pointer takes the full swizzle.
+                let arch = self.ctx.heap.arch();
+                let mut held = 0;
                 for (k, window) in local.chunks_exact(width.into()).enumerate() {
+                    let va = read_va(window, arch);
+                    if let Some(c) = self.swz.as_mut() {
+                        if let Some(prim_off) = c.prim_at(va) {
+                            c.hits += 1;
+                            if self.mips.len() < held + c.room() {
+                                self.mips.resize(2 * (held + c.room()), 0);
+                            }
+                            held += c.put_mip(prim_off, &mut self.mips[held..]);
+                            continue;
+                        }
+                    }
+                    self.w.put_bytes(&self.mips[..held]);
+                    held = 0;
                     let field_va = self.block_va + (s + k * usize::from(width)) as u64;
                     self.ctx
                         .swizzle_window_into(field_va, window, self.swz, &mut self.mip)?;
                     self.w.put_str(&self.mip);
                 }
+                self.w.put_bytes(&self.mips[..held]);
             }
             Op::Str { cap, .. } => {
                 for window in local.chunks_exact(cap as usize) {
@@ -1275,13 +1289,116 @@ impl Pass for Decoder<'_> {
 struct SwizzleCache {
     block_lo: u64,
     block_hi: u64,
-    /// `segment#block` prefix, ready for the offset suffix.
-    prefix: String,
+    /// The head of every wire MIP into the block: room for the `u32`
+    /// length, the `segment#block` prefix and `#`, zero-padded to whole
+    /// 16-byte chunks so that it copies in fixed-size moves.
+    head: Vec<u8>,
+    /// Where the `#` sits in `head`.
+    hash: usize,
     /// Arithmetic lookup when the target block is one homogeneous run.
     run: Option<iw_types::flat::RunRef>,
-    /// Hits batched here and flushed to the metrics counter per
-    /// translation call, keeping atomics off the per-pointer path.
+    /// The run's stride as a shift, when it is a power of two.
+    shift: Option<u32>,
+    /// Hits batched here and flushed to the metrics counter when the
+    /// encoder using the cache is dropped, keeping atomics off the
+    /// per-pointer path.
     hits: u64,
+}
+
+/// Digits in the largest `u64`.
+const U64_DIGITS: usize = 20;
+
+impl SwizzleCache {
+    fn new(
+        block: std::ops::Range<u64>,
+        prefix: &[u8],
+        run: Option<iw_types::flat::RunRef>,
+    ) -> Self {
+        let hash = 4 + prefix.len();
+        let mut head = Vec::with_capacity((hash + 1).next_multiple_of(16));
+        head.extend_from_slice(&[0; 4]);
+        head.extend_from_slice(prefix);
+        head.push(b'#');
+        head.resize((hash + 1).next_multiple_of(16), 0);
+        SwizzleCache {
+            block_lo: block.start,
+            block_hi: block.end,
+            head,
+            hash,
+            // A one-element run may have stride 0: any shift serves.
+            shift: run
+                .map(|r| r.stride.max(1))
+                .filter(|s| s.is_power_of_two())
+                .map(u32::trailing_zeros),
+            run,
+            hits: 0,
+        }
+    }
+
+    /// Bytes [`SwizzleCache::put_mip`] may write to.
+    fn room(&self) -> usize {
+        self.head.len() + U64_DIGITS + 8
+    }
+
+    /// The primitive offset `va` names when it is a primitive of the
+    /// cached block and that block is one homogeneous run.
+    fn prim_at(&self, va: u64) -> Option<u64> {
+        if va < self.block_lo || va >= self.block_hi {
+            return None;
+        }
+        let run = self.run.as_ref()?;
+        let rel = ((va - self.block_lo) as u32).checked_sub(run.local_off)?;
+        let k = match self.shift {
+            Some(shift) => (rel & ((1 << shift) - 1) == 0).then_some(rel >> shift)?,
+            None => (rel % run.stride == 0).then(|| rel / run.stride)?,
+        };
+        (k < run.count).then(|| run.prim_off + u64::from(k))
+    }
+
+    /// Writes the wire MIP of primitive `prim_off` of the cached block at
+    /// the front of `out` — its `u32` length, the prefix and, unless the
+    /// offset is 0, `#` and the offset's digits, formatted eight at a
+    /// time — and returns its length. Every store has a fixed size, so
+    /// `out` needs [`SwizzleCache::room`] bytes; those past the MIP are
+    /// left as garbage.
+    fn put_mip(&self, prim_off: u64, out: &mut [u8]) -> usize {
+        let out = &mut out[..self.room()];
+        for (to, from) in out.chunks_exact_mut(16).zip(self.head.chunks_exact(16)) {
+            to.copy_from_slice(from);
+        }
+        let mut end = self.hash;
+        if prim_off != 0 {
+            // The leading 1–8 digits, then up to two groups of eight.
+            let (mut lead, mut groups, mut n) = (prim_off, [0u32; 2], 0);
+            while lead >= 100_000_000 {
+                groups[n] = (lead % 100_000_000) as u32;
+                lead /= 100_000_000;
+                n += 1;
+            }
+            let lead = lead as u32;
+            let digits = lead.ilog10() as usize + 1;
+            let first = ascii8(lead) >> (8 * (8 - digits));
+            out[end + 1..end + 9].copy_from_slice(&first.to_le_bytes());
+            end += 1 + digits;
+            for &group in groups[..n].iter().rev() {
+                out[end..end + 8].copy_from_slice(&ascii8(group).to_le_bytes());
+                end += 8;
+            }
+        }
+        out[..4].copy_from_slice(&((end - 4) as u32).to_be_bytes());
+        end
+    }
+}
+
+/// The eight decimal digits of `v < 10⁸`, zero-padded, as the ASCII bytes
+/// of a little-endian word: two four-digit halves, split into pairs, then
+/// into digits, each step on all lanes at once.
+fn ascii8(v: u32) -> u64 {
+    let quads = u64::from(v / 10_000) | (u64::from(v % 10_000) << 32);
+    let hundreds = ((quads * 10_486) >> 20) & 0x0000_007f_0000_007f;
+    let pairs = hundreds | ((quads - hundreds * 100) << 16);
+    let tens = ((pairs * 103) >> 10) & 0x000f_000f_000f_000f;
+    (tens | ((pairs - tens * 10) << 8)) + 0x3030_3030_3030_3030
 }
 
 /// One-entry unswizzle cache: repeated MIP prefixes resolve to the same
@@ -1471,6 +1588,26 @@ mod tests {
         assert!(reused);
         assert_eq!(b.len(), 10);
         assert_eq!(pool.held(), 0);
+    }
+
+    #[test]
+    fn cached_mips_match_their_display_at_every_width() {
+        let cache = SwizzleCache::new(0..1, b"o/seg#blk", None);
+        let mut state = 7u64;
+        let mut offsets = vec![0, 1, 9, 10, 99, 100, 99_999_999, 100_000_000];
+        offsets.extend([123_456_789_012, 10u64.pow(16), u64::MAX]);
+        offsets.extend((0..2000).map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            state >> (state % 64)
+        }));
+        for offset in offsets {
+            let mip = Mip::new("o/seg", "blk", offset).to_string();
+            let mut w = WireWriter::new();
+            w.put_str(&mip);
+            let mut out = vec![0xAA; cache.room()];
+            let len = cache.put_mip(offset, &mut out);
+            assert_eq!(&out[..len], &w.finish()[..], "{mip}");
+        }
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! byte ranges (mid-element starts, overlaps resolved by the shared
 //! floor) and random apply runs must produce identical wire bytes and
 //! identical images, with the fused and the unfused program alike.
+//! Pointers are null, unresolved, or aimed at either of two target
+//! blocks (offset 0 included), so pointer runs cross swizzle-cache hits
+//! and misses.
 //!
 //! [`PrimIter`]: iw_types::flat::PrimIter
 
@@ -19,10 +22,13 @@ use iw_types::testgen::{arb_fixed_type, arb_type};
 use iw_wire::prim::{prim_from_wire, prim_to_wire};
 use proptest::prelude::*;
 
-/// Target block of every pointer field, and the two blocks under test.
+/// Target blocks of pointer fields, and the two blocks under test. `TGT`
+/// is one run of ints, so the swizzle cache resolves pointers into it by
+/// arithmetic; `TGT2` mixes kinds, so every pointer into it misses.
 const TGT: u32 = 0;
 const SRC: u32 = 1;
 const DST: u32 = 2;
+const TGT2: u32 = 3;
 
 /// Deterministic byte noise.
 fn noise(seed: u64) -> impl FnMut() -> u64 {
@@ -35,17 +41,33 @@ fn noise(seed: u64) -> impl FnMut() -> u64 {
     }
 }
 
-/// A heap holding an `int32[16]` target block and two blocks of `count`
-/// `ty`, filled with noise: strings NUL-terminated (noise after the NUL),
-/// pointers null or aimed at target elements, padding random.
-fn bed(ty: &TypeDesc, count: u32, arch: &MachineArch, seed: u64) -> (Heap, SegId) {
+/// A heap holding an `int32[16]` target block, a `{int32, float64}[8]`
+/// one and two blocks of `count` `ty`, filled with noise: strings
+/// NUL-terminated (noise after the NUL), pointers null or aimed at
+/// primitives of either target (offset 0 included), padding random.
+/// About half the null pointers of the source block carry an unresolved
+/// MIP, returned by field address.
+fn bed(
+    ty: &TypeDesc,
+    count: u32,
+    arch: &MachineArch,
+    seed: u64,
+) -> (Heap, SegId, HashMap<u64, Mip>) {
     let mut heap = Heap::new(arch.clone());
     let seg = heap.create_segment("o/seg").unwrap();
     heap.alloc_block(seg, TGT, Some("tgt"), &TypeDesc::int32(), 16)
         .unwrap();
     heap.alloc_block(seg, SRC, Some("src"), ty, count).unwrap();
     heap.alloc_block(seg, DST, None, ty, count).unwrap();
+    let pair = TypeDesc::structure(
+        "pair",
+        vec![("a", TypeDesc::int32()), ("b", TypeDesc::float64())],
+    );
+    heap.alloc_block(seg, TGT2, None, &pair, 8).unwrap();
     let tgt = heap.segment(seg).block_by_serial(TGT).unwrap().va;
+    let tgt2 = heap.segment(seg).block_by_serial(TGT2).unwrap();
+    let (tgt2, tgt2_flat) = (tgt2.va, tgt2.flat.clone());
+    let mut unresolved = HashMap::new();
     let mut next = noise(seed);
     for serial in [SRC, DST] {
         let meta = heap.segment(seg).block_by_serial(serial).unwrap();
@@ -62,8 +84,19 @@ fn bed(ty: &TypeDesc, count: u32, arch: &MachineArch, seed: u64) -> (Heap, SegId
                     img[at + n] = 0;
                 }
                 PrimKind::Ptr => {
-                    let target = match next() % 3 {
-                        0 => 0,
+                    let target = match next() % 5 {
+                        0 => {
+                            if serial == SRC && next().is_multiple_of(2) {
+                                let mip = Mip::new("far/seg", "blk", next() % 3);
+                                unresolved.insert(va + u64::from(p.local_off), mip);
+                            }
+                            0
+                        }
+                        1 => tgt,
+                        2 => {
+                            let k = next() % tgt2_flat.prim_count();
+                            tgt2 + u64::from(tgt2_flat.prim_at(k).unwrap().local_off)
+                        }
                         k => tgt + 4 * ((k + next()) % 16),
                     };
                     let w = arch.pointer_size as usize;
@@ -76,22 +109,32 @@ fn bed(ty: &TypeDesc, count: u32, arch: &MachineArch, seed: u64) -> (Heap, SegId
             .unwrap()
             .copy_from_slice(&img);
     }
-    (heap, seg)
+    (heap, seg, unresolved)
 }
 
 fn size(p: &PrimRef, arch: &MachineArch) -> usize {
     p.local_size(arch) as usize
 }
 
-/// Reference encode of the primitives `prims` of `meta`.
-fn ref_encode(heap: &Heap, meta: &BlockMeta, prims: &[PrimRef], w: &mut WireWriter) {
+/// Reference encode of the primitives `prims` of `meta`: a null pointer
+/// with an unresolved MIP sends that MIP.
+fn ref_encode(
+    heap: &Heap,
+    unresolved: &HashMap<u64, Mip>,
+    meta: &BlockMeta,
+    prims: &[PrimRef],
+    w: &mut WireWriter,
+) {
     let arch = heap.arch();
     let img = heap.read_bytes(meta.va, meta.size() as usize).unwrap();
     for p in prims {
         let at = p.local_off as usize;
+        let field_va = meta.va + u64::from(p.local_off);
         let mut swizzle = |window: &[u8]| -> Result<String, WireError> {
             Ok(match read_va(window, arch) {
-                0 => String::new(),
+                0 => unresolved
+                    .get(&field_va)
+                    .map_or_else(String::new, Mip::to_string),
                 va => mip_for_va(heap, va).unwrap().to_string(),
             })
         };
@@ -103,6 +146,7 @@ fn ref_encode(heap: &Heap, meta: &BlockMeta, prims: &[PrimRef], w: &mut WireWrit
 /// emits the primitives whose extent meets it, from the floor on.
 fn ref_collect(
     heap: &Heap,
+    unresolved: &HashMap<u64, Mip>,
     meta: &BlockMeta,
     ranges: &[(u32, u32)],
 ) -> (Vec<u8>, Vec<Option<(u64, u64)>>) {
@@ -120,7 +164,7 @@ fn ref_collect(
                     && p.local_off as usize + size(p, arch) > lo as usize
             })
             .collect();
-        ref_encode(heap, meta, &prims, &mut w);
+        ref_encode(heap, unresolved, meta, &prims, &mut w);
         emitted.push(prims.first().map(|p| (p.prim_off, prims.len() as u64)));
         if let Some(p) = prims.last() {
             floor = p.prim_off + 1;
@@ -129,16 +173,29 @@ fn ref_collect(
     (w.finish().to_vec(), emitted)
 }
 
-/// Reference apply of a run of `prims` from `payload` onto `img`.
-fn ref_apply(heap: &Heap, prims: &[PrimRef], payload: Bytes, img: &mut [u8]) {
+/// Reference apply of a run of `prims` from `payload` onto `img`, the
+/// image of the block at `va`; returns the unresolved MIPs it met, by
+/// field address.
+fn ref_apply(
+    heap: &Heap,
+    va: u64,
+    prims: &[PrimRef],
+    payload: Bytes,
+    img: &mut [u8],
+) -> Vec<(u64, Mip)> {
     let arch = heap.arch();
     let mut r = WireReader::new(payload);
+    let mut unresolved = Vec::new();
     for p in prims {
         let at = p.local_off as usize;
         let mut unswizzle = |mip: &str, window: &mut [u8]| -> Result<(), WireError> {
             let va = match resolve_mip(heap, mip).map_err(|e| WireError::BadMip(e.to_string()))? {
                 ResolvedPtr::Local(va) => va,
-                ResolvedPtr::Null | ResolvedPtr::Unresolved(_) => 0,
+                ResolvedPtr::Null => 0,
+                ResolvedPtr::Unresolved(mip) => {
+                    unresolved.push((va + u64::from(p.local_off), mip));
+                    0
+                }
             };
             write_va(window, arch, va);
             Ok(())
@@ -153,6 +210,7 @@ fn ref_apply(heap: &Heap, prims: &[PrimRef], payload: Bytes, img: &mut [u8]) {
         .unwrap();
     }
     assert!(r.is_empty());
+    unresolved
 }
 
 fn check(
@@ -163,10 +221,9 @@ fn check(
     ranges: &[(f64, f64)],
     runs: &[(f64, f64)],
 ) {
-    let (heap, seg) = bed(ty, count, arch, seed);
+    let (heap, seg, unresolved) = bed(ty, count, arch, seed);
     let registry = Registry::new();
     let metrics = TranslateMetrics::new(&registry);
-    let unresolved = HashMap::new();
     let src = heap.segment(seg).block_by_serial(SRC).unwrap();
     let dst = heap.segment(seg).block_by_serial(DST).unwrap();
     let len = src.size();
@@ -182,7 +239,7 @@ fn check(
         })
         .collect();
     byte_ranges.sort_unstable();
-    let (want, want_runs) = ref_collect(&heap, src, &byte_ranges);
+    let (want, want_runs) = ref_collect(&heap, &unresolved, src, &byte_ranges);
 
     for fused in [true, false] {
         let ctx = XlateCtx {
@@ -193,14 +250,15 @@ fn check(
         };
         let mut w = WireWriter::new();
         let (mut floor, mut cache) = (0u64, None);
+        let mut enc = Encoder::new(&ctx, src, &mut w, &mut cache).unwrap();
         let got_runs: Vec<Option<(u64, u64)>> = byte_ranges
             .iter()
             .map(|&(lo, hi)| {
                 let (lo, hi) = (src.va + u64::from(lo), src.va + u64::from(hi));
-                ctx.translate_range_into(src, lo, hi, &mut floor, &mut w, &mut cache)
-                    .unwrap()
+                enc.range(src, lo, hi, &mut floor).unwrap()
             })
             .collect();
+        drop(enc);
         prop_assert_eq!(
             &got_runs,
             &want_runs,
@@ -224,11 +282,11 @@ fn check(
             let n = 1 + (b * (prims.len() - start) as f64) as usize % (prims.len() - start);
             let run = &prims[start..start + n];
             let mut w = WireWriter::new();
-            ref_encode(&heap, src, run, &mut w);
+            ref_encode(&heap, &unresolved, src, run, &mut w);
             let payload = w.finish();
 
             let mut want_img = old.to_vec();
-            ref_apply(&heap, run, payload.clone(), &mut want_img);
+            let want_unresolved = ref_apply(&heap, dst.va, run, payload.clone(), &mut want_img);
 
             let job = DecodeJob {
                 meta: dst,
@@ -244,7 +302,7 @@ fn check(
                 at + d.buf.len(),
                 last.local_off as usize + size(&last, arch)
             );
-            prop_assert!(d.unresolved_inserts.is_empty());
+            prop_assert_eq!(&d.unresolved_inserts, &want_unresolved);
             let mut got_img = old.to_vec();
             got_img[at..at + d.buf.len()].copy_from_slice(&d.buf);
             prop_assert_eq!(got_img, want_img, "fused {} run {}+{}", fused, start, n);
@@ -289,4 +347,31 @@ proptest! {
     ) {
         check_all(&ty, count, seed, &ranges, &runs);
     }
+}
+
+/// A pointer into the middle of a primitive of the block the swizzle
+/// cache holds is refused, as it is when the cache misses.
+#[test]
+fn interior_pointer_after_a_cache_hit_is_refused() {
+    let arch = MachineArch::x86();
+    let (mut heap, seg, unresolved) = bed(&TypeDesc::pointer(), 2, &arch, 1);
+    let tgt = heap.segment(seg).block_by_serial(TGT).unwrap().va;
+    let src = heap.segment(seg).block_by_serial(SRC).unwrap().va;
+    let img = heap.bytes_mut_unprotected(src, 8).unwrap();
+    write_va(&mut img[..4], &arch, tgt + 4);
+    write_va(&mut img[4..], &arch, tgt + 6);
+    let registry = Registry::new();
+    let metrics = TranslateMetrics::new(&registry);
+    let ctx = XlateCtx {
+        heap: &heap,
+        unresolved: &unresolved,
+        metrics: &metrics,
+        fused: true,
+    };
+    let meta = heap.segment(seg).block_by_serial(SRC).unwrap();
+    let mut w = WireWriter::new();
+    let mut cache = None;
+    let mut enc = Encoder::new(&ctx, meta, &mut w, &mut cache).unwrap();
+    let got = enc.range(meta, src, src + 8, &mut 0);
+    assert!(matches!(got, Err(CoreError::DanglingPointer(_))), "{got:?}");
 }

@@ -392,12 +392,12 @@ pub fn run_soak_on(cfg: &SoakConfig, primary_server: Server) -> SoakReport {
 
     let primary_image = primary
         .server()
-        .with_segment_mut(SEGMENT, checkpoint::encode_segment)
+        .with_segment(SEGMENT, checkpoint::encode_segment)
         .and_then(Result::ok)
         .map(|b| b.to_vec());
     let backup_identical = match (
         &primary_image,
-        backup.with_segment_mut(SEGMENT, checkpoint::encode_segment),
+        backup.with_segment(SEGMENT, checkpoint::encode_segment),
     ) {
         (Some(p), Some(Ok(b))) => p[..] == b[..],
         _ => false,
@@ -462,7 +462,7 @@ pub fn run_soak_on(cfg: &SoakConfig, primary_server: Server) -> SoakReport {
 /// [`SoakReport::primary_image`] after a restart-from-disk).
 pub fn soak_segment_image(server: &Server) -> Option<Vec<u8>> {
     server
-        .with_segment_mut(SEGMENT, checkpoint::encode_segment)
+        .with_segment(SEGMENT, checkpoint::encode_segment)
         .and_then(Result::ok)
         .map(|b| b.to_vec())
 }

@@ -352,10 +352,10 @@ fn truncated_syncfull_over_tcp_retries_and_converges() {
     assert_eq!(backup.segment_version("h/s"), Some(3));
     let p = primary
         .server()
-        .with_segment_mut("h/s", |seg| checkpoint::encode_segment(seg).unwrap())
+        .with_segment("h/s", |seg| checkpoint::encode_segment(seg).unwrap())
         .unwrap();
     let b = backup
-        .with_segment_mut("h/s", |seg| checkpoint::encode_segment(seg).unwrap())
+        .with_segment("h/s", |seg| checkpoint::encode_segment(seg).unwrap())
         .unwrap();
     assert_eq!(
         p[..],

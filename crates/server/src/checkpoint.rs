@@ -23,7 +23,7 @@ const FORMAT_VERSION: u32 = 1;
 
 /// Serializes a segment into its machine-independent checkpoint image
 /// (also the `SyncFull` replication payload).
-pub fn encode_segment(seg: &mut ServerSegment) -> Result<Bytes, ServerError> {
+pub fn encode_segment(seg: &ServerSegment) -> Result<Bytes, ServerError> {
     let mut w = WireWriter::new();
     w.put_bytes(MAGIC);
     w.put_u32(FORMAT_VERSION);
@@ -31,50 +31,34 @@ pub fn encode_segment(seg: &mut ServerSegment) -> Result<Bytes, ServerError> {
     w.put_u64(seg.version());
     w.put_u32(seg.next_serial());
 
-    let types: Vec<_> = seg.types_iter().map(|(t, v)| (t.clone(), v)).collect();
-    w.put_u32(types.len() as u32);
-    for (ty, intro) in &types {
+    w.put_u32(seg.next_type_serial());
+    for (ty, intro) in seg.types_iter() {
         encode_type(&mut w, ty);
-        w.put_u64(*intro);
+        w.put_u64(intro);
     }
 
-    let serials: Vec<u32> = seg.blocks_iter().map(|b| b.serial).collect();
-    w.put_u32(serials.len() as u32);
-    for serial in serials {
-        let (name, type_serial, count, created, version) = {
-            let b = seg.block(serial).expect("block listed");
-            (
-                b.name.clone(),
-                b.type_serial,
-                b.count,
-                b.created_version,
-                b.version,
-            )
-        };
-        let data = seg.block_data(serial)?;
-        w.put_u32(serial);
-        match &name {
+    w.put_u32(seg.block_count() as u32);
+    for b in seg.blocks_iter() {
+        w.put_u32(b.serial);
+        match &b.name {
             Some(n) => {
                 w.put_u8(1);
                 w.put_str(n);
             }
             None => w.put_u8(0),
         }
-        w.put_u32(type_serial);
-        w.put_u32(count);
-        w.put_u64(created);
-        w.put_u64(version);
-        let subs = seg.block_subblock_versions(serial).to_vec();
+        w.put_u32(b.type_serial);
+        w.put_u32(b.count);
+        w.put_u64(b.created_version);
+        w.put_u64(b.version);
+        let subs = b.subblock_versions();
         w.put_u32(subs.len() as u32);
-        for v in subs {
-            w.put_u64(v);
-        }
-        w.put_len_bytes(&data);
+        subs.iter().for_each(|&v| w.put_u64(v));
+        b.put_data(&mut w)?;
     }
 
-    let freed: Vec<(u64, u32, u64)> = seg.freed_iter().collect();
-    w.put_u32(freed.len() as u32);
-    for (v, serial, created) in freed {
+    w.put_u32(seg.freed_iter().count() as u32);
+    for (v, serial, created) in seg.freed_iter() {
         w.put_u64(v);
         w.put_u32(serial);
         w.put_u64(created);
@@ -225,7 +209,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_everything_observable() {
         let mut seg = populated_segment();
-        let mut back = decode_segment(encode_segment(&mut seg).unwrap()).unwrap();
+        let mut back = decode_segment(encode_segment(&seg).unwrap()).unwrap();
 
         assert_eq!(back.name, "host/data");
         assert_eq!(back.version(), seg.version());
@@ -233,11 +217,14 @@ mod tests {
         assert_eq!(back.next_type_serial(), seg.next_type_serial());
         assert_eq!(back.block_count(), seg.block_count());
         assert_eq!(back.total_prims(), seg.total_prims());
-        assert_eq!(
-            back.block_subblock_versions(0),
-            seg.block_subblock_versions(0)
-        );
-        assert_eq!(back.block_data(0).unwrap(), seg.block_data(0).unwrap());
+        let (a, b) = (back.block(0).unwrap(), seg.block(0).unwrap());
+        assert_eq!(a.subblock_versions(), b.subblock_versions());
+        let data = |b: &crate::ServerBlock| {
+            let mut w = WireWriter::new();
+            b.put_data(&mut w).unwrap();
+            w.finish()
+        };
+        assert_eq!(data(a), data(b));
 
         // A stale client update built from the restored segment matches
         // one built from the original (bypassing the original's diff
@@ -262,7 +249,7 @@ mod tests {
 
     #[test]
     fn truncated_checkpoints_error_cleanly() {
-        let image = encode_segment(&mut populated_segment()).unwrap();
+        let image = encode_segment(&populated_segment()).unwrap();
         // Every strict prefix must fail with a clean error (the format
         // has no optional tail), and must never panic.
         for len in (0..image.len())
@@ -276,7 +263,7 @@ mod tests {
 
     #[test]
     fn bit_flipped_checkpoints_never_panic() {
-        let image = encode_segment(&mut populated_segment()).unwrap().to_vec();
+        let image = encode_segment(&populated_segment()).unwrap().to_vec();
         for pos in (0..image.len()).step_by(3) {
             for bit in [0u8, 3, 7] {
                 let mut corrupt = image.clone();
@@ -291,9 +278,8 @@ mod tests {
 
     #[test]
     fn image_roundtrip_is_bit_identical() {
-        let mut seg = populated_segment();
-        let image = encode_segment(&mut seg).unwrap();
-        let mut back = decode_segment(image.clone()).unwrap();
-        assert_eq!(encode_segment(&mut back).unwrap(), image);
+        let image = encode_segment(&populated_segment()).unwrap();
+        let back = decode_segment(image.clone()).unwrap();
+        assert_eq!(encode_segment(&back).unwrap(), image);
     }
 }

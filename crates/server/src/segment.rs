@@ -23,6 +23,7 @@
 //! fail. A refused diff therefore changes nothing, and the server can log
 //! a diff between the two steps.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use bytes::Bytes;
@@ -90,6 +91,18 @@ pub struct ServerBlock {
 }
 
 impl ServerBlock {
+    /// Appends the block's wire image, length-prefixed, to `w` (the
+    /// checkpoint image's block data).
+    pub(crate) fn put_data(&self, w: &mut WireWriter) -> Result<(), ServerError> {
+        w.put_u32(self.store.wire_len() as u32);
+        Ok(self.store.extract(&self.layout, 0, self.prim_count(), w)?)
+    }
+
+    /// Per-subblock last-modified versions.
+    pub(crate) fn subblock_versions(&self) -> &[u64] {
+        &self.subblock_versions
+    }
+
     /// Number of primitive units in the block.
     pub fn prim_count(&self) -> u64 {
         self.layout.prim_count()
@@ -283,18 +296,25 @@ impl ServerSegment {
                     return Err(ServerError::DuplicateName(n.clone()));
                 }
             }
+            // A block's wire bytes are never fewer than its fixed image,
+            // so a short one is refused before its layout or storage is
+            // built: the work follows the bytes received, not the count.
             let key = (nb.type_serial, nb.count);
             let layout = match self.layouts.get(&key) {
                 Some(l) => l,
                 None => {
                     let ty = self.type_in(&plan.types, nb.type_serial);
                     let ty = ty.ok_or(ServerError::UnknownType(nb.type_serial))?;
-                    let l = plan.layouts.entry(key);
-                    &*l.or_insert_with(|| StoreLayout::new(ty, nb.count))
+                    match plan.layouts.entry(key) {
+                        Entry::Occupied(l) => &*l.into_mut(),
+                        Entry::Vacant(l) => {
+                            StoreLayout::check_size(ty, nb.count, &nb.data)?;
+                            &*l.insert(StoreLayout::new(ty, nb.count))
+                        }
+                    }
                 }
             };
-            let mut store = WireStore::new(layout);
-            store.apply(layout, 0, layout.prim_count(), &nb.data)?;
+            let store = WireStore::from_wire(layout, &nb.data)?;
             plan.stores.push((layout.clone(), store));
         }
         // A block diff names a block the segment already holds.
@@ -312,8 +332,8 @@ impl ServerSegment {
                         count: run.count,
                     });
                 }
-                b.store
-                    .check(&b.layout, run.start, run.count, &run.data, &mut writes)?;
+                b.layout
+                    .check(run.start, run.count, &run.data, &mut writes)?;
             }
             plan.writes.push(writes);
         }
@@ -719,12 +739,14 @@ impl ServerSegment {
             .types
             .get(type_serial as usize)
             .ok_or(ServerError::UnknownType(type_serial))?;
-        let layout = self.layouts.entry((type_serial, count));
-        let layout = layout
-            .or_insert_with(|| StoreLayout::new(ty, count))
-            .clone();
-        let mut store = WireStore::new(&layout);
-        store.apply(&layout, 0, layout.prim_count(), data)?;
+        let layout = match self.layouts.entry((type_serial, count)) {
+            Entry::Occupied(l) => l.get().clone(),
+            Entry::Vacant(l) => {
+                StoreLayout::check_size(ty, count, data)?;
+                l.insert(StoreLayout::new(ty, count)).clone()
+            }
+        };
+        let store = WireStore::from_wire(&layout, data)?;
         self.link_block(ServerBlock {
             serial,
             name,
@@ -738,18 +760,6 @@ impl ServerSegment {
             list_key: (0, 0),
         });
         Ok(())
-    }
-
-    pub(crate) fn block_data(&self, serial: u32) -> Result<Bytes, ServerError> {
-        let block = self
-            .blocks
-            .get(&serial)
-            .ok_or(ServerError::UnknownBlock(serial))?;
-        Ok(block.store.extract_all(&block.layout)?)
-    }
-
-    pub(crate) fn block_subblock_versions(&self, serial: u32) -> &[u64] {
-        &self.blocks[&serial].subblock_versions
     }
 }
 
@@ -1011,7 +1021,7 @@ mod tests {
         let b = s.block(0).unwrap();
         assert_eq!(b.version, 1);
         assert_eq!(b.created_version, 1);
-        assert_eq!(s.block_subblock_versions(0), &[1, 1, 1, 1]);
+        assert_eq!(s.block(0).unwrap().subblock_versions(), &[1, 1, 1, 1]);
     }
 
     /// A release that claims to advance several versions is refused
@@ -1089,7 +1099,7 @@ mod tests {
         };
         s.apply_diff(&diff).unwrap();
         // prim 17 lives in subblock 1; only it advances.
-        assert_eq!(s.block_subblock_versions(0), &[1, 2, 1, 1]);
+        assert_eq!(s.block(0).unwrap().subblock_versions(), &[1, 2, 1, 1]);
         assert_eq!(s.block(0).unwrap().version, 2);
     }
 

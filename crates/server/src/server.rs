@@ -429,10 +429,10 @@ impl Server {
     }
 
     /// Writes a fresh checkpoint image of `seg` into the durable store,
-    /// inline under the segment's write lock: one in-place slot write
+    /// inline under the segment's lock: one in-place slot write
     /// and one `fdatasync` (best-effort; an error leaves the newest
     /// durable image intact and is counted by the store).
-    fn durable_image(store: &DiffStore, seg: &mut ServerSegment) -> bool {
+    fn durable_image(store: &DiffStore, seg: &ServerSegment) -> bool {
         checkpoint::encode_segment(seg).is_ok_and(|image| {
             store
                 .write_checkpoint(&seg.name, seg.version(), &image)
@@ -463,7 +463,7 @@ impl Server {
         }
         // Every segment is imaged, even after one fails.
         let ok = self.segment_names().iter().fold(true, |ok, name| {
-            let wrote = self.with_segment_mut(name, |seg| Self::durable_image(store, seg));
+            let wrote = self.with_segment(name, |seg| Self::durable_image(store, seg));
             ok & (wrote == Some(true))
         });
         // On any failure the rotated files are kept: recovery reads all
@@ -772,7 +772,7 @@ impl Server {
         // persist a full image so recovery has a base to chain
         // subsequent diff records from.
         if let Some(store) = &self.durable {
-            Self::durable_image(store, &mut guard);
+            Self::durable_image(store, &guard);
         }
         Reply::Replicated { acked_version: v }
     }
@@ -1417,7 +1417,7 @@ mod tests {
         assert_eq!(r, Reply::Replicated { acked_version: 2 });
         assert_eq!(backup.segment_version("h/s"), Some(2));
         let reencoded = backup
-            .with_segment_mut("h/s", |seg| checkpoint::encode_segment(seg).unwrap())
+            .with_segment("h/s", |seg| checkpoint::encode_segment(seg).unwrap())
             .unwrap();
         assert_eq!(
             reencoded, image,

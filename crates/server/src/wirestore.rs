@@ -8,137 +8,556 @@
 //! A [`WireStore`] holds a block as:
 //!
 //! - a *fixed image*: the big-endian wire bytes of every fixed-size
-//!   primitive, packed; each variable-length primitive (string or MIP)
-//!   occupies a 4-byte slot *reference* into
-//! - a *variable table*: the out-of-line strings/MIPs.
+//!   primitive, packed, with a 4-byte slot in primitive order for each
+//!   variable-length primitive (string or MIP);
+//! - an *item arena*: one byte buffer holding the out-of-line items, with
+//!   an `(offset, length, capacity)` entry per slot. An item that fits its
+//!   slot's capacity is overwritten in place, a longer one is appended
+//!   with some room to grow, and the arena is compacted once it holds
+//!   more than twice its live bytes plus [`ARENA_SLACK`].
 //!
-//! Offsets into the fixed image come from a [`FlatLayout`] computed over a
-//! pseudo-architecture whose "local format" is exactly this packed wire
-//! layout (alignment 1 everywhere, 4-byte pointers), applied to a
-//! *storage descriptor* in which `string`/`pointer` primitives are
-//! replaced by 4-byte slot references. Primitive offsets are machine
-//! independent, so they line up with client-side layouts by construction.
+//! Every walk over a block goes through its [`StoreLayout`]'s span table,
+//! compiled once per `(type, count)`: runs of fixed primitives of one wire
+//! size, runs of variable primitives, and repeats of a mixed body.
+//! Consecutive fixed primitives of any kind are contiguous in both the wire
+//! bytes and the image, so a range of primitives comes out as a few
+//! *stretches*: each stretch of fixed primitives is one bounds check and
+//! one copy, and each stretch of variable primitives is one pass over its
+//! items. An array of `struct { int; double; }` is one stretch however
+//! long it is.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use iw_types::arch::{Endian, MachineArch};
-use iw_types::desc::{PrimKind, TypeDesc, TypeKind};
-use iw_types::flat::{FlatLayout, RunRef};
-use iw_wire::codec::{WireError, WireReader, WireWriter};
+use iw_types::desc::{TypeDesc, TypeKind};
+use iw_wire::codec::{WireError, WireWriter, MAX_ITEM_LEN};
 
-/// The pseudo-architecture describing packed wire storage.
-pub fn wire_arch() -> MachineArch {
-    MachineArch {
-        name: "wire-store",
-        endian: Endian::Big,
-        pointer_size: 4, // a variable-table slot reference
-        pointer_align: 1,
-        int16_align: 1,
-        int32_align: 1,
-        int64_align: 1,
-        float32_align: 1,
-        float64_align: 1,
-        word_size: 4,
+/// Dead bytes an item arena may hold beyond its live bytes before it is
+/// compacted: an arena never exceeds twice its live bytes plus this.
+pub const ARENA_SLACK: usize = 4 << 10;
+
+/// What a span, or a prefix of a block, covers: primitives, fixed-image
+/// bytes and variable slots.
+#[derive(Debug, Clone, Copy, Default)]
+struct Extent {
+    prims: u64,
+    bytes: u64,
+    vars: u64,
+}
+
+impl Extent {
+    fn plus(self, o: Extent) -> Extent {
+        Extent {
+            prims: self.prims.saturating_add(o.prims),
+            bytes: self.bytes.saturating_add(o.bytes),
+            vars: self.vars.saturating_add(o.vars),
+        }
+    }
+
+    fn times(self, n: u64) -> Extent {
+        Extent {
+            prims: self.prims.saturating_mul(n),
+            bytes: self.bytes.saturating_mul(n),
+            vars: self.vars.saturating_mul(n),
+        }
     }
 }
 
-/// Rewrites `ty`, replacing every variable-length primitive with a 4-byte
-/// slot reference (`int`), so its [`FlatLayout`] on [`wire_arch`] yields
-/// fixed-image offsets.
-fn storage_type(ty: &TypeDesc, memo: &mut HashMap<TypeDesc, TypeDesc>) -> TypeDesc {
-    if let Some(t) = memo.get(ty) {
-        return t.clone();
+/// One entry of a compiled span table.
+#[derive(Debug)]
+enum Span {
+    /// `count` consecutive fixed primitives of `size` wire bytes each.
+    Fixed { size: u64, count: u64 },
+    /// `count` consecutive variable primitives.
+    Var { count: u64 },
+    /// `count` iterations of a body of several spans, `per` each.
+    Repeat {
+        count: u64,
+        per: Extent,
+        body: Box<[Span]>,
+    },
+}
+
+impl Span {
+    fn extent(&self) -> Extent {
+        match *self {
+            Span::Fixed { size, count } => Extent {
+                prims: count,
+                bytes: size.saturating_mul(count),
+                vars: 0,
+            },
+            Span::Var { count } => Extent {
+                prims: count,
+                bytes: count.saturating_mul(4),
+                vars: count,
+            },
+            Span::Repeat { count, per, .. } => per.times(count),
+        }
     }
-    let out = match ty.kind() {
-        TypeKind::Prim(PrimKind::Str { .. }) | TypeKind::Prim(PrimKind::Ptr) => TypeDesc::int32(),
-        TypeKind::Prim(_) => ty.clone(),
-        TypeKind::Array { elem, len } => TypeDesc::array(storage_type(elem, memo), *len),
-        TypeKind::Struct { name, fields } => TypeDesc::structure(
-            name.clone(),
-            fields
-                .iter()
-                .map(|f| (f.name.as_str(), storage_type(&f.ty, memo)))
-                .collect(),
+
+    /// Image bytes before primitive `k` of a span that holds no variable
+    /// primitive.
+    fn fixed_offset(&self, k: u64) -> u64 {
+        match self {
+            Span::Fixed { size, .. } => k * size,
+            Span::Repeat { per, body, .. } => {
+                (k / per.prims) * per.bytes + fixed_offset_in(body, k % per.prims)
+            }
+            Span::Var { .. } => unreachable!("a variable span has no fixed offsets"),
+        }
+    }
+}
+
+/// Image bytes before primitive `k` of a list of fixed spans.
+fn fixed_offset_in(spans: &[Span], mut k: u64) -> u64 {
+    let mut at = 0;
+    for s in spans {
+        let e = s.extent();
+        if k < e.prims {
+            return at + s.fixed_offset(k);
+        }
+        k -= e.prims;
+        at += e.bytes;
+    }
+    at
+}
+
+fn extent_of(spans: &[Span]) -> Extent {
+    spans
+        .iter()
+        .fold(Extent::default(), |a, s| a.plus(s.extent()))
+}
+
+/// Appends `span` to `out`, merging it into the last span when both are
+/// fixed of one size or both variable.
+fn push(out: &mut Vec<Span>, span: Span) {
+    match (out.last_mut(), span) {
+        (Some(Span::Fixed { size, count }), Span::Fixed { size: s, count: c }) if *size == s => {
+            *count = count.saturating_add(c)
+        }
+        (Some(Span::Var { count }), Span::Var { count: c }) => *count = count.saturating_add(c),
+        (_, span) => out.push(span),
+    }
+}
+
+/// Compiles `ty` into spans appended to `out`.
+fn compile(ty: &TypeDesc, out: &mut Vec<Span>) {
+    match ty.kind() {
+        TypeKind::Prim(kind) => push(
+            out,
+            match kind.wire_size() {
+                Some(size) => Span::Fixed {
+                    size: u64::from(size),
+                    count: 1,
+                },
+                None => Span::Var { count: 1 },
+            },
         ),
-    };
-    memo.insert(ty.clone(), out.clone());
-    out
+        TypeKind::Struct { fields, .. } => fields.iter().for_each(|f| compile(&f.ty, out)),
+        TypeKind::Array { elem, len } => {
+            let len = u64::from(*len);
+            let mut body = Vec::new();
+            compile(elem, &mut body);
+            if len == 0 || body.is_empty() {
+                return;
+            }
+            if body.len() == 1 {
+                let scaled = match body.pop().expect("one span") {
+                    Span::Fixed { size, count } => Span::Fixed {
+                        size,
+                        count: count.saturating_mul(len),
+                    },
+                    Span::Var { count } => Span::Var {
+                        count: count.saturating_mul(len),
+                    },
+                    Span::Repeat { count, per, body } => Span::Repeat {
+                        count: count.saturating_mul(len),
+                        per,
+                        body,
+                    },
+                };
+                push(out, scaled);
+            } else if len == 1 {
+                body.into_iter().for_each(|s| push(out, s));
+            } else {
+                let per = extent_of(&body);
+                let body = body.into_boxed_slice();
+                out.push(Span::Repeat {
+                    count: len,
+                    per,
+                    body,
+                });
+            }
+        }
+    }
 }
 
-/// Shared, per-type layout information for wire storage.
+/// The fixed-image size of a value of `ty`, from the type alone: the
+/// fewest wire bytes it can take (each variable item has a 4-byte length).
+/// `None` when it does not fit in a `u64`.
+fn wire_floor(ty: &TypeDesc) -> Option<u64> {
+    match ty.kind() {
+        TypeKind::Prim(kind) => Some(u64::from(kind.wire_size().unwrap_or(4))),
+        TypeKind::Array { elem, len } => wire_floor(elem)?.checked_mul(u64::from(*len)),
+        TypeKind::Struct { fields, .. } => fields
+            .iter()
+            .try_fold(0u64, |sum, f| sum.checked_add(wire_floor(&f.ty)?)),
+    }
+}
+
+/// Refuses `data` as the wire image of a block whose fixed image is
+/// `need` bytes (`None`: beyond any image).
+fn check_floor(need: Option<u64>, data: &[u8]) -> Result<(), WireError> {
+    match need {
+        None => Err(WireError::LengthOverflow { len: u64::MAX }),
+        Some(n) if n > data.len() as u64 => Err(WireError::UnexpectedEof {
+            wanted: usize::try_from(n).unwrap_or(usize::MAX),
+            available: data.len(),
+        }),
+        Some(_) => Ok(()),
+    }
+}
+
+/// One stretch of a primitive range.
+#[derive(Debug, Clone, Copy)]
+enum Stretch {
+    /// Fixed-image bytes `[at, at + len)`: the wire bytes of consecutive
+    /// fixed primitives.
+    Fixed { at: usize, len: usize },
+    /// Variable slots `[slot, slot + n)`.
+    Vars { slot: usize, n: usize },
+}
+
+/// Merges the pieces a span walk yields into maximal stretches and hands
+/// each to `f`.
+struct Stretches<F> {
+    f: F,
+    pending: Option<Stretch>,
+}
+
+impl<F: FnMut(Stretch) -> Result<(), WireError>> Stretches<F> {
+    fn push(&mut self, s: Stretch) -> Result<(), WireError> {
+        match (&mut self.pending, s) {
+            (Some(Stretch::Fixed { at, len }), Stretch::Fixed { at: a, len: l })
+                if *at + *len == a =>
+            {
+                *len += l;
+                return Ok(());
+            }
+            (Some(Stretch::Vars { slot, n }), Stretch::Vars { slot: s, n: m })
+                if *slot + *n == s =>
+            {
+                *n += m;
+                return Ok(());
+            }
+            _ => {}
+        }
+        match self.pending.replace(s) {
+            Some(done) => (self.f)(done),
+            None => Ok(()),
+        }
+    }
+
+    fn finish(mut self) -> Result<(), WireError> {
+        match self.pending.take() {
+            Some(done) => (self.f)(done),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Walks primitives `[skip, skip + take)` of `spans`, which start at `at`.
+fn walk<F: FnMut(Stretch) -> Result<(), WireError>>(
+    spans: &[Span],
+    mut skip: u64,
+    mut take: u64,
+    mut at: Extent,
+    out: &mut Stretches<F>,
+) -> Result<(), WireError> {
+    for span in spans {
+        if take == 0 {
+            break;
+        }
+        let ext = span.extent();
+        if skip >= ext.prims {
+            skip -= ext.prims;
+            at = at.plus(ext);
+            continue;
+        }
+        let n = (ext.prims - skip).min(take);
+        match span {
+            Span::Var { .. } => out.push(Stretch::Vars {
+                slot: (at.vars + skip) as usize,
+                n: n as usize,
+            })?,
+            _ if ext.vars == 0 => {
+                let lo = span.fixed_offset(skip);
+                let hi = span.fixed_offset(skip + n);
+                out.push(Stretch::Fixed {
+                    at: (at.bytes + lo) as usize,
+                    len: (hi - lo) as usize,
+                })?;
+            }
+            Span::Repeat { per, body, .. } => {
+                let (mut i, mut k, mut left) = (skip / per.prims, skip % per.prims, n);
+                while left > 0 {
+                    let m = (per.prims - k).min(left);
+                    walk(body, k, m, at.plus(per.times(i)), out)?;
+                    (i, k, left) = (i + 1, 0, left - m);
+                }
+            }
+            Span::Fixed { .. } => unreachable!("a fixed span holds no variable primitive"),
+        }
+        take -= n;
+        skip = 0;
+        at = at.plus(ext);
+    }
+    Ok(())
+}
+
+/// Shared, per-`(type, count)` layout of a block in wire storage: its
+/// compiled span table.
 #[derive(Debug, Clone)]
 pub struct StoreLayout {
-    /// Offsets of every primitive in the packed fixed image.
-    pub storage: Arc<FlatLayout>,
-    /// True primitive kinds by the same machine-independent prim offsets.
-    pub kinds: Arc<FlatLayout>,
+    spans: Arc<[Span]>,
+    total: Extent,
 }
 
 impl StoreLayout {
-    /// Computes the layout for `count` elements of `ty`.
+    /// Compiles the layout of `count` elements of `ty`.
     pub fn new(ty: &TypeDesc, count: u32) -> Self {
-        let block_ty = if count == 1 {
-            ty.clone()
-        } else {
-            TypeDesc::array(ty.clone(), count)
-        };
-        let mut memo = HashMap::new();
-        let st = storage_type(&block_ty, &mut memo);
+        let mut spans = Vec::new();
+        compile(&TypeDesc::array(ty.clone(), count), &mut spans);
         StoreLayout {
-            storage: Arc::new(FlatLayout::new(&st, &wire_arch())),
-            kinds: Arc::new(FlatLayout::new(&block_ty, &wire_arch())),
+            total: extent_of(&spans),
+            spans: spans.into(),
         }
     }
 
     /// Number of primitive data units in the block.
     pub fn prim_count(&self) -> u64 {
-        self.storage.prim_count()
+        self.total.prims
     }
 
-    /// Bytes in the packed fixed image.
-    pub fn fixed_size(&self) -> u32 {
-        self.storage.local_size()
+    /// Bytes in the fixed image: the wire size of every fixed primitive
+    /// plus 4 per variable one, which is also the fewest wire bytes the
+    /// whole block can take.
+    pub fn fixed_size(&self) -> u64 {
+        self.total.bytes
+    }
+
+    /// Refuses `data` as the whole wire image of `count` elements of
+    /// `ty` when it is shorter than their fixed image. Computed from the
+    /// type alone, so a short block is refused before any of its
+    /// storage, or its layout, is allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::UnexpectedEof`] when `data` is too short;
+    /// [`WireError::LengthOverflow`] when the size overflows.
+    pub(crate) fn check_size(ty: &TypeDesc, count: u32, data: &[u8]) -> Result<(), WireError> {
+        check_floor(
+            wire_floor(ty).and_then(|n| n.checked_mul(u64::from(count))),
+            data,
+        )
+    }
+
+    /// Hands the stretches of primitives `[start, start+count)` to `f`,
+    /// in order, stopping at its first error.
+    fn stretches(
+        &self,
+        start: u64,
+        count: u64,
+        f: impl FnMut(Stretch) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        let end = start.saturating_add(count);
+        if end > self.prim_count() {
+            return Err(WireError::LengthOverflow { len: end });
+        }
+        let mut out = Stretches { f, pending: None };
+        walk(&self.spans, start, count, Extent::default(), &mut out)?;
+        out.finish()
+    }
+
+    /// Checks that `src` holds exactly the wire bytes of primitives
+    /// `[start, start+count)` and records, in `out`, the writes that
+    /// install them — the server side of diff application, split so that
+    /// nothing is written until a whole diff has been checked. The
+    /// writes borrow `src`: bytes are copied only by
+    /// [`WireStore::install`]. One write covers each stretch, and each
+    /// stretch of items is validated once, here.
+    ///
+    /// # Errors
+    ///
+    /// Decoding errors from `src` (truncation, item lengths, UTF-8,
+    /// trailing bytes); [`WireError::LengthOverflow`] when the range
+    /// exceeds the block.
+    pub(crate) fn check<'d>(
+        &self,
+        start: u64,
+        count: u64,
+        src: &'d [u8],
+        out: &mut Vec<Write<'d>>,
+    ) -> Result<(), WireError> {
+        let mut pos = 0;
+        self.stretches(start, count, |s| {
+            let rest = &src[pos..];
+            let write = match s {
+                Stretch::Fixed { at, len } => {
+                    let bytes = rest.get(..len).ok_or(WireError::UnexpectedEof {
+                        wanted: len,
+                        available: rest.len(),
+                    })?;
+                    Write::Fixed(at, bytes)
+                }
+                Stretch::Vars { slot, n } => Write::Vars {
+                    slot,
+                    n,
+                    items: &rest[..scan_items(rest, n)?],
+                },
+            };
+            pos += match write {
+                Write::Fixed(_, b) | Write::Vars { items: b, .. } => b.len(),
+            };
+            out.push(write);
+            Ok(())
+        })?;
+        match src.len() - pos {
+            0 => Ok(()),
+            len => Err(WireError::TrailingBytes { len }),
+        }
     }
 }
 
-/// One write resolved by [`WireStore::check`], borrowing the checked
+/// The length of the wire item (a `u32` length, then that many bytes)
+/// at the front of `src`.
+fn item_len(src: &[u8]) -> Result<usize, WireError> {
+    let Some((len, item)) = src.split_first_chunk::<4>() else {
+        return Err(WireError::UnexpectedEof {
+            wanted: 4,
+            available: src.len(),
+        });
+    };
+    let n = u32::from_be_bytes(*len);
+    if u64::from(n) > MAX_ITEM_LEN {
+        return Err(WireError::LengthOverflow { len: u64::from(n) });
+    }
+    if item.len() < n as usize {
+        return Err(WireError::UnexpectedEof {
+            wanted: n as usize,
+            available: item.len(),
+        });
+    }
+    Ok(n as usize)
+}
+
+/// The bytes taken by the `n` wire items at the front of `src`, each
+/// checked to be UTF-8. An all-ASCII stretch (length prefixes included)
+/// is valid in one pass; any other is checked item by item. A bad item
+/// refuses the stretch before a later truncated one, as in an
+/// item-by-item check.
+fn scan_items(src: &[u8], n: usize) -> Result<usize, WireError> {
+    let mut end = 0;
+    let mut fault = None;
+    for _ in 0..n {
+        match item_len(&src[end..]) {
+            Ok(len) => end += 4 + len,
+            Err(e) => {
+                fault = Some(e);
+                break;
+            }
+        }
+    }
+    if !src[..end].is_ascii() {
+        let mut at = 0;
+        while at < end {
+            let len = item_len(&src[at..]).expect("walked item");
+            std::str::from_utf8(&src[at + 4..at + 4 + len]).map_err(|_| WireError::InvalidUtf8)?;
+            at += 4 + len;
+        }
+    }
+    fault.map_or(Ok(end), Err)
+}
+
+/// One write resolved by [`StoreLayout::check`], borrowing the checked
 /// bytes.
 #[derive(Debug)]
 pub(crate) enum Write<'d> {
     /// Wire bytes copied into the fixed image at this offset.
     Fixed(usize, &'d [u8]),
-    /// A string stored into this variable slot.
-    Var(usize, &'d str),
+    /// `n` checked wire items stored into the slots from `slot` on.
+    Vars {
+        slot: usize,
+        n: usize,
+        items: &'d [u8],
+    },
+}
+
+/// The capacity a slot gets when an item of `len` bytes outgrows it.
+fn grown(len: u32) -> u32 {
+    len + len / 4
+}
+
+/// Where one variable item lives in the arena.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    off: usize,
+    len: u32,
+    cap: u32,
 }
 
 /// One block's wire-format contents.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct WireStore {
-    /// Packed big-endian fixed image (variable prims hold slot indices).
+    /// Packed big-endian fixed image, with a 4-byte slot per variable
+    /// primitive.
     fixed: Vec<u8>,
-    /// Out-of-line variable-length items (strings and MIPs).
-    vars: Vec<String>,
+    /// Variable items in primitive order.
+    slots: Vec<Slot>,
+    /// The bytes of every variable item, dead ones included.
+    arena: Vec<u8>,
+    /// Bytes of the items the slots hold now.
+    live: usize,
+}
+
+/// Stores compare by contents: equal images and equal items, wherever
+/// the items sit in their arenas.
+impl PartialEq for WireStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.fixed == other.fixed
+            && self.slots.len() == other.slots.len()
+            && self
+                .slots
+                .iter()
+                .zip(&other.slots)
+                .all(|(a, b)| self.item(*a) == other.item(*b))
+    }
 }
 
 impl WireStore {
-    /// Creates zeroed storage for a block laid out by `layout`. Every
-    /// variable primitive gets its own (empty) slot up front, assigned in
-    /// primitive order.
+    /// Creates zeroed storage for a block laid out by `layout`: a zeroed
+    /// fixed image and one empty slot per variable primitive.
     pub fn new(layout: &StoreLayout) -> Self {
-        let mut fixed = vec![0u8; layout.fixed_size() as usize];
-        let mut vars = Vec::new();
-        for (sp, kp) in layout.storage.iter().zip(layout.kinds.iter()) {
-            debug_assert_eq!(sp.prim_off, kp.prim_off);
-            if kp.kind.is_variable() {
-                let slot = vars.len() as u32;
-                vars.push(String::new());
-                fixed[sp.local_off as usize..sp.local_off as usize + 4]
-                    .copy_from_slice(&slot.to_be_bytes());
-            }
+        WireStore {
+            fixed: vec![0; layout.total.bytes as usize],
+            slots: vec![Slot::default(); layout.total.vars as usize],
+            arena: Vec::new(),
+            live: 0,
         }
-        WireStore { fixed, vars }
+    }
+
+    /// Builds a block's storage from its whole wire image, refusing a
+    /// `data` shorter than the layout's fixed image before allocating.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::UnexpectedEof`] when `data` is shorter than the fixed
+    /// image; otherwise as [`WireStore::apply`].
+    pub fn from_wire(layout: &StoreLayout, data: &[u8]) -> Result<Self, WireError> {
+        check_floor(Some(layout.fixed_size()), data)?;
+        let mut store = WireStore::new(layout);
+        store.apply(layout, 0, layout.prim_count(), data)?;
+        Ok(store)
     }
 
     /// Bytes held in the fixed image (diagnostics).
@@ -148,53 +567,22 @@ impl WireStore {
 
     /// Number of variable slots (diagnostics).
     pub fn var_count(&self) -> usize {
-        self.vars.len()
+        self.slots.len()
     }
 
-    /// The variable slot whose reference sits at image offset `off`.
-    /// References are written once, by [`WireStore::new`]; no write
-    /// replaces one.
-    fn slot_at(&self, off: usize) -> usize {
-        let mut raw = [0; 4];
-        raw.copy_from_slice(&self.fixed[off..off + 4]);
-        u32::from_be_bytes(raw) as usize
+    /// Bytes held in the item arena, dead ones included (diagnostics).
+    pub fn arena_len(&self) -> usize {
+        self.arena.len()
     }
 
-    /// Primitives `[start, start+count)` as runs of one kind, each with
-    /// its offset in the fixed image. The image is packed, so the offset
-    /// advances deterministically (wire size per fixed prim, 4 bytes per
-    /// variable slot): one seek up front, arithmetic after.
-    fn runs<'a>(
-        &self,
-        layout: &'a StoreLayout,
-        start: u64,
-        count: u64,
-    ) -> Result<impl Iterator<Item = (usize, RunRef)> + 'a, WireError> {
-        let end = start.saturating_add(count);
-        if end > layout.prim_count() {
-            return Err(WireError::LengthOverflow { len: end });
-        }
-        let mut cursor = layout
-            .storage
-            .prim_at(start)
-            .map_or(self.fixed.len(), |p| p.local_off as usize);
-        let mut remaining = count;
-        Ok(layout
-            .kinds
-            .seek_prim_runs(start)
-            .map_while(move |mut run| {
-                run.count = run.count.min(remaining.min(u64::from(u32::MAX)) as u32);
-                remaining -= u64::from(run.count);
-                let off = cursor;
-                cursor += run.kind.wire_size().unwrap_or(4) as usize * run.count as usize;
-                (run.count > 0).then_some((off, run))
-            }))
+    fn item(&self, s: Slot) -> &[u8] {
+        &self.arena[s.off..s.off + s.len as usize]
     }
 
     /// Encodes primitives `[start, start+count)` to wire format, appending
     /// to `w` — the server side of diff construction. Because the fixed
-    /// image *is* packed wire format, a run of fixed-size primitives is a
-    /// single copy; variable primitives emit their out-of-line items.
+    /// image *is* packed wire format, a stretch of fixed primitives is a
+    /// single copy; variable primitives emit their items.
     ///
     /// # Errors
     ///
@@ -206,115 +594,123 @@ impl WireStore {
         count: u64,
         w: &mut WireWriter,
     ) -> Result<(), WireError> {
-        for (off, run) in self.runs(layout, start, count)? {
-            match run.kind.wire_size() {
-                Some(size) => {
-                    w.put_bytes(&self.fixed[off..off + size as usize * run.count as usize])
+        layout.stretches(start, count, |s| {
+            match s {
+                Stretch::Fixed { at, len } => w.put_bytes(&self.fixed[at..at + len]),
+                Stretch::Vars { slot, n } => {
+                    // One stretch of items is one write of known length.
+                    let slots = &self.slots[slot..slot + n];
+                    let len = slots.iter().map(|s| 4 + s.len as usize).sum();
+                    let mut out = w.put_zeroed(len);
+                    for s in slots {
+                        let (head, rest) = out.split_at_mut(4);
+                        head.copy_from_slice(&s.len.to_be_bytes());
+                        let (item, rest) = rest.split_at_mut(s.len as usize);
+                        item.copy_from_slice(self.item(*s));
+                        out = rest;
+                    }
                 }
-                None => (0..run.count as usize)
-                    .for_each(|k| w.put_str(&self.vars[self.slot_at(off + 4 * k)])),
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
-    /// Checks that `src` holds exactly the wire bytes of primitives
-    /// `[start, start+count)` and records, in `out`, the writes that
-    /// install them — the server side of diff application, split so that
-    /// nothing is written until a whole diff has been checked. The
-    /// writes borrow `src`: fixed bytes are copied only by
-    /// [`WireStore::install`], and each string is validated once, here.
-    ///
-    /// # Errors
-    ///
-    /// Decoding errors from `src` (truncation, string lengths, UTF-8,
-    /// trailing bytes); [`WireError::LengthOverflow`] when the range
-    /// exceeds the block.
-    pub(crate) fn check<'d>(
-        &self,
-        layout: &StoreLayout,
-        start: u64,
-        count: u64,
-        src: &'d Bytes,
-        out: &mut Vec<Write<'d>>,
-    ) -> Result<(), WireError> {
-        let mut r = WireReader::new(src.clone());
-        let at = |r: &WireReader| src.len() - r.remaining();
-        // Packed storage keeps consecutive fixed prims consecutive in
-        // both `src` and the image, so each stretch of them between
-        // variable prims is one write: (image offset, `src` offset).
-        let mut stretch = None;
-        for (off, run) in self.runs(layout, start, count)? {
-            if let Some(size) = run.kind.wire_size() {
-                stretch.get_or_insert((off, at(&r)));
-                r.with_bytes(size as usize * run.count as usize, |_| ())?;
-                continue;
-            }
-            if let Some((o, s)) = stretch.take() {
-                out.push(Write::Fixed(o, &src[s..at(&r)]));
-            }
-            for k in 0..run.count as usize {
-                let n = r.with_len_bytes(<[u8]>::len)?;
-                let item = std::str::from_utf8(&src[at(&r) - n..at(&r)]);
-                let item = item.map_err(|_| WireError::InvalidUtf8)?;
-                out.push(Write::Var(self.slot_at(off + 4 * k), item));
-            }
-        }
-        if let Some((o, s)) = stretch {
-            out.push(Write::Fixed(o, &src[s..at(&r)]));
-        }
-        match r.remaining() {
-            0 => Ok(()),
-            len => Err(WireError::TrailingBytes { len }),
-        }
-    }
-
-    /// Makes the writes [`WireStore::check`] recorded against this
-    /// store. Cannot fail: every offset, slot and string was resolved by
-    /// the check. Each string overwrites its slot in place, reusing the
-    /// slot's allocation.
+    /// Makes the writes [`StoreLayout::check`] recorded against this
+    /// store's layout. Cannot fail: every offset, slot and item was
+    /// resolved by the check.
     pub(crate) fn install(&mut self, writes: &[Write<'_>]) {
         for w in writes {
             match *w {
-                Write::Fixed(off, bytes) => {
-                    self.fixed[off..off + bytes.len()].copy_from_slice(bytes)
-                }
-                Write::Var(slot, s) => {
-                    let slot = &mut self.vars[slot];
-                    slot.clear();
-                    slot.push_str(s);
+                Write::Fixed(at, bytes) => self.fixed[at..at + bytes.len()].copy_from_slice(bytes),
+                Write::Vars { slot, n, items } => {
+                    let mut at = 0;
+                    for slot in slot..slot + n {
+                        let len = item_len(&items[at..]).expect("checked item");
+                        self.put_item(slot, &items[at + 4..at + 4 + len]);
+                        at += 4 + len;
+                    }
                 }
             }
         }
+        if self.arena.len() > 2 * self.live + ARENA_SLACK {
+            self.compact();
+        }
+    }
+
+    /// Stores `item` in `slot`: in place when it fits the slot's
+    /// capacity, else appended to the arena. A slot filled for the first
+    /// time gets the item's length as its capacity; one an item outgrows
+    /// gets [`grown`] capacity, so an item that keeps growing a little (a
+    /// MIP whose offset gains a digit) moves once, not on every write.
+    fn put_item(&mut self, slot: usize, item: &[u8]) {
+        let s = &mut self.slots[slot];
+        let len = item.len() as u32;
+        self.live = self.live - s.len as usize + item.len();
+        if len > s.cap {
+            s.cap = if s.cap == 0 { len } else { grown(len) };
+            s.off = self.arena.len();
+            self.arena.extend_from_slice(item);
+            self.arena.resize(s.off + s.cap as usize, 0);
+        } else {
+            self.arena[s.off..s.off + item.len()].copy_from_slice(item);
+        }
+        s.len = len;
+    }
+
+    /// Rewrites the arena to hold only live items, each slot keeping at
+    /// most [`grown`] capacity: the arena ends at no more than 5/4 of its
+    /// live bytes.
+    fn compact(&mut self) {
+        let mut arena = Vec::with_capacity(self.live + self.live / 4);
+        for s in &mut self.slots {
+            let off = arena.len();
+            let cap = s.cap.min(grown(s.len));
+            arena.extend_from_slice(&self.arena[s.off..s.off + s.len as usize]);
+            arena.resize(off + cap as usize, 0);
+            *s = Slot {
+                off,
+                len: s.len,
+                cap,
+            };
+        }
+        self.arena = arena;
     }
 
     /// Decodes the wire bytes of primitives `[start, start+count)` into
-    /// this store: [`WireStore::check`], then [`WireStore::install`], so
-    /// refused bytes change nothing.
+    /// this store: checks them all, then installs them, so refused bytes
+    /// change nothing.
     ///
     /// # Errors
     ///
-    /// As [`WireStore::check`].
-    pub(crate) fn apply(
+    /// Decoding errors from `src` (truncation, item lengths, UTF-8,
+    /// trailing bytes); [`WireError::LengthOverflow`] when the range
+    /// exceeds the block.
+    pub fn apply(
         &mut self,
         layout: &StoreLayout,
         start: u64,
         count: u64,
-        src: &Bytes,
+        src: &[u8],
     ) -> Result<(), WireError> {
         let mut writes = Vec::new();
-        self.check(layout, start, count, src, &mut writes)?;
+        layout.check(start, count, src, &mut writes)?;
         self.install(&writes);
         Ok(())
     }
 
-    /// Encodes the whole block (convenience for full transfers).
+    /// Wire bytes of the whole block: every fixed primitive, and each
+    /// item with its 4-byte length.
+    pub(crate) fn wire_len(&self) -> usize {
+        self.fixed.len() + self.live
+    }
+
+    /// Encodes the whole block (full transfers and images).
     ///
     /// # Errors
     ///
     /// As [`WireStore::extract`].
     pub fn extract_all(&self, layout: &StoreLayout) -> Result<Bytes, WireError> {
-        let mut w = WireWriter::with_capacity(self.fixed.len());
+        let mut w = WireWriter::with_capacity(self.wire_len());
         self.extract(layout, 0, layout.prim_count(), &mut w)?;
         Ok(w.finish())
     }
@@ -323,6 +719,7 @@ impl WireStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iw_wire::codec::WireReader;
 
     fn mix_ty() -> TypeDesc {
         TypeDesc::structure(

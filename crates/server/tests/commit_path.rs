@@ -111,7 +111,7 @@ fn commit(s: &Server, client: u64, entries: &[(&str, SegmentDiff)]) -> Reply {
 }
 
 fn image(s: &Server, segment: &str) -> Bytes {
-    s.with_segment_mut(segment, |seg| checkpoint::encode_segment(seg).unwrap())
+    s.with_segment(segment, |seg| checkpoint::encode_segment(seg).unwrap())
         .unwrap()
 }
 

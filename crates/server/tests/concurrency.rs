@@ -223,10 +223,10 @@ fn disjoint_segments_match_serial_oracle() {
                     "{seg} final version"
                 );
                 let concurrent = server
-                    .with_segment_mut(&seg, |s| checkpoint::encode_segment(s).expect("encode"))
+                    .with_segment(&seg, |s| checkpoint::encode_segment(s).expect("encode"))
                     .expect("segment");
                 let serial = oracle
-                    .with_segment_mut(&seg, |s| checkpoint::encode_segment(s).expect("encode"))
+                    .with_segment(&seg, |s| checkpoint::encode_segment(s).expect("encode"))
                     .expect("segment");
                 assert_eq!(
                     concurrent, serial,
@@ -658,10 +658,10 @@ fn disjoint_segments_match_serial_oracle_under_chaos() {
                 let seg = format!("x/t{t_idx}s{j}");
                 assert_eq!(server.segment_version(&seg), Some(OPS));
                 let concurrent = server
-                    .with_segment_mut(&seg, |s| checkpoint::encode_segment(s).expect("encode"))
+                    .with_segment(&seg, |s| checkpoint::encode_segment(s).expect("encode"))
                     .expect("segment");
                 let serial = oracle
-                    .with_segment_mut(&seg, |s| checkpoint::encode_segment(s).expect("encode"))
+                    .with_segment(&seg, |s| checkpoint::encode_segment(s).expect("encode"))
                     .expect("segment");
                 assert_eq!(
                     concurrent, serial,

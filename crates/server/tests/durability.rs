@@ -91,7 +91,7 @@ fn oracle(segment: &str, versions: u64) -> Server {
 }
 
 fn image_of(s: &Server, segment: &str) -> Bytes {
-    s.with_segment_mut(segment, |seg| checkpoint::encode_segment(seg).unwrap())
+    s.with_segment(segment, |seg| checkpoint::encode_segment(seg).unwrap())
         .unwrap()
 }
 

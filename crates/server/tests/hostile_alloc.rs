@@ -1,7 +1,8 @@
-//! Hostile inputs at two decode boundaries give typed errors without
-//! large allocations: a diff body shaped like the fixed-width layout of
-//! an older format epoch (declaring 2²⁴ new blocks), and a checkpoint
-//! image declaring 2²⁶ subblock versions. A counting global allocator
+//! Hostile inputs at three boundaries give typed errors without large
+//! allocations: a diff body shaped like the fixed-width layout of an
+//! older format epoch (declaring 2²⁴ new blocks), a checkpoint image
+//! declaring 2²⁶ subblock versions, and a release whose one new block
+//! claims 4 000 000 pointers with no bytes. A counting global allocator
 //! records the largest single request made on the test's own thread, so
 //! nothing else the harness does can interfere.
 
@@ -10,9 +11,10 @@ use std::cell::Cell;
 
 use bytes::Bytes;
 use iw_server::checkpoint::decode_segment;
-use iw_server::ServerError;
+use iw_server::{ServerError, ServerSegment};
+use iw_types::desc::TypeDesc;
 use iw_wire::codec::{WireError, WireReader, WireWriter};
-use iw_wire::diff::SegmentDiff;
+use iw_wire::diff::{NewBlock, SegmentDiff};
 
 /// No single allocation while decoding may exceed this.
 const LIMIT: usize = 64 << 10;
@@ -124,4 +126,46 @@ fn hostile_counts_give_typed_errors_without_large_allocations() {
         "{:?}",
         res.map(|s| s.name)
     );
+}
+
+/// 19 bytes: a release registering `pointer` and creating one block of
+/// 4 000 000 of them, with an empty body.
+fn release_claiming_pointers() -> Bytes {
+    SegmentDiff {
+        from_version: 0,
+        to_version: 1,
+        new_types: vec![(0, TypeDesc::pointer())],
+        new_blocks: vec![NewBlock {
+            serial: 0,
+            name: None,
+            type_serial: 0,
+            count: 4_000_000,
+            data: Bytes::new(),
+        }],
+        ..Default::default()
+    }
+    .encode()
+}
+
+#[test]
+fn new_block_larger_than_its_bytes_is_refused_before_storage() {
+    let release = release_claiming_pointers();
+    assert_eq!(release.len(), 19);
+    let mut seg = ServerSegment::new("h/s");
+    let (res, largest) = largest_during(|| {
+        let diff = SegmentDiff::decode(&mut WireReader::new(release))?;
+        seg.apply_diff(&diff).map_err(|e| match e {
+            ServerError::Wire(e) => e,
+            e => panic!("refused with {e}"),
+        })
+    });
+    assert!(
+        largest <= LIMIT,
+        "the release allocated {largest} B at once"
+    );
+    assert!(
+        matches!(res, Err(WireError::UnexpectedEof { .. })),
+        "{res:?}"
+    );
+    assert_eq!((seg.version(), seg.block_count()), (0, 0));
 }

@@ -27,9 +27,21 @@ fn copy_endian(dst: &mut [u8], src: &[u8], little: bool) {
 
 /// Extracts the logical contents of a local-format string field: the bytes
 /// up to (not including) the first NUL, or the whole window if unterminated.
+/// Whole 8-byte words with no NUL are skipped in one test each.
 pub fn local_str_bytes(window: &[u8]) -> &[u8] {
-    match window.iter().position(|&b| b == 0) {
-        Some(n) => &window[..n],
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let mut at = 0;
+    for word in window.chunks_exact(8) {
+        let v = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        // Nonzero exactly when some byte of `v` is zero.
+        if v.wrapping_sub(ONES) & !v & HIGHS != 0 {
+            break;
+        }
+        at += 8;
+    }
+    match window[at..].iter().position(|&b| b == 0) {
+        Some(n) => &window[..at + n],
         None => window,
     }
 }
@@ -331,5 +343,23 @@ mod tests {
         assert_eq!(local_str_bytes(b"abc\0xx"), b"abc");
         assert_eq!(local_str_bytes(b"\0"), b"");
         assert_eq!(local_str_bytes(b"full"), b"full");
+    }
+
+    #[test]
+    fn local_str_bytes_stops_at_the_first_nul_anywhere() {
+        // Fillers include 0x01 and 0x80, the bytes a word-at-a-time
+        // zero test is most easily fooled by.
+        for len in 0..40usize {
+            let filler: Vec<u8> = (0..len).map(|i| [1u8, 0x80, 0xff, b'a'][i % 4]).collect();
+            assert_eq!(local_str_bytes(&filler), &filler[..]);
+            for nul in 0..len {
+                let mut w = filler.clone();
+                w[nul] = 0;
+                if nul + 3 < len {
+                    w[nul + 3] = 0;
+                }
+                assert_eq!(local_str_bytes(&w), &filler[..nul], "len {len} nul {nul}");
+            }
+        }
     }
 }
