@@ -6,6 +6,9 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "== scripts parse"
+bash -n scripts/ab.sh
+
 echo "== one format epoch"
 # The product reads and writes one diff format and one log format: no
 # v1 diff codec and no checkpoint-marker record may come back.

@@ -143,7 +143,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let report = run_replica_soak(&rcfg);
         println!(
             "iwchaos: replica-reads seed {seed}  readers {}  writes {}  ship injected {}  \
-             replica reads {}  fallbacks {}  not-fresh {}  violations {}  final version {}",
+             replica reads {}  fallbacks {}  not-fresh {}  violations {}  final version {}  \
+             resyncs {}",
             rcfg.readers,
             rcfg.writes,
             report.ship_injections,
@@ -152,6 +153,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.replica_not_fresh,
             report.predicate_violations,
             report.final_version,
+            report.resyncs,
         );
         if args.switch("trace") {
             println!("ship trace: {}", report.ship_trace);

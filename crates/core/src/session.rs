@@ -335,7 +335,32 @@ impl Session {
             .filter(|n| host_of(n) == host)
             .cloned()
             .collect();
+        // The old id was retired on the new connection, so every lock
+        // held under it is gone even if a reopen below fails: write locks
+        // are dropped first (their uncommitted modifications undone from
+        // the twins; exact in Diff mode, see DESIGN.md for the NoDiff
+        // caveat) and the loss flagged for wl_release. Server-side read
+        // locks died too; the local read continues (coherence permits
+        // staleness) and rl_release against the new server is a no-op.
         let mut write_locked: Vec<String> = Vec::new();
+        for name in &names {
+            let st = self.state_mut(name)?;
+            match st.lock {
+                Some(LockMode::Write) => write_locked.push(name.clone()),
+                Some(LockMode::Read) => st.server_locked = false,
+                None => {}
+            }
+        }
+        self.rollback_segments(&write_locked)?;
+        for name in &write_locked {
+            let st = self.state_mut(name)?;
+            st.lock = None;
+            st.server_locked = false;
+            st.lock_lost = true;
+        }
+        if let Some(tx) = &mut self.tx {
+            tx.segments.retain(|s| !write_locked.contains(s));
+        }
         let mut stale: Vec<String> = Vec::new();
         for name in &names {
             let reply = self.links.call(name, |client| Request::Open {
@@ -358,29 +383,6 @@ impl Session {
                 st.version = 0;
                 stale.push(name.clone());
             }
-            match st.lock {
-                Some(LockMode::Write) => write_locked.push(name.clone()),
-                Some(LockMode::Read) => {
-                    // Server-side read locks died with the server; the
-                    // local read continues (coherence permits staleness)
-                    // and rl_release against the new server is a no-op.
-                    st.server_locked = false;
-                }
-                None => {}
-            }
-        }
-        // Write locks are gone: undo the uncommitted modifications (from
-        // the twins; exact in Diff mode, see DESIGN.md for the NoDiff
-        // caveat) and flag the loss for wl_release.
-        self.rollback_segments(&write_locked)?;
-        for name in &write_locked {
-            let st = self.state_mut(name)?;
-            st.lock = None;
-            st.server_locked = false;
-            st.lock_lost = true;
-        }
-        if let Some(tx) = &mut self.tx {
-            tx.segments.retain(|s| !write_locked.contains(s));
         }
         // A version-0 cache must also be *empty*: the refetch arrives as
         // a from-scratch diff whose new_blocks cannot collide with
@@ -604,15 +606,16 @@ impl Session {
             client,
             segment: name.clone(),
             diff: payload.clone(),
-        })?;
-        let Reply::Released { version } = reply else {
+        });
+        let Ok(Reply::Released { version }) = reply else {
             // A failover mid-release: an *empty* release is retried
             // against the new server (unlike diff-carrying ones, which
             // surface as LockLost from request_for directly), and that
-            // server never saw our lock. The loss is already flagged —
-            // report it as the loss it is, not as an opaque refusal.
+            // server never saw our lock; or the failover dropped the lock
+            // and then failed itself. The loss is already flagged —
+            // report it as the loss it is, whatever the retry returned.
             self.take_lock_lost(&name)?;
-            return Err(CoreError::unexpected(reply));
+            return Err(reply.map_or_else(|e| e, CoreError::unexpected));
         };
         self.finish_release(&name, version, changed, &per_block)
     }

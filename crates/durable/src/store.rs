@@ -443,8 +443,9 @@ impl DiffStore {
     ///
     /// # Errors
     ///
-    /// If the fresh log file cannot be created; the pass is aborted and
-    /// the store keeps appending to the current file.
+    /// If the fresh log file cannot be created or the current one cannot
+    /// be sealed; the pass is aborted, the fresh file removed, and the
+    /// store keeps appending to the current file.
     pub fn begin_compaction(&self) -> io::Result<bool> {
         if self.compacting.swap(true, Ordering::AcqRel) {
             return Ok(false);
@@ -458,36 +459,48 @@ impl DiffStore {
     }
 
     fn rotate(&self) -> io::Result<()> {
-        // Create and header the new file before taking the lock, so the
-        // append path is blocked only for the swap itself.
         let next_seq = {
             let g = self.log.lock().expect("wal lock");
             g.file_seq + 1
         };
         let path = self.dir.join(log_file_name(next_seq));
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .create_new(true)
             .append(true)
             .open(&path)?;
+        let swapped = self.seal_and_swap(file, next_seq);
+        if swapped.is_err() {
+            // The new file never became active: it holds no record.
+            let _ = fs::remove_file(&path);
+            sync_dir(&self.dir);
+        }
+        swapped
+    }
+
+    /// Headers the fresh log file `file` (sequence `seq`) before taking
+    /// the lock, so the append path is blocked only for the seal and the
+    /// swap; then seals the active file and swaps `file` in. On error the
+    /// active file is unchanged and none of its records is marked
+    /// durable by the seal.
+    fn seal_and_swap(&self, mut file: File, seq: u64) -> io::Result<()> {
         let mut header = Vec::with_capacity(LOG_HEADER_LEN);
         header.extend_from_slice(LOG_MAGIC);
         header.extend_from_slice(&LOG_FORMAT.to_be_bytes());
-        header.extend_from_slice(&next_seq.to_be_bytes());
+        header.extend_from_slice(&seq.to_be_bytes());
         file.write_all(&header)?;
         file.sync_data()?;
         sync_dir(&self.dir);
 
         let mut g = self.log.lock().expect("wal lock");
-        let old_path = self.dir.join(log_file_name(g.file_seq));
-        let old = std::mem::replace(&mut g.file, file);
         // The old file's tail may still be unsynced; seal it so rotated
-        // records are durable even though no future append syncs it.
-        // In-flight leaders hold their own clone, so this is safe.
-        let _ = old.sync_data();
+        // records are durable even though no future append syncs them.
+        g.file.sync_data()?;
+        let old_path = self.dir.join(log_file_name(g.file_seq));
+        g.file = file;
         g.old_bytes += g.bytes;
         g.bytes = LOG_HEADER_LEN as u64;
         g.old_files.push(old_path);
-        g.file_seq = next_seq;
+        g.file_seq = seq;
         // Records in the sealed file are durable by construction.
         g.durable_seq = g.durable_seq.max(g.append_seq);
         drop(g);

@@ -289,9 +289,11 @@ fn run_client(primary: &Arc<Primary>, cfg: &SoakConfig, c: usize, log: &FaultLog
                 Ok(()) => locked = false,
                 // Rolled back in a failover: this round never landed.
                 Err(CoreError::LockLost { .. }) => locked = false,
-                // The failover behind this release failed outright: the
-                // lock (local and server-side) is still ours; retry the
-                // release once a replica answers again.
+                // The failover behind this release reached no replica:
+                // the old id was not retired, so the lock (local and
+                // server-side) is still ours; retry the release once a
+                // replica answers again. (A failover that did reach one
+                // dropped the lock and reports `LockLost`.)
                 Err(CoreError::Proto(_) | CoreError::Server(_)) => {}
                 Err(e) => {
                     failures.push(format!("client {c} round {r}: release: {e}"));
@@ -533,6 +535,9 @@ pub struct ReplicaSoakReport {
     pub predicate_violations: u64,
     /// Final version of the feed segment at the primary.
     pub final_version: u64,
+    /// Full resyncs the primary shipped after a refused or gapped
+    /// `Replicate` (`cluster.resyncs_total`).
+    pub resyncs: u64,
 }
 
 fn clean_connector(handler: &Arc<dyn Handler>) -> Connector {
@@ -813,5 +818,10 @@ pub fn run_replica_soak(cfg: &ReplicaSoakConfig) -> ReplicaSoakReport {
         replica_not_fresh: not_fresh,
         predicate_violations: violations,
         final_version,
+        resyncs: primary
+            .server()
+            .metrics_snapshot()
+            .counter("cluster.resyncs_total")
+            .unwrap_or(0),
     }
 }

@@ -191,6 +191,104 @@ fn lock_lost_rolls_back_twin_writes() {
     assert_eq!(snap.counter("faults.injected.drop_total"), Some(1));
 }
 
+/// A writer session on `server` over a two-connector group whose first
+/// connection wears `first` and whose second (the failover target)
+/// wears `second`, holding the write lock on `h/s`; the segment already
+/// holds an int64 `slots` block at version 1.
+fn locked_writer(server: &Arc<Server>, first: FaultPlan, second: FaultPlan) -> (Session, FaultLog) {
+    let log = FaultLog::new();
+    let mut setup = Session::with_options(
+        MachineArch::x86(),
+        Box::new(Loopback::new(server.clone())),
+        options(),
+    )
+    .unwrap();
+    let h = setup.open_segment("h/s").unwrap();
+    setup.wl_acquire(&h).unwrap();
+    let slots = setup
+        .malloc(&h, &TypeDesc::int64(), 1, Some("slots"))
+        .unwrap();
+    setup.write_i64(&slots, 1).unwrap();
+    setup.wl_release(&h).unwrap();
+
+    let mut s = Session::with_options(
+        MachineArch::x86(),
+        Box::new(Loopback::new(server.clone())),
+        options(),
+    )
+    .unwrap();
+    let handler: Arc<dyn iw_proto::Handler> = server.clone();
+    s.add_server_group(
+        "h",
+        vec![
+            connector_with(handler.clone(), 11, first, log.clone()),
+            connector_with(handler, 12, second, log.clone()),
+        ],
+    )
+    .unwrap();
+    let h = s.open_segment("h/s").unwrap();
+    s.wl_acquire(&h).unwrap();
+    (s, log)
+}
+
+/// The chaos harness's round after a failed release: a `LockLost`
+/// means re-acquire, any other error means the lock is still held.
+/// Returns the committed version.
+fn commit_round(s: &mut Session, v: i64) -> u64 {
+    let h = s.open_segment("h/s").unwrap();
+    s.wl_acquire(&h).unwrap();
+    let slot = s.mip_to_ptr("h/s#slots").unwrap();
+    s.write_i64(&slot, v).unwrap();
+    s.wl_release(&h).unwrap();
+    s.segment_version(&h).unwrap()
+}
+
+fn drop_first(kind: &'static str) -> FaultPlan {
+    FaultPlan::none().with_rule(FaultRule {
+        kind: Some(kind),
+        nth: 1,
+        fault: FaultKind::Drop,
+    })
+}
+
+/// An empty release is retried after its failover, and the failover has
+/// already dropped the write lock (the old client id is retired on the
+/// new connection). When the retry fails too, the release reports the
+/// lock as lost rather than as a protocol error: the caller must
+/// re-acquire before it writes again.
+#[test]
+fn failed_retry_after_failover_reports_the_lost_lock() {
+    let server = Arc::new(Server::new());
+    let (mut s, log) = locked_writer(&server, drop_first("release"), drop_first("release"));
+    let h = s.open_segment("h/s").unwrap();
+    let err = s.wl_release(&h).expect_err("both sends were dropped");
+    assert!(matches!(err, CoreError::LockLost { .. }), "{err:?}");
+    assert_eq!(log.len(), 2, "{}", log.trace());
+    assert_eq!(commit_round(&mut s, 7), 2);
+    assert_eq!(server.segment_version("h/s"), Some(2));
+}
+
+/// A failover that retires the old client id and then fails to reopen
+/// the segment has still lost the write lock: the release reports the
+/// loss, with the uncommitted write rolled back, instead of leaving the
+/// session holding a lock the server no longer knows.
+#[test]
+fn failover_that_fails_to_reopen_reports_the_lost_lock() {
+    let server = Arc::new(Server::new());
+    let (mut s, log) = locked_writer(&server, drop_first("release"), drop_first("open"));
+    let h = s.open_segment("h/s").unwrap();
+    let slot = s.mip_to_ptr("h/s#slots").unwrap();
+    s.write_i64(&slot, 5).unwrap();
+    let err = s.wl_release(&h).expect_err("the failover failed");
+    assert!(matches!(err, CoreError::LockLost { .. }), "{err:?}");
+    assert_eq!(log.len(), 2, "{}", log.trace());
+    assert_eq!(server.segment_version("h/s"), Some(1), "nothing landed");
+    assert_eq!(commit_round(&mut s, 7), 2);
+    s.rl_acquire(&h).unwrap();
+    assert_eq!(s.read_i64(&slot).unwrap(), 7);
+    s.rl_release(&h).unwrap();
+}
+
 /// Failover reconciliation never serves a torn image: when the client's
 /// cache is *ahead* of the surviving replica (the asynchronous
 /// replication window), the whole cached segment is invalidated and

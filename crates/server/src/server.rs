@@ -28,7 +28,8 @@
 //! wal**. A thread may
 //! skip levels but never acquires leftward while holding rightward,
 //! which makes deadlock impossible; no thread ever holds two segment
-//! shards at once (multi-segment commits lock one segment at a time).
+//! shards at once (every commit locks one segment at a time), and no
+//! commit holds a shard across its WAL append.
 //! The commit hook fires *under the segment shard's write lock*, giving
 //! the cluster primary a per-segment commit sequence: ship order equals
 //! commit order, preserving FIFO replication without a global mutex.
@@ -40,10 +41,13 @@
 //! WAL, install, image, commit hook. Nothing is written before the last
 //! check passes, and nothing is installed before its append succeeded,
 //! so a refused request leaves memory, log, hook and locks as they were.
-//! A multi-entry commit claims each segment it checked until it installs
+//! A commit of any size claims each segment it checked until it installs
 //! there, and holds the compaction gate from its first append to its
 //! last install, so neither another diff nor a compaction image can
-//! land between its check, its append and its install.
+//! land between its check, its append and its install. No shard lock is
+//! held while the append (and its group-commit fsync) runs, so readers
+//! are served the last installed version meanwhile; since the install
+//! follows the append, that version is always a logged one.
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -102,13 +106,13 @@ pub struct Server {
     /// queue feed). Fired under the segment write lock.
     commit_hook: RwLock<Option<CommitHook>>,
     /// The durable diff store (`--data-dir`). A diff is appended after
-    /// every entry of its request checked and before it is installed.
-    /// The writer lock (and, for a one-entry request, the shard's write
+    /// every entry of its request checked and before it is installed,
+    /// with no shard lock held. The segment's claim (and the writer
     /// lock) keeps each segment's records in version order, and the WAL
     /// is the bottom level of the lock hierarchy (… → ship queue → wal).
     durable: Option<Arc<DiffStore>>,
-    /// Held shared by a multi-entry commit from its first WAL append to
-    /// its last install, and exclusively by compaction from its rotation
+    /// Held shared by every commit from its first WAL append to its
+    /// last install, and exclusively by compaction from its rotation
     /// to its last image, so no image misses a diff whose record sits in
     /// a rotated file. Top level of the lock hierarchy.
     compaction: RwLock<()>,
@@ -447,8 +451,8 @@ impl Server {
     /// dropped; images are taken one shard at a time (never two), so the
     /// lock hierarchy holds. Crash-safe at any point: rotation precedes
     /// the images, so no image ever covers a record that was deleted;
-    /// the gate keeps a multi-entry commit's logged but not yet installed
-    /// diffs out of that window.
+    /// the gate keeps a commit's logged but not yet installed diffs out
+    /// of that window.
     fn maybe_compact(&self) {
         let Some(store) = &self.durable else {
             return;
@@ -537,16 +541,18 @@ impl Server {
     /// - every entry is checked, and its writer lock verified, before any
     ///   is appended or installed, so a refused request changes nothing;
     /// - the append precedes the install, and an append error refuses
-    ///   the request with memory untouched, so an ack means logged;
+    ///   the request with memory untouched, so an ack means logged and
+    ///   no reader is served a version the log does not hold;
     /// - every entry claims its segment in the lock table until the
     ///   request ends, and a claimed segment refuses any other entry or
     ///   diff: a second entry for it in the same request, another
     ///   client's diff after a dropped writer lock, or the same client's
     ///   racing request;
-    /// - a 1-entry call holds its shard's write lock throughout. An
-    ///   n-entry call locks one shard at a time, never two, and holds the
-    ///   compaction gate shared from its first append to its last
-    ///   install.
+    /// - shards are locked one at a time, never two, and none is held
+    ///   across the WAL append (its fsync included), so readers of the
+    ///   segment are served its last installed version meanwhile; the
+    ///   compaction gate is held shared from the first append to the
+    ///   last install.
     ///
     /// Without a client (a primary's replicated diff) no lock is needed,
     /// a diff the segment already holds is acked as is, and no hook fires.
@@ -565,17 +571,11 @@ impl Server {
                 None => Ok(self.segment_or_insert(name)),
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let mut held = (shards.len() == 1).then(|| self.lock_shard(|| shards[0].write()));
-        // Dropped before `held`, so a 1-entry claim ends under its lock.
         let mut claims = Claims(&self.locks, Vec::new());
         let mut versions = Vec::with_capacity(entries.len());
         let mut plans = Vec::with_capacity(entries.len());
         for (&(name, diff), shard) in entries.iter().zip(&shards) {
-            let mut fresh = None;
-            let seg = match held.as_mut() {
-                Some(guard) => guard,
-                None => fresh.insert(self.lock_shard(|| shard.write())),
-            };
+            let seg = self.lock_shard(|| shard.write());
             if client.is_none() && diff.is_some_and(|d| d.to_version <= seg.version()) {
                 return Ok(vec![seg.version()]);
             }
@@ -595,7 +595,7 @@ impl Server {
             plans.push(plan.map_err(|e| format!("commit to `{name}`: {e}"))?);
             versions.push(seg.version());
         }
-        let _gate = held.is_none().then(|| self.compaction.read());
+        let _gate = self.compaction.read();
         if let Some(store) = &self.durable {
             for &(name, diff) in entries {
                 if let Some(d) = diff {
@@ -610,15 +610,11 @@ impl Server {
             let (Some(diff), Some(plan)) = (diff, plan) else {
                 continue;
             };
-            let mut fresh = None;
-            let seg = match held.as_mut() {
-                Some(guard) => guard,
-                None => fresh.insert(self.lock_shard(|| shard.write())),
-            };
+            let mut seg = self.lock_shard(|| shard.write());
             *version = seg.install(plan);
             if let Some(store) = &self.durable {
                 if version.is_multiple_of(store.options().checkpoint_interval.max(1)) {
-                    Self::durable_image(store, seg);
+                    Self::durable_image(store, &seg);
                 }
             }
             if client.is_none() {

@@ -466,3 +466,219 @@ fn goodbye_mid_commit_lets_no_other_diff_in() {
         Reply::Released { version: 2 }
     );
 }
+
+fn release(s: &Server, client: u64, segment: &str, diff: Option<SegmentDiff>) -> Reply {
+    s.handle_request(&Request::Release {
+        client,
+        segment: segment.into(),
+        diff,
+    })
+}
+
+/// Runs `release` on a thread and returns once its WAL record is
+/// written (`durable.wal_appends_total` moved past `logged`) or it has
+/// returned: with fsync on, a release is then in its fsync, logged but
+/// not installed, with its segment claimed and no shard lock held.
+fn in_append_window<'s, 'scope>(
+    t: &'scope std::thread::Scope<'scope, 's>,
+    s: &'s Server,
+    release: impl FnOnce() -> Reply + Send + 'scope,
+) -> std::thread::ScopedJoinHandle<'scope, Reply> {
+    let logged = wal_appends(s);
+    let writer = t.spawn(release);
+    while wal_appends(s) == logged && !writer.is_finished() {
+        std::thread::yield_now();
+    }
+    writer
+}
+
+/// `compaction_mid_commit_keeps_every_acked_diff` for lone releases: a
+/// compaction pass started while a release is in its append window (an
+/// empty release runs one after it) waits for the install, so a
+/// restart right after recovers every acked version. Without the wait,
+/// the pass images the segment a version short and deletes the record
+/// of the acked one; the release's own pass, skipped while that one
+/// runs, would otherwise have covered the loss.
+#[test]
+fn compaction_mid_release_keeps_every_acked_diff() {
+    const ROUNDS: u64 = 30;
+    let dir = temp_dir("compact1");
+    let opts = DurableOptions {
+        fsync: true,
+        compact_threshold_bytes: 1,
+        ..DurableOptions::default()
+    };
+    let mut compactions = 0;
+    for v in 0..=ROUNDS {
+        let s = Server::with_durability(dir.clone(), opts.clone())
+            .unwrap()
+            .0;
+        s.open("h/x");
+        assert_eq!(s.segment_version("h/x"), Some(v), "acked before restart");
+        if v == ROUNDS {
+            break;
+        }
+        let (c, idle) = (s.hello("w"), s.hello("idle"));
+        s.open("h/z");
+        acquire(&s, c, "h/x", LockMode::Write, v);
+        let diff = if v == 0 { seed(0) } else { write(v, v as u32) };
+        std::thread::scope(|t| {
+            let writer = in_append_window(t, &s, || release(&s, c, "h/x", Some(diff)));
+            assert!(matches!(
+                release(&s, idle, "h/z", None),
+                Reply::Released { .. }
+            ));
+            assert_eq!(writer.join().unwrap(), Reply::Released { version: v + 1 });
+        });
+        let snap = s.metrics_snapshot();
+        compactions += snap.counter("durable.compactions_total").unwrap_or(0);
+    }
+    assert!(compactions >= 1, "no compaction ran");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A release fsyncs its WAL record with no shard lock held, and readers
+/// of the segment are served meanwhile. What they are served is always
+/// a logged version: by the time a `Delta(0)` poll or a `Full` read
+/// acquire observes version v, v's record has been fsynced (one writer,
+/// so one fsync per record), every observed version is recovered from
+/// the data directory, and no reader's version ever goes back.
+#[test]
+fn reads_never_see_an_unlogged_version() {
+    const ROUNDS: u32 = 40;
+    let dir = temp_dir("unlogged");
+    let opts = DurableOptions {
+        fsync: true,
+        ..DurableOptions::default()
+    };
+    let s = Server::with_durability(dir.clone(), opts.clone())
+        .unwrap()
+        .0;
+    let (w, r) = (s.hello("writer"), s.hello("reader"));
+    s.open("h/s");
+    let (acked, seen) = std::thread::scope(|t| {
+        let writer = t.spawn(|| {
+            let mut acked = 0;
+            for v in 0..ROUNDS {
+                while acquire(&s, w, "h/s", LockMode::Write, acked) == Reply::Busy {
+                    std::thread::yield_now();
+                }
+                let diff = if v == 0 { seed(0) } else { write(acked, v) };
+                match release(&s, w, "h/s", Some(diff)) {
+                    Reply::Released { version } => acked = version,
+                    other => panic!("round {v}: {other:?}"),
+                }
+            }
+            acked
+        });
+        let (mut have, mut seen) = (0, 0);
+        let mut observe = |version: u64, how: &str| {
+            assert!(
+                version >= seen,
+                "{how}: version went back {seen} -> {version}"
+            );
+            let synced = s.metrics_snapshot().counter("durable.fsyncs_total");
+            assert!(
+                synced.unwrap_or(0) >= version,
+                "{how}: served v{version} with {synced:?} records synced"
+            );
+            seen = version;
+        };
+        while !writer.is_finished() {
+            match s.handle_request(&Request::Poll {
+                client: r,
+                segment: "h/s".into(),
+                have_version: have,
+                coherence: Coherence::Delta(0),
+                floor: 0,
+            }) {
+                Reply::UpToDate => observe(have, "poll"),
+                Reply::Update { diff } => {
+                    have = diff.to_version;
+                    observe(have, "poll");
+                }
+                other => panic!("poll: {other:?}"),
+            }
+            match acquire(&s, r, "h/s", LockMode::Read, 0) {
+                Reply::Granted { version, .. } => {
+                    observe(version, "acquire");
+                    assert!(matches!(
+                        release(&s, r, "h/s", None),
+                        Reply::Released { .. }
+                    ));
+                }
+                Reply::Busy => {}
+                other => panic!("acquire: {other:?}"),
+            }
+        }
+        (writer.join().unwrap(), seen)
+    });
+    assert_eq!(acked, u64::from(ROUNDS));
+    drop(s);
+    let s = Server::with_durability(dir.clone(), opts).unwrap().0;
+    let recovered = s.segment_version("h/s").unwrap();
+    assert!(recovered >= seen, "read v{seen}, recovered v{recovered}");
+    assert_eq!(recovered, acked);
+    drop(s);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `goodbye_mid_commit_lets_no_other_diff_in` for lone releases. The
+/// commit hook fires after the install, so it cannot pause a lone
+/// release; the test instead waits until the release is in its append
+/// window (its fsync), then says `Goodbye` for the writer, lets the
+/// next writer in and sends its rival diff and a full-image sync. The
+/// invariant holds whether or not they arrive inside the window: no
+/// diff or image lands between the release's check and its install (an
+/// install of a stale plan panics), the release lands, and the rival
+/// is refused as in flight or as stale.
+#[test]
+fn goodbye_mid_release_lets_no_other_diff_in() {
+    let mut rival = seed(0);
+    rival.new_blocks[0].data = Bytes::from(vec![9u8; 16]);
+    let mine = {
+        let o = Server::new();
+        o.open("h/a");
+        o.with_segment_mut("h/a", |seg| seg.apply_diff(&seed(0)).unwrap());
+        image(&o, "h/a")
+    };
+    let in_flight =
+        |r: &Reply| matches!(r, Reply::Error { message } if message.contains("in flight"));
+    for round in 0..20 {
+        let dir = temp_dir("goodbye1");
+        let opts = DurableOptions {
+            fsync: true,
+            ..DurableOptions::default()
+        };
+        let s = Server::with_durability(dir.clone(), opts).unwrap().0;
+        let (c, next) = (s.hello("w"), s.hello("next"));
+        s.open("h/a");
+        acquire(&s, c, "h/a", LockMode::Write, 0);
+        std::thread::scope(|t| {
+            let writer = in_append_window(t, &s, || release(&s, c, "h/a", Some(seed(0))));
+            assert!(matches!(
+                s.handle_request(&Request::Goodbye { client: c }),
+                Reply::Released { .. }
+            ));
+            while acquire(&s, next, "h/a", LockMode::Write, 0) == Reply::Busy {
+                std::thread::yield_now();
+            }
+            let sync = s.handle_request(&Request::SyncFull {
+                segment: "h/a".into(),
+                image: mine.clone(),
+            });
+            assert!(
+                sync == Reply::Replicated { acked_version: 1 } || in_flight(&sync),
+                "round {round}: {sync:?}"
+            );
+            let r = release(&s, next, "h/a", Some(rival.clone()));
+            let stale = matches!(&r, Reply::Error { message } if message.contains("version"));
+            assert!(in_flight(&r) || stale, "round {round}: {r:?}");
+            assert_eq!(writer.join().unwrap(), Reply::Released { version: 1 });
+        });
+        assert_eq!(s.segment_version("h/a"), Some(1), "round {round}");
+        assert_eq!(image(&s, "h/a"), mine, "round {round}");
+        drop(s);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
