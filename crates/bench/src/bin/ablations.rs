@@ -233,16 +233,10 @@ fn diff_caching() {
     let (warm, hits, cold) = server
         .with_segment_mut("ab/cache", |seg| {
             // Warm: the client's own diff is in the cache.
-            let (_, warm) = time(|| {
-                seg.collect_update(1001, 1, iw_proto::Coherence::Full)
-                    .expect("upd")
-            });
-            let hits = seg.diff_cache_hits;
+            let (_, warm) = time(|| seg.collect_update(1).expect("upd"));
+            let hits = seg.cache_stats().hits;
             seg.clear_diff_cache();
-            let (_, cold) = time(|| {
-                seg.collect_update(1002, 1, iw_proto::Coherence::Full)
-                    .expect("upd")
-            });
+            let (_, cold) = time(|| seg.collect_update(1).expect("upd"));
             (warm, hits, cold)
         })
         .expect("segment");

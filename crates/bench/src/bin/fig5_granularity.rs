@@ -94,10 +94,7 @@ fn main() {
             .with_segment_mut("g/seg", |seg| {
                 let (_, d_srv_apply) = time(|| seg.apply_diff(&diff).expect("apply"));
                 seg.clear_diff_cache();
-                let (upd, d_srv_collect) = time(|| {
-                    seg.collect_update(999, 1, iw_proto::Coherence::Full)
-                        .expect("update")
-                });
+                let (upd, d_srv_collect) = time(|| seg.collect_update(1).expect("update"));
                 (d_srv_apply, upd, d_srv_collect)
             })
             .expect("server segment");

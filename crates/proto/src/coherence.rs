@@ -26,7 +26,10 @@ pub enum Coherence {
     Temporal(u64),
     /// At most `x` *basis points* (hundredths of a percent) of the
     /// segment's primitive data may be out of date. The server enforces
-    /// this with a conservative per-client modification counter.
+    /// this from the primitives changed by each version since the
+    /// reader's (a coarse count: a created block counts as one), and
+    /// sends an update to a reader at version 0 or one older than the
+    /// history it keeps.
     Diff(u32),
 }
 
@@ -77,7 +80,8 @@ impl Coherence {
     /// frontier itself — Temporal's wall-clock bound is then enforced by
     /// the freshness of the frontier observation (see
     /// [`Coherence::replica_eligible`]), and Diff's divergence bound by
-    /// the replica's own modification counters.
+    /// the replica's change history, built from the same diffs as the
+    /// primary's.
     pub fn replica_floor(&self, best_known: u64) -> Option<u64> {
         match *self {
             Coherence::Full => None,

@@ -209,7 +209,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_everything_observable() {
         let mut seg = populated_segment();
-        let mut back = decode_segment(encode_segment(&seg).unwrap()).unwrap();
+        let back = decode_segment(encode_segment(&seg).unwrap()).unwrap();
 
         assert_eq!(back.name, "host/data");
         assert_eq!(back.version(), seg.version());
@@ -230,12 +230,8 @@ mod tests {
         // one built from the original (bypassing the original's diff
         // cache, which the checkpoint intentionally does not persist).
         seg.clear_diff_cache();
-        let a = seg
-            .collect_update(99, 1, iw_proto::Coherence::Full)
-            .unwrap();
-        let b = back
-            .collect_update(99, 1, iw_proto::Coherence::Full)
-            .unwrap();
+        let a = seg.collect_update(1).unwrap();
+        let b = back.collect_update(1).unwrap();
         assert_eq!(a, b);
     }
 

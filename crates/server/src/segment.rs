@@ -22,14 +22,26 @@
 //! `Plan`; `ServerSegment::install` makes the planned writes and cannot
 //! fail. A refused diff therefore changes nothing, and the server can log
 //! a diff between the two steps.
+//!
+//! "For each client using Diff coherence, the server must track the
+//! percentage of the segment that has been modified since the last
+//! update sent to the client. … It adds the sizes of these updates into
+//! a single counter." (§3.2) A reader's `have_version` names that last
+//! update, so the counter is a function of the version history: the
+//! segment keeps `changed_through[v]`, the primitives changed by every
+//! install up to version `v`, and a reader at `have` has missed
+//! `changed_through[now] − changed_through[have]`. Readers therefore
+//! leave no state here, and every server built from the same diff
+//! stream (primary, backup, restarted primary) answers them alike.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use bytes::Bytes;
 use iw_types::desc::TypeDesc;
 use iw_wire::codec::WireWriter;
 use iw_wire::diff::{BlockDiff, DiffRun, NewBlock, SegmentDiff};
+use parking_lot::Mutex;
 
 use crate::error::ServerError;
 use crate::wirestore::{StoreLayout, WireStore, Write};
@@ -40,6 +52,41 @@ pub const SUBBLOCK_PRIMS: u64 = 16;
 
 /// Maximum number of recently seen diffs kept in the diff cache.
 pub const DIFF_CACHE_CAP: usize = 16;
+
+/// Versions of change sums a segment keeps for Diff coherence (8 KiB).
+/// A Diff reader further behind than this gets an update.
+pub const CHANGE_HISTORY: usize = 1024;
+
+/// What one segment's diff cache has served (diagnostics / ablation).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Updates served from the cache, by exact window or by chain.
+    pub hits: u64,
+    /// Updates built from scratch because no cached diff (or chain)
+    /// covered the request.
+    pub misses: u64,
+    /// Hits served by splicing a chain of cached diffs.
+    pub chain_compositions: u64,
+    /// Subblocks examined while building updates from scratch.
+    pub subblocks_scanned: u64,
+}
+
+/// Recently seen diffs, indexed by (from, to) version window.
+///
+/// A `BTreeMap` resolves an exact window with one ordered lookup, and
+/// chain composition finds the longest cached step from any version
+/// with one bounded `range` probe. Entries carry an LRU stamp; eviction
+/// at [`DIFF_CACHE_CAP`] drops the stalest window. Every cached diff has
+/// its encode cache armed, so the bytes sent to one reader are reused
+/// verbatim for every other reader of the same window
+/// (encode-once/serve-many).
+#[derive(Debug, Default)]
+struct DiffCache {
+    entries: BTreeMap<(u64, u64), CachedDiff>,
+    /// Monotonic recency clock for [`CachedDiff::stamp`].
+    clock: u64,
+    stats: CacheStats,
+}
 
 /// One diff-cache entry: the structural diff (its encode cache armed)
 /// plus the recency stamp LRU eviction keys on.
@@ -134,30 +181,14 @@ pub struct ServerSegment {
     layouts: HashMap<(u32, u32), StoreLayout>,
     /// Tombstones: (version freed, serial, version created).
     freed: Vec<(u64, u32, u64)>,
-    /// Recently seen diffs, indexed by (from, to) version window.
-    ///
-    /// A `BTreeMap` replaces the original linear-scan `VecDeque`: exact
-    /// windows resolve with one ordered lookup, and chain composition
-    /// finds the longest cached step from any version with one bounded
-    /// `range` probe instead of a full scan per link. Entries carry an
-    /// LRU stamp; eviction at [`DIFF_CACHE_CAP`] drops the stalest
-    /// window. Every cached diff has its encode cache armed, so the
-    /// bytes sent to one reader are reused verbatim for every other
-    /// reader of the same window (encode-once/serve-many).
-    diff_cache: BTreeMap<(u64, u64), CachedDiff>,
-    /// Monotonic recency clock for [`CachedDiff::stamp`].
-    cache_clock: u64,
-    /// Diff-cache hit counter (diagnostics / ablation).
-    pub diff_cache_hits: u64,
-    /// Updates built from scratch because no cached diff (or chain)
-    /// covered the request.
-    pub diff_cache_misses: u64,
-    /// Diff-cache hits served by splicing a chain of cached diffs.
-    pub chain_compositions: u64,
-    /// Subblocks examined while building updates from scratch.
-    pub subblocks_scanned: u64,
-    /// Per-client conservative modified-prims counters for Diff coherence.
-    diff_counters: HashMap<u64, u64>,
+    /// The diff cache and its counts. Readers lock this leaf mutex under
+    /// the shard read lock and take no other lock while they hold it;
+    /// `install` holds the shard write lock and uses `get_mut`.
+    cache: Mutex<DiffCache>,
+    /// Cumulative primitives changed, one sum per version from the
+    /// history's base (`version + 1 − len`) through `version`; at most
+    /// [`CHANGE_HISTORY`] sums.
+    changed_through: VecDeque<u64>,
     /// Total primitive units across live blocks.
     total_prims: u64,
     /// Next block serial to hand to a write-locking client.
@@ -184,13 +215,8 @@ impl ServerSegment {
             types: Vec::new(),
             layouts: HashMap::new(),
             freed: Vec::new(),
-            diff_cache: BTreeMap::new(),
-            cache_clock: 0,
-            diff_cache_hits: 0,
-            diff_cache_misses: 0,
-            chain_compositions: 0,
-            subblocks_scanned: 0,
-            diff_counters: HashMap::new(),
+            cache: Mutex::default(),
+            changed_through: VecDeque::from([0]),
             total_prims: 0,
             next_serial: 0,
             pred_hint: None,
@@ -441,22 +467,21 @@ impl ServerSegment {
                 .push((new_version, serial, block.created_version));
         }
 
-        // "For each client using Diff coherence, the server must track the
-        // percentage of the segment that has been modified since the last
-        // update sent to the client. … It adds the sizes of these updates
-        // into a single counter."
+        // The size of this update, for Diff coherence's counter.
         let changed: u64 = diff
             .block_diffs
             .iter()
             .map(BlockDiff::prims_changed)
             .sum::<u64>()
             + diff.new_blocks.len() as u64; // creations count too (coarse)
-        for counter in self.diff_counters.values_mut() {
-            *counter += changed;
+        let through = self.changed_through.back().copied().unwrap_or(0) + changed;
+        self.changed_through.push_back(through);
+        if self.changed_through.len() > CHANGE_HISTORY {
+            self.changed_through.pop_front();
         }
 
         self.version = new_version;
-        self.cache_diff(diff.clone());
+        self.cache.get_mut().insert(diff.clone());
         new_version
     }
 
@@ -479,13 +504,10 @@ impl ServerSegment {
     // ------------------------------------------------------------------
 
     /// `true` when a client holding `have_version` under `coherence` needs
-    /// an update (the "recent enough" check of §2.2/§3.2).
-    pub fn needs_update(
-        &self,
-        client: u64,
-        have_version: u64,
-        coherence: iw_proto::Coherence,
-    ) -> bool {
+    /// an update (the "recent enough" check of §2.2/§3.2). A Diff reader
+    /// at version 0, one behind the change history, or any reader of an
+    /// empty segment gets one.
+    pub fn needs_update(&self, have_version: u64, coherence: iw_proto::Coherence) -> bool {
         use iw_proto::Coherence::*;
         if have_version >= self.version {
             return false;
@@ -493,60 +515,38 @@ impl ServerSegment {
         match coherence {
             Full | Temporal(_) => true,
             Delta(x) => self.version - have_version > u64::from(x),
-            // No counter yet, or an empty segment: be conservative.
-            Diff(bp) => match self.diff_counters.get(&client) {
-                Some(&counter) if self.total_prims > 0 => {
-                    counter * 10_000 > u64::from(bp) * self.total_prims
+            Diff(bp) => match self.changed_since(have_version) {
+                Some(changed) if have_version > 0 && self.total_prims > 0 => {
+                    changed * 10_000 > u64::from(bp) * self.total_prims
                 }
                 _ => true,
             },
         }
     }
 
-    /// Forgets all per-client state for `client` (disconnect). Without
-    /// this the Diff-coherence counters grow without bound and a reused
-    /// client id would inherit the stale accumulated-change count.
-    pub fn drop_client(&mut self, client: u64) {
-        self.diff_counters.remove(&client);
-    }
-
-    /// The Diff-coherence counter currently tracked for `client`
-    /// (diagnostics and tests).
-    pub fn diff_counter(&self, client: u64) -> Option<u64> {
-        self.diff_counters.get(&client).copied()
-    }
-
-    /// Number of clients with a live Diff-coherence counter.
-    pub fn diff_counter_count(&self) -> usize {
-        self.diff_counters.len()
+    /// Primitives changed since `have_version` (below the current
+    /// version), or `None` when the history no longer reaches it.
+    fn changed_since(&self, have_version: u64) -> Option<u64> {
+        let behind = usize::try_from(self.version - have_version).ok()?;
+        let at = (self.changed_through.len() - 1).checked_sub(behind)?;
+        Some(self.changed_through.back()? - self.changed_through[at])
     }
 
     /// Builds the diff that brings a copy at `have_version` up to the
-    /// current version. A client reading under Diff coherence gets its
-    /// counter created or reset; no other model keeps one. Checks the
-    /// diff cache first (§3.3 "Diff caching").
+    /// current version, checking the diff cache first (§3.3 "Diff
+    /// caching"). Takes only the cache's leaf lock, so it runs under
+    /// the shard read lock.
     ///
     /// # Errors
     ///
     /// Structural errors only (corrupt internal state); callers treat any
     /// error as fatal for the segment.
-    pub fn collect_update(
-        &mut self,
-        client: u64,
-        have_version: u64,
-        coherence: iw_proto::Coherence,
-    ) -> Result<SegmentDiff, ServerError> {
-        if let iw_proto::Coherence::Diff(_) = coherence {
-            self.diff_counters.insert(client, 0);
-        }
-        self.cache_clock += 1;
-        let stamp = self.cache_clock;
-        if let Some(entry) = self.diff_cache.get_mut(&(have_version, self.version)) {
-            entry.stamp = stamp;
-            self.diff_cache_hits += 1;
-            // Clones share the armed encode cache: if this window's
-            // bytes were ever materialized, they are served as-is.
-            return Ok(entry.diff.clone());
+    pub fn collect_update(&self, have_version: u64) -> Result<SegmentDiff, ServerError> {
+        let now = self.version;
+        let mut cache = self.cache.lock();
+        if let Some(diff) = cache.get((have_version, now)) {
+            cache.stats.hits += 1;
+            return Ok(diff);
         }
         // Chain composition: a multi-version update can often be served
         // by splicing cached per-version diffs end to end (with run
@@ -555,42 +555,28 @@ impl ServerSegment {
         // fetches (version 0) always get a clean snapshot — replaying the
         // whole history would resend long-dead data.
         if have_version > 0 {
-            let composed = self
-                .cached_chain(have_version)
-                .map(|chain| compose_chain(&chain, have_version, self.version));
+            let composed = cache
+                .chain(have_version, now)
+                .map(|chain| compose_chain(&chain, have_version, now));
             if let Some(composed) = composed {
-                self.diff_cache_hits += 1;
-                self.chain_compositions += 1;
-                return Ok(self.cache_diff(composed));
+                cache.stats.hits += 1;
+                cache.stats.chain_compositions += 1;
+                return Ok(cache.insert(composed));
             }
         }
-        self.diff_cache_misses += 1;
-        let diff = self.build_update(have_version)?;
-        Ok(self.cache_diff(diff))
+        // Other readers' cache hits need not wait behind a scan of the
+        // segment, so the cache is released while it runs.
+        drop(cache);
+        let (diff, scanned) = self.build_update(have_version)?;
+        let mut cache = self.cache.lock();
+        cache.stats.misses += 1;
+        cache.stats.subblocks_scanned += scanned;
+        Ok(cache.insert(diff))
     }
 
-    /// Finds a complete chain of cached diffs covering
-    /// `have_version → current`, if one exists. Borrows straight from
-    /// the cache — composition reads through the references and only
-    /// the composed result is materialized (no per-link diff clones).
-    fn cached_chain(&self, have_version: u64) -> Option<Vec<&SegmentDiff>> {
-        let mut out = Vec::new();
-        let mut at = have_version;
-        while at < self.version {
-            // The longest cached step out of `at`: the greatest
-            // (at, to <= current) key. One O(log n) probe per link.
-            let ((_, to), entry) = self
-                .diff_cache
-                .range((at, 0)..=(at, self.version))
-                .next_back()
-                .filter(|((_, to), _)| *to > at)?;
-            out.push(&entry.diff);
-            at = *to;
-        }
-        (!out.is_empty()).then_some(out)
-    }
-
-    fn build_update(&mut self, have_version: u64) -> Result<SegmentDiff, ServerError> {
+    /// Builds the update from `have_version` at subblock granularity;
+    /// returns it with the number of subblocks examined.
+    fn build_update(&self, have_version: u64) -> Result<(SegmentDiff, u64), ServerError> {
         let mut out = SegmentDiff {
             from_version: have_version,
             to_version: self.version,
@@ -645,7 +631,6 @@ impl ServerSegment {
                 out.block_diffs.push(BlockDiff { serial, runs });
             }
         }
-        self.subblocks_scanned += scanned;
         // Tombstones the client has not seen — but only for blocks whose
         // creation it *did* see; otherwise the serial means nothing to it.
         for &(v, serial, created) in &self.freed {
@@ -653,42 +638,17 @@ impl ServerSegment {
                 out.freed.push(serial);
             }
         }
-        Ok(out)
+        Ok((out, scanned))
     }
 
-    /// Inserts `diff` into the cache (arming its encode cache first) and
-    /// returns a clone sharing that armed cache — callers hand the clone
-    /// out, so the first encoding of the window is the last.
-    fn cache_diff(&mut self, mut diff: SegmentDiff) -> SegmentDiff {
-        diff.arm_enc_cache();
-        let key = (diff.from_version, diff.to_version);
-        self.cache_clock += 1;
-        let stamp = self.cache_clock;
-        if let Some(entry) = self.diff_cache.get_mut(&key) {
-            entry.stamp = stamp;
-            return entry.diff.clone();
-        }
-        if self.diff_cache.len() >= DIFF_CACHE_CAP {
-            // O(cap) LRU eviction — cap is small and insertions are rare
-            // next to lookups, so a second recency index would cost more
-            // than this scan.
-            if let Some(stalest) = self
-                .diff_cache
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
-            {
-                self.diff_cache.remove(&stalest);
-            }
-        }
-        let out = diff.clone();
-        self.diff_cache.insert(key, CachedDiff { diff, stamp });
-        out
+    /// What the diff cache has served so far.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.cache.lock().stats
     }
 
     /// Drops all cached diffs (used by checkpoint restore and ablations).
     pub fn clear_diff_cache(&mut self) {
-        self.diff_cache.clear();
+        self.cache.get_mut().entries.clear();
     }
 
     // ------------------------------------------------------------------
@@ -716,6 +676,7 @@ impl ServerSegment {
         self.version = version;
         self.next_serial = next_serial;
         self.freed = freed;
+        self.changed_through = VecDeque::from([0]);
     }
 
     /// Registers the next type descriptor, introduced at `intro`.
@@ -760,6 +721,67 @@ impl ServerSegment {
             list_key: (0, 0),
         });
         Ok(())
+    }
+}
+
+impl DiffCache {
+    /// Finds a complete chain of cached diffs covering
+    /// `have_version → now`, if one exists. Borrows straight from the
+    /// cache — composition reads through the references and only the
+    /// composed result is materialized (no per-link diff clones).
+    fn chain(&self, have_version: u64, now: u64) -> Option<Vec<&SegmentDiff>> {
+        let mut out = Vec::new();
+        let mut at = have_version;
+        while at < now {
+            // The longest cached step out of `at`: the greatest
+            // (at, to <= now) key. One O(log n) probe per link.
+            let ((_, to), entry) = self
+                .entries
+                .range((at, 0)..=(at, now))
+                .next_back()
+                .filter(|((_, to), _)| *to > at)?;
+            out.push(&entry.diff);
+            at = *to;
+        }
+        (!out.is_empty()).then_some(out)
+    }
+
+    /// The cached diff for window `key`, marked most recently used.
+    /// Clones share the armed encode cache: if the window's bytes were
+    /// ever materialized, they are served as-is.
+    fn get(&mut self, key: (u64, u64)) -> Option<SegmentDiff> {
+        self.clock += 1;
+        let entry = self.entries.get_mut(&key)?;
+        entry.stamp = self.clock;
+        Some(entry.diff.clone())
+    }
+
+    /// Inserts `diff` (arming its encode cache first) and returns a
+    /// clone sharing that armed cache — callers hand the clone out, so
+    /// the first encoding of the window is the last.
+    fn insert(&mut self, mut diff: SegmentDiff) -> SegmentDiff {
+        let key = (diff.from_version, diff.to_version);
+        if let Some(cached) = self.get(key) {
+            return cached;
+        }
+        diff.arm_enc_cache();
+        if self.entries.len() >= DIFF_CACHE_CAP {
+            // O(cap) LRU eviction — cap is small and insertions are rare
+            // next to lookups, so a second recency index would cost more
+            // than this scan.
+            if let Some(stalest) = self
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.stamp)
+                .map(|(k, _)| *k)
+            {
+                self.entries.remove(&stalest);
+            }
+        }
+        let out = diff.clone();
+        let stamp = self.clock;
+        self.entries.insert(key, CachedDiff { diff, stamp });
+        out
     }
 }
 
@@ -920,18 +942,17 @@ mod compose_tests {
             let d = step_with_serial(v, vec![run((v * 7) % 60, 2, v as u8)]);
             seg.apply_diff(&d).unwrap();
         }
-        let hits_before = seg.diff_cache_hits;
-        let upd = seg
-            .collect_update(42, 1, iw_proto::Coherence::Full)
-            .unwrap();
-        assert!(seg.diff_cache_hits > hits_before, "chain should hit cache");
+        let hits_before = seg.cache_stats().hits;
+        let upd = seg.collect_update(1).unwrap();
+        assert!(
+            seg.cache_stats().hits > hits_before,
+            "chain should hit cache"
+        );
         assert_eq!(upd.from_version, 1);
         assert_eq!(upd.to_version, 5);
         // Compare against a freshly built (subblock) update semantically.
         seg.clear_diff_cache();
-        let built = seg
-            .collect_update(43, 1, iw_proto::Coherence::Full)
-            .unwrap();
+        let built = seg.collect_update(1).unwrap();
         let via_chain = replay_diff(&upd, 64);
         let via_built = replay_diff(&built, 64);
         // The rebuilt update works at subblock granularity, so it may
@@ -1065,7 +1086,7 @@ mod tests {
             };
             s.apply_diff(&d).unwrap();
         }
-        let upd = s.collect_update(9, 1, Coherence::Full).unwrap();
+        let upd = s.collect_update(1).unwrap();
         assert_eq!((upd.from_version, upd.to_version), (1, 4));
         let starts: Vec<u64> = upd.block_diffs[0].runs.iter().map(|r| r.start).collect();
         assert_eq!(starts, [0, 20, 40]);
@@ -1116,7 +1137,7 @@ mod tests {
         // Bypass the diff cache (which would faithfully forward the
         // client's fine-grained diff) to observe subblock granularity.
         s.clear_diff_cache();
-        let upd = s.collect_update(1, 1, Coherence::Full).unwrap();
+        let upd = s.collect_update(1).unwrap();
         assert_eq!(upd.from_version, 1);
         assert_eq!(upd.to_version, 2);
         assert!(upd.new_blocks.is_empty());
@@ -1135,8 +1156,8 @@ mod tests {
 
     #[test]
     fn update_from_zero_is_full_transfer() {
-        let mut s = seg_with_int_block(64);
-        let upd = s.collect_update(1, 0, Coherence::Full).unwrap();
+        let s = seg_with_int_block(64);
+        let upd = s.collect_update(0).unwrap();
         assert_eq!(upd.new_blocks.len(), 1);
         assert_eq!(upd.new_blocks[0].count, 64);
         assert_eq!(upd.new_types.len(), 1);
@@ -1155,7 +1176,7 @@ mod tests {
         };
         s.apply_diff(&diff).unwrap();
         s.clear_diff_cache();
-        let upd = s.collect_update(1, 1, Coherence::Full).unwrap();
+        let upd = s.collect_update(1).unwrap();
         let runs = &upd.block_diffs[0].runs;
         assert_eq!(runs.len(), 1, "adjacent subblocks must merge");
         assert_eq!(runs[0].start, 16);
@@ -1174,10 +1195,10 @@ mod tests {
         s.apply_diff(&diff).unwrap();
         assert_eq!(s.block_count(), 0);
         assert_eq!(s.total_prims(), 0);
-        let upd = s.collect_update(1, 1, Coherence::Full).unwrap();
+        let upd = s.collect_update(1).unwrap();
         assert_eq!(upd.freed, vec![0]);
         // A client at version 2 sees nothing.
-        let upd2 = s.collect_update(1, 2, Coherence::Full).unwrap();
+        let upd2 = s.collect_update(2).unwrap();
         assert!(upd2.freed.is_empty() && upd2.block_diffs.is_empty());
     }
 
@@ -1194,9 +1215,9 @@ mod tests {
         // The client-sent diff itself is cached and can be forwarded:
         // "In most cases, a client sends the server a diff, and the server
         // caches and forwards it in response to subsequent requests."
-        let before = s.diff_cache_hits;
-        let upd = s.collect_update(2, 1, Coherence::Full).unwrap();
-        assert_eq!(s.diff_cache_hits, before + 1);
+        let before = s.cache_stats().hits;
+        let upd = s.collect_update(1).unwrap();
+        assert_eq!(s.cache_stats().hits, before + 1);
         assert_eq!(upd, diff);
     }
 
@@ -1213,17 +1234,17 @@ mod tests {
             s.apply_diff(&diff).unwrap();
         }
         // Now at version 5. A client at version 3:
-        assert!(s.needs_update(9, 3, Coherence::Full));
-        assert!(s.needs_update(9, 3, Coherence::Temporal(1000)));
-        assert!(!s.needs_update(9, 3, Coherence::Delta(2)));
-        assert!(s.needs_update(9, 3, Coherence::Delta(1)));
-        assert!(!s.needs_update(9, 5, Coherence::Full));
+        assert!(s.needs_update(3, Coherence::Full));
+        assert!(s.needs_update(3, Coherence::Temporal(1000)));
+        assert!(!s.needs_update(3, Coherence::Delta(2)));
+        assert!(s.needs_update(3, Coherence::Delta(1)));
+        assert!(!s.needs_update(5, Coherence::Full));
 
-        // Diff coherence: fresh client is conservative.
-        assert!(s.needs_update(9, 3, Coherence::Diff(1000)));
-        // After an update its counter resets.
-        s.collect_update(9, 3, Coherence::Diff(1000)).unwrap();
-        assert!(!s.needs_update(9, 5, Coherence::Diff(1000)));
+        // Diff coherence: v4 and v5 each changed 1 prim, so a reader at
+        // v3 has missed 2/160 = 125bp; one at v0 always gets an update.
+        assert!(s.needs_update(3, Coherence::Diff(100)));
+        assert!(!s.needs_update(3, Coherence::Diff(125)));
+        assert!(s.needs_update(0, Coherence::Diff(10_000)));
         // One more modification of 16-prim granularity: 1 prim counted,
         // 1/160 = 0.625% = 62.5bp.
         let diff = SegmentDiff {
@@ -1233,8 +1254,8 @@ mod tests {
             ..Default::default()
         };
         s.apply_diff(&diff).unwrap();
-        assert!(s.needs_update(9, 5, Coherence::Diff(10))); // 0.1% < 0.625%
-        assert!(!s.needs_update(9, 5, Coherence::Diff(100))); // 1% > 0.625%
+        assert!(s.needs_update(5, Coherence::Diff(10))); // 0.1% < 0.625%
+        assert!(!s.needs_update(5, Coherence::Diff(100))); // 1% > 0.625%
     }
 
     #[test]

@@ -13,15 +13,24 @@
 //!
 //! `handle_request` takes `&self`: the server is internally sharded so
 //! requests against *different* segments execute fully in parallel, and
-//! version probes (`Poll` answered `UpToDate`) on the *same* segment
-//! share a read lock. The paper's server tracks versions and collects
-//! diffs independently per segment, so the sharding follows the data:
+//! reads of the *same* segment (a `Poll` or a read `Acquire`, with or
+//! without an update) share its read lock. The paper's server tracks
+//! versions and collects diffs independently per segment, so the
+//! sharding follows the data:
 //!
 //! - the segment table is a `RwLock<HashMap>` of per-segment
 //!   `Arc<RwLock<ServerSegment>>` shards (the outer lock is only written
 //!   on segment creation / full-sync install);
+//! - inside a shard, the diff cache sits behind a leaf mutex that a
+//!   reader takes under the read lock and holds while taking nothing
+//!   else;
 //! - the reader-writer *client* lock table, the client registry, and the
 //!   commit hook each sit behind their own narrow lock.
+//!
+//! Readers leave no state behind: Diff coherence is answered from the
+//! segment's per-version change sums (see `segment.rs`), so every server
+//! built from the same diff stream answers a reader alike, and a client
+//! that goes away costs nothing to forget.
 //!
 //! Lock-ordering hierarchy (documented in DESIGN.md §6a): **compaction
 //! gate → segment table → segment shard → lock table → ship queue →
@@ -56,7 +65,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use iw_durable::{DiffStore, DurabilityMode, DurableOptions, Recovery};
 use iw_proto::msg::{LockMode, Reply, Request};
@@ -281,9 +290,14 @@ impl Server {
             .clone()
     }
 
-    /// Takes a shard lock (`|| shard.read()` or `|| shard.write()`),
-    /// accounting the wait.
-    fn lock_shard<G>(&self, lock: impl FnOnce() -> G) -> G {
+    /// Takes a shard lock, accounting the wait. An uncontended lock
+    /// (`try_lock` succeeds) records a 0 µs wait and touches neither the
+    /// gauge nor the clock.
+    fn lock_shard<G>(&self, try_lock: impl FnOnce() -> Option<G>, lock: impl FnOnce() -> G) -> G {
+        if let Some(guard) = try_lock() {
+            self.metrics.segment_lock_wait_us.record(0);
+            return guard;
+        }
         self.metrics.segment_lock_wait.add(1);
         let started = Instant::now();
         let guard = lock();
@@ -294,11 +308,21 @@ impl Server {
         guard
     }
 
+    /// Takes a shard's read lock (see [`Server::lock_shard`]).
+    fn read_shard<'a>(&self, shard: &'a SharedSegment) -> RwLockReadGuard<'a, ServerSegment> {
+        self.lock_shard(|| shard.try_read(), || shard.read())
+    }
+
+    /// Takes a shard's write lock (see [`Server::lock_shard`]).
+    fn write_shard<'a>(&self, shard: &'a SharedSegment) -> RwLockWriteGuard<'a, ServerSegment> {
+        self.lock_shard(|| shard.try_write(), || shard.write())
+    }
+
     /// Runs `f` with shared access to a segment's state (benchmarks,
     /// tests, snapshotting).
     pub fn with_segment<R>(&self, name: &str, f: impl FnOnce(&ServerSegment) -> R) -> Option<R> {
         let seg = self.segment_arc(name)?;
-        let guard = self.lock_shard(|| seg.read());
+        let guard = self.read_shard(&seg);
         Some(f(&guard))
     }
 
@@ -310,7 +334,7 @@ impl Server {
         f: impl FnOnce(&mut ServerSegment) -> R,
     ) -> Option<R> {
         let seg = self.segment_arc(name)?;
-        let mut guard = self.lock_shard(|| seg.write());
+        let mut guard = self.write_shard(&seg);
         Some(f(&mut guard))
     }
 
@@ -347,24 +371,16 @@ impl Server {
         self.clients.lock().len()
     }
 
-    /// Drops a client, releasing all its locks and forgetting its
-    /// per-segment Diff-coherence counters (so a reused id cannot inherit
-    /// stale accumulated-change counts, and the counters do not grow
-    /// without bound as clients come and go).
+    /// Drops a client and releases all its locks. Readers keep no other
+    /// state here, so no segment shard is locked.
     pub fn disconnect(&self, client: u64) {
         self.clients.lock().remove(&client);
-        {
-            let mut locks = self.locks.lock();
-            let before = locks.held_count();
-            locks.release_all(client);
-            self.metrics
-                .lock_released
-                .add((before - locks.held_count()) as u64);
-        }
-        let shards: Vec<SharedSegment> = self.segments.read().values().cloned().collect();
-        for seg in shards {
-            self.lock_shard(|| seg.write()).drop_client(client);
-        }
+        let mut locks = self.locks.lock();
+        let before = locks.held_count();
+        locks.release_all(client);
+        self.metrics
+            .lock_released
+            .add((before - locks.held_count()) as u64);
     }
 
     /// The server's metric registry.
@@ -402,11 +418,12 @@ impl Server {
             .collect();
         for (name, shard) in &shards {
             let seg = shard.read();
+            let cache = seg.cache_stats();
             let counts = [
-                seg.diff_cache_hits,
-                seg.diff_cache_misses,
-                seg.chain_compositions,
-                seg.subblocks_scanned,
+                cache.hits,
+                cache.misses,
+                cache.chain_compositions,
+                cache.subblocks_scanned,
                 seg.pred_hits,
             ];
             for ((_, total), n) in totals.iter_mut().zip(counts) {
@@ -421,10 +438,6 @@ impl Server {
             snap.gauges.push((
                 format!("server.segment.{name}.readers"),
                 self.locks.lock().reader_count(name) as i64,
-            ));
-            snap.gauges.push((
-                format!("server.segment.{name}.diff_clients"),
-                seg.diff_counter_count() as i64,
             ));
         }
         snap.counters.extend(totals);
@@ -476,6 +489,10 @@ impl Server {
         store.finish_compaction(ok);
     }
 
+    /// Grants `mode` on `segment` to `client`, with the update its
+    /// copy at `have_version` needs (writers always get one; readers
+    /// follow `coherence`). The grant, the coherence check and the
+    /// update are all made under one shard read lock.
     fn acquire(
         &self,
         client: u64,
@@ -490,7 +507,7 @@ impl Server {
             };
         };
         // Lock order: segment shard before the client lock table.
-        let guard = self.lock_shard(|| seg.read());
+        let guard = self.read_shard(&seg);
         if !self.locks.lock().acquire(segment, client, mode) {
             self.metrics.lock_busy.inc();
             return Reply::Busy;
@@ -502,25 +519,14 @@ impl Server {
             LockMode::Write => Coherence::Full,
             LockMode::Read => coherence,
         };
-        if !guard.needs_update(client, have_version, effective) {
-            // Version probe / already-fresh client: shared lock only.
-            return Reply::Granted {
+        let update = guard
+            .needs_update(have_version, effective)
+            .then(|| guard.collect_update(have_version))
+            .transpose();
+        match update {
+            Ok(update) => Reply::Granted {
                 version: guard.version(),
-                update: None,
-                next_serial: guard.next_serial(),
-                next_type_serial: guard.next_type_serial(),
-            };
-        }
-        // The update mutates per-segment state (diff cache, Diff-coherence
-        // counters): upgrade to the shard's write lock. The client lock
-        // just granted keeps writers out, so the version cannot move
-        // between the read and write critical sections.
-        drop(guard);
-        let mut guard = self.lock_shard(|| seg.write());
-        match guard.collect_update(client, have_version, effective) {
-            Ok(d) => Reply::Granted {
-                version: guard.version(),
-                update: Some(d),
+                update,
                 next_serial: guard.next_serial(),
                 next_type_serial: guard.next_type_serial(),
             },
@@ -575,7 +581,7 @@ impl Server {
         let mut versions = Vec::with_capacity(entries.len());
         let mut plans = Vec::with_capacity(entries.len());
         for (&(name, diff), shard) in entries.iter().zip(&shards) {
-            let seg = self.lock_shard(|| shard.write());
+            let seg = self.write_shard(shard);
             if client.is_none() && diff.is_some_and(|d| d.to_version <= seg.version()) {
                 return Ok(vec![seg.version()]);
             }
@@ -610,7 +616,7 @@ impl Server {
             let (Some(diff), Some(plan)) = (diff, plan) else {
                 continue;
             };
-            let mut seg = self.lock_shard(|| shard.write());
+            let mut seg = self.write_shard(shard);
             *version = seg.install(plan);
             if let Some(store) = &self.durable {
                 if version.is_multiple_of(store.options().checkpoint_interval.max(1)) {
@@ -662,44 +668,35 @@ impl Server {
         Reply::Committed { versions }
     }
 
-    fn poll(
-        &self,
-        client: u64,
-        segment: &str,
-        have_version: u64,
-        coherence: Coherence,
-        floor: u64,
-    ) -> Reply {
+    /// Answers a reader's poll under one shard read lock: the floor
+    /// check, the coherence check and the update all see one version,
+    /// and polls never serialize against each other or against other
+    /// readers of the segment.
+    fn poll(&self, segment: &str, have_version: u64, coherence: Coherence, floor: u64) -> Reply {
         let Some(seg) = self.segment_arc(segment) else {
             return Reply::Error {
                 message: format!("no such segment `{segment}`"),
             };
         };
-        {
-            // The common no-op probe ("is my version recent enough?")
-            // takes only the shared lock, so polls never serialize
-            // against each other or against same-segment readers.
-            let guard = self.lock_shard(|| seg.read());
-            // The staleness floor is checked under the same lock that
-            // guards the version, so a served reply always reflects a
-            // version >= floor — replicas can never silently serve data
-            // older than the client's coherence predicate allows.
-            if guard.version() < floor {
-                return Reply::NotFresh {
-                    version: guard.version(),
-                };
-            }
-            // The floor constrains the *served* version too: a client
-            // whose cache is below it must receive an update even when
-            // the coherence model alone would tolerate the distance —
-            // `UpToDate` would otherwise leave the client holding data
-            // older than the floor it asked for.
-            if have_version >= floor && !guard.needs_update(client, have_version, coherence) {
-                return Reply::UpToDate;
-            }
+        let guard = self.read_shard(&seg);
+        // The staleness floor is checked under the same lock that guards
+        // the version, so a served reply always reflects a version >=
+        // floor — replicas can never silently serve data older than the
+        // client's coherence predicate allows.
+        if guard.version() < floor {
+            return Reply::NotFresh {
+                version: guard.version(),
+            };
         }
-        let mut guard = self.lock_shard(|| seg.write());
-        match guard.collect_update(client, have_version, coherence) {
+        // The floor constrains the *served* version too: a client whose
+        // cache is below it must receive an update even when the
+        // coherence model alone would tolerate the distance — `UpToDate`
+        // would otherwise leave the client holding data older than the
+        // floor it asked for.
+        if have_version >= floor && !guard.needs_update(have_version, coherence) {
+            return Reply::UpToDate;
+        }
+        match guard.collect_update(have_version) {
             Ok(diff) => Reply::Update { diff },
             Err(e) => Reply::Error {
                 message: e.to_string(),
@@ -755,7 +752,7 @@ impl Server {
         // Swap the image in place inside the existing shard, so any
         // concurrently held Arc keeps pointing at the live state.
         let shard = self.segment_or_insert(segment);
-        let mut guard = self.lock_shard(|| shard.write());
+        let mut guard = self.write_shard(&shard);
         if self.locks.lock().is_claimed(segment) {
             return Reply::Error {
                 message: format!("a commit to `{segment}` is in flight"),
@@ -820,12 +817,12 @@ impl Server {
             } => self.release(*client, segment, diff.as_ref()),
             Request::Commit { client, entries } => self.commit(*client, entries),
             Request::Poll {
-                client,
+                client: _,
                 segment,
                 have_version,
                 coherence,
                 floor,
-            } => self.poll(*client, segment, *have_version, *coherence, *floor),
+            } => self.poll(segment, *have_version, *coherence, *floor),
             Request::Stats { client: _ } => Reply::Stats {
                 snapshot: self.metrics_snapshot(),
             },
@@ -1285,50 +1282,6 @@ mod tests {
         // Goodbye for an id the server never saw is a harmless no-op.
         let r = s.handle_request(&Request::Goodbye { client: 0xdead });
         assert!(matches!(r, Reply::Released { .. }));
-    }
-
-    #[test]
-    fn disconnect_drops_diff_counters() {
-        let s = Server::new();
-        let w = s.hello("w");
-        let rd = s.hello("r");
-        s.open("h/s");
-        // Writer publishes v1; reader polls under Diff coherence, which
-        // creates its per-segment counter.
-        s.handle_request(&Request::Acquire {
-            client: w,
-            segment: "h/s".into(),
-            mode: LockMode::Write,
-            have_version: 0,
-            coherence: Coherence::Full,
-        });
-        s.handle_request(&Request::Release {
-            client: w,
-            segment: "h/s".into(),
-            diff: Some(seed_diff(0)),
-        });
-        s.handle_request(&Request::Poll {
-            client: rd,
-            segment: "h/s".into(),
-            have_version: 0,
-            coherence: Coherence::Diff(100),
-            floor: 0,
-        });
-        assert_eq!(
-            s.with_segment("h/s", |seg| seg.diff_counter(rd)).unwrap(),
-            Some(0)
-        );
-        s.disconnect(rd);
-        assert_eq!(
-            s.with_segment("h/s", |seg| seg.diff_counter(rd)).unwrap(),
-            None,
-            "disconnect must drop the counter"
-        );
-        assert_eq!(
-            s.with_segment("h/s", ServerSegment::diff_counter_count)
-                .unwrap(),
-            0
-        );
     }
 
     #[test]

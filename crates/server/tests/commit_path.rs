@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use iw_proto::msg::{LockMode, Reply, Request};
 use iw_proto::Coherence;
-use iw_server::{checkpoint, DurableOptions, Server, ServerSegment};
+use iw_server::{checkpoint, DurableOptions, Server};
 use iw_types::desc::TypeDesc;
 use iw_wire::diff::{BlockDiff, DiffRun, NewBlock, SegmentDiff};
 
@@ -244,80 +244,173 @@ fn restart_after_refused_release_recovers_the_served_image() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Only Diff-coherence readers get a change counter: a writer and
-/// Full, Delta and Temporal readers leave none behind.
-#[test]
-fn diff_counters_only_for_diff_readers() {
-    let s = Server::new();
-    let w = s.hello("w");
-    s.open("h/s");
-    for from in 0..4 {
-        acquire(&s, w, "h/s", LockMode::Write, from);
-        let diff = if from == 0 {
-            seed(0)
-        } else {
-            write(from, 10 + from as u32)
-        };
-        s.handle_request(&Request::Release {
-            client: w,
-            segment: "h/s".into(),
-            diff: Some(diff),
-        });
+/// `from → from+1` of varied size: `v % 5` runs on block 0 (none makes
+/// an empty diff), and on every third version a new two-int block.
+fn varied(from: u64) -> SegmentDiff {
+    let v = from + 1;
+    let new_blocks = v
+        .is_multiple_of(3)
+        .then(|| NewBlock {
+            serial: v as u32,
+            name: None,
+            type_serial: 0,
+            count: 2,
+            data: Bytes::from(vec![0, 0, 0, 1, 0, 0, 0, 2]),
+        })
+        .into_iter()
+        .collect();
+    let runs: Vec<DiffRun> = (0..v % 5).map(|k| int_run(k, v as u32 + 10)).collect();
+    SegmentDiff {
+        from_version: from,
+        to_version: v,
+        new_blocks,
+        block_diffs: (!runs.is_empty())
+            .then_some(BlockDiff { serial: 0, runs })
+            .into_iter()
+            .collect(),
+        ..Default::default()
     }
-    for coherence in [
-        Coherence::Full,
-        Coherence::Delta(2),
-        Coherence::Temporal(50),
-    ] {
-        let r = s.hello("r");
-        let got = s.handle_request(&Request::Acquire {
-            client: r,
-            segment: "h/s".into(),
-            mode: LockMode::Read,
-            have_version: 0,
-            coherence,
-        });
-        assert!(
-            matches!(
-                got,
-                Reply::Granted {
-                    update: Some(_),
-                    ..
-                }
-            ),
-            "{got:?}"
-        );
-        let got = s.handle_request(&Request::Poll {
-            client: r,
-            segment: "h/s".into(),
-            have_version: 1,
-            coherence,
-            floor: 0,
-        });
-        assert!(
-            matches!(got, Reply::Update { .. }),
-            "{coherence:?}: {got:?}"
-        );
-    }
-    assert_eq!(
-        s.with_segment("h/s", ServerSegment::diff_counter_count),
-        Some(0)
-    );
-    let snap = s.metrics_snapshot();
-    assert_eq!(snap.gauge("server.segment.h/s.diff_clients"), Some(0));
-    // A Diff reader still gets one.
-    let r = s.hello("diff");
-    s.handle_request(&Request::Poll {
-        client: r,
+}
+
+/// Whether a Diff reader at `have` polling `s` under `bp` gets an update.
+fn diff_update(s: &Server, client: u64, have: u64, bp: u32) -> bool {
+    let r = s.handle_request(&Request::Poll {
+        client,
         segment: "h/s".into(),
-        have_version: 0,
-        coherence: Coherence::Diff(100),
+        have_version: have,
+        coherence: Coherence::Diff(bp),
         floor: 0,
     });
+    match r {
+        Reply::Update { .. } => true,
+        Reply::UpToDate => false,
+        r => panic!("poll at v{have}: {r:?}"),
+    }
+}
+
+/// A primary, a backup fed by `Replicate`, a backup fed by `SyncFull` and
+/// then `Replicate`, and the primary reopened from its image and WAL tail
+/// answer a Diff reader alike wherever their change history reaches its
+/// version. Below a server's history, and at version 0, it gets an
+/// update. A reader that read the primary during the history gets the
+/// same answers as one that never did.
+#[test]
+fn servers_answer_diff_readers_alike() {
+    const LAST: u64 = 10;
+    const BPS: [u32; 6] = [20_000, 5000, 2500, 1000, 300, 0];
+    let dir = temp_dir("alike");
+    let opts = DurableOptions {
+        fsync: false,
+        checkpoint_interval: 4,
+        ..DurableOptions::default()
+    };
+    let primary = Server::with_durability(dir.clone(), opts.clone())
+        .unwrap()
+        .0;
+    let (w, reader) = (primary.hello("w"), primary.hello("r"));
+    primary.open("h/s");
+    let (replicated, synced) = (Server::new(), Server::new());
+    for from in 0..LAST {
+        acquire(&primary, w, "h/s", LockMode::Write, from);
+        let d = if from == 0 { seed(0) } else { varied(from) };
+        let r = release(&primary, w, "h/s", Some(d.clone()));
+        assert_eq!(r, Reply::Released { version: from + 1 });
+        replicated.handle_request(&Request::Replicate {
+            segment: "h/s".into(),
+            from_version: from,
+            diff: d.clone(),
+        });
+        if from + 1 == 5 {
+            let image = image(&primary, "h/s");
+            synced.handle_request(&Request::SyncFull {
+                segment: "h/s".into(),
+                image,
+            });
+        } else if from >= 5 {
+            synced.handle_request(&Request::Replicate {
+                segment: "h/s".into(),
+                from_version: from,
+                diff: d,
+            });
+        }
+        if from + 1 == 3 {
+            // A reader of the primary during the history.
+            assert!(diff_update(&primary, reader, 0, 2500));
+        }
+    }
+    let answers = |s: &Server, client: u64| -> Vec<bool> {
+        let grid = BPS
+            .iter()
+            .flat_map(|&bp| (0..LAST).map(move |have| (have, bp)));
+        grid.map(|(have, bp)| diff_update(s, client, have, bp))
+            .collect()
+    };
+    let want = answers(&primary, reader);
+    assert_eq!(answers(&primary, primary.hello("fresh")), want);
+    assert!(want.contains(&true) && want.contains(&false), "{want:?}");
+    drop(primary);
+    let reopened = Server::with_durability(dir.clone(), opts).unwrap().0;
+    assert_eq!(reopened.segment_version("h/s"), Some(LAST));
+
+    // Each server with the base of its change history.
+    for (name, s, base) in [
+        ("replicate", &replicated, 0),
+        ("sync_full", &synced, 5),
+        ("reopened", &reopened, 8),
+    ] {
+        assert_eq!(s.segment_version("h/s"), Some(LAST), "{name}");
+        let got = answers(s, s.hello("r"));
+        for (i, (got, want)) in got.into_iter().zip(&want).enumerate() {
+            let (have, bp) = (i as u64 % LAST, BPS[i / LAST as usize]);
+            if have == 0 || have < base {
+                assert!(got, "{name}: have {have} below the history, Diff({bp})");
+            } else {
+                assert_eq!(got, *want, "{name}: have {have}, Diff({bp})");
+            }
+        }
+    }
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stale `Poll` and a stale read `Acquire` are each answered under one
+/// shard read lock: each adds one shard acquisition.
+#[test]
+fn a_stale_read_takes_one_shard_lock() {
+    let s = Server::new();
+    let (w, rd) = (s.hello("w"), s.hello("r"));
+    s.open("h/s");
+    acquire(&s, w, "h/s", LockMode::Write, 0);
     assert_eq!(
-        s.with_segment("h/s", |seg| seg.diff_counter(r)),
-        Some(Some(0))
+        release(&s, w, "h/s", Some(seed(0))),
+        Reply::Released { version: 1 }
     );
+    let shard_locks = || {
+        let snap = s.metrics_snapshot();
+        snap.histogram("server.segment_lock_wait_us").unwrap().count
+    };
+    let before = shard_locks();
+    let r = s.handle_request(&Request::Poll {
+        client: rd,
+        segment: "h/s".into(),
+        have_version: 0,
+        coherence: Coherence::Full,
+        floor: 0,
+    });
+    assert!(matches!(r, Reply::Update { .. }), "{r:?}");
+    assert_eq!(shard_locks(), before + 1);
+    let r = acquire(&s, rd, "h/s", LockMode::Read, 0);
+    assert!(
+        matches!(
+            r,
+            Reply::Granted {
+                update: Some(_),
+                ..
+            }
+        ),
+        "{r:?}"
+    );
+    assert_eq!(shard_locks(), before + 2);
 }
 
 /// Makes the commit hook, on its first firing for `segment`, report on

@@ -86,7 +86,7 @@ proptest! {
 
         // A client at some version in [1, current) asks for an update.
         let have = 1 + u64::from(have_pick) % (applied.len() as u64);
-        let upd = seg.collect_update(7, have, iw_proto::Coherence::Full).unwrap();
+        let upd = seg.collect_update(have).unwrap();
         prop_assert_eq!(upd.from_version, have);
         prop_assert_eq!(upd.to_version, 1 + applied.len() as u64);
 

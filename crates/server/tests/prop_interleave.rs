@@ -194,10 +194,7 @@ fn run_case(ops0: Vec<(bool, i32)>, ops1: Vec<(bool, i32)>) -> (Tallies, Finals)
             let mut model = vec![0i32; PRIMS as usize];
             if version > 1 {
                 let upd = server
-                    .with_segment_mut(seg, |s| {
-                        s.collect_update(999, 1, iw_proto::Coherence::Full)
-                            .expect("update")
-                    })
+                    .with_segment_mut(seg, |s| s.collect_update(1).expect("update"))
                     .expect("segment");
                 assert_eq!(upd.to_version, version);
                 replay(&mut model, &upd);

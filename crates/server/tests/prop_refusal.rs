@@ -7,7 +7,6 @@
 //! that never saw it. The uncorrupted diff then commits on both.
 
 use bytes::Bytes;
-use iw_proto::Coherence;
 use iw_server::{checkpoint, ServerSegment};
 use iw_types::desc::TypeDesc;
 use iw_wire::codec::WireWriter;
@@ -306,8 +305,8 @@ proptest! {
         prop_assert_eq!(seg.version(), 2);
         prop_assert_eq!(image(&mut seg), image(&mut oracle), "{} corruption (seed {seed}): {:?}", KINDS[kind], refused);
         for have in [0, 1] {
-            let got = seg.collect_update(7, have, Coherence::Full).unwrap();
-            let want = oracle.collect_update(7, have, Coherence::Full).unwrap();
+            let got = seg.collect_update(have).unwrap();
+            let want = oracle.collect_update(have).unwrap();
             prop_assert_eq!(got.encode(), want.encode(), "update from v{}", have);
         }
 

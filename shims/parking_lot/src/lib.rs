@@ -7,7 +7,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::PoisonError;
+use std::sync::{PoisonError, TryLockError};
 
 /// A mutual-exclusion primitive whose `lock` never returns a poison error.
 pub struct Mutex<T: ?Sized> {
@@ -109,6 +109,26 @@ impl<T: ?Sized> RwLock<T> {
         RwLockWriteGuard {
             inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
         }
+    }
+
+    /// A shared read guard if one is available without blocking.
+    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
+        let inner = match self.inner.try_read() {
+            Ok(g) => g,
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        Some(RwLockReadGuard { inner })
+    }
+
+    /// The exclusive write guard if it is available without blocking.
+    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
+        let inner = match self.inner.try_write() {
+            Ok(g) => g,
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        Some(RwLockWriteGuard { inner })
     }
 
     /// Returns a mutable reference without locking (requires `&mut self`).
